@@ -64,22 +64,24 @@ def _norm_q(u: np.ndarray, m: np.ndarray, q: float) -> float:
     return float(np.sum(m * np.abs(u) ** q) ** (1.0 / q))
 
 
-def _value_grad(u: np.ndarray, A: np.ndarray, m: np.ndarray, q: float):
+def _value_grad(u: np.ndarray, T, q: float):
     # value and gradient of t[u] on the manifold ||u||_q = 1
-    Au = A @ u
+    m = T.measure
+    Au = T.form_product(u)
     t = float(u @ Au)
     g = 2.0 * (Au - t * m * np.abs(u) ** (q - 1.0) * np.sign(u))
     return t, g
 
 
-def _bb_descent(A, m, q, u0, *, max_iter, step0, stall_window=50, tol=1e-6):
+def _bb_descent(T, q, u0, *, max_iter, step0, stall_window=50, tol=1e-6):
     # Hand-off semantics: descent only needs to settle into a basin; the
     # fixed-point polish drives the residual to the 1e-10 level.  Exit on
     # a small gradient or when relative value improvements stall, since
     # the quotient Hessian is too ill-conditioned for gradient descent to
     # reach tight first-order tolerances directly.
+    m = T.measure
     u = u0 / _norm_q(u0, m, q)
-    t, g = _value_grad(u, A, m, q)
+    t, g = _value_grad(u, T, q)
     best_t, best_u = t, u.copy()
     prev_u = prev_g = None
     step = step0
@@ -105,7 +107,7 @@ def _bb_descent(A, m, q, u0, *, max_iter, step0, stall_window=50, tol=1e-6):
             nq = _norm_q(un, m, q)
             if nq > 0.0:
                 un = un / nq
-                tn, gn = _value_grad(un, A, m, q)
+                tn, gn = _value_grad(un, T, q)
                 if tn <= t - 1e-4 * st * gn2:
                     accepted = True
                     break
@@ -133,9 +135,8 @@ def _polish(T, q, u, *, max_iter=500):
     """
     w, Q = T.eigensystem()
     m = T.measure
-    A = T.form
     if w[0] <= 1e-10 * max(w[-1], 1e-300):
-        t, g = _value_grad(u, A, m, q)
+        t, g = _value_grad(u, T, q)
         return t, u, float(np.linalg.norm(g))
     rs = 1.0 / np.sqrt(m)
 
@@ -143,7 +144,7 @@ def _polish(T, q, u, *, max_iter=500):
         y = Q.T @ (rs * b)
         return rs * (Q @ (y / w))
 
-    t, g = _value_grad(u, A, m, q)
+    t, g = _value_grad(u, T, q)
     for _ in range(max_iter):
         if float(np.linalg.norm(g)) <= 1e-10 * max(1.0, abs(t)):
             break
@@ -153,7 +154,7 @@ def _polish(T, q, u, *, max_iter=500):
         if not nq > 0.0:
             break
         un = x / nq
-        tn, gn = _value_grad(un, A, m, q)
+        tn, gn = _value_grad(un, T, q)
         if tn > t + 1e-14 * max(1.0, abs(t)):
             break
         u, t, g = un, tn, gn
@@ -182,7 +183,6 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
         return 0.0, MinimizationTrace(value=0.0, minimizer=kern, restarts=0,
                                       iterations=0, residual=0.0, vacuous=True)
 
-    A = T.form
     m = T.measure
     n = T.n
     step0 = 1.0 / max(float(w[-1]), 1e-300)
@@ -192,7 +192,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     best_t, best_u, best_res = np.inf, None, np.inf
     total_iters = 0
     for u0 in starts:
-        t_bb, u_bb, iters = _bb_descent(A, m, q, u0, max_iter=max_iter, step0=step0)
+        t_bb, u_bb, iters = _bb_descent(T, q, u0, max_iter=max_iter, step0=step0)
         total_iters += iters
         t_p, u_p, res = _polish(T, q, u_bb)
         if t_p < best_t:
@@ -209,7 +209,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
             U = rng.standard_normal((n, b))
             if done % 2:
                 U = np.abs(U)
-            tvals = np.einsum("ij,ij->j", U, A @ U)
+            tvals = np.einsum("ij,ij->j", U, T.form_product(U))
             nq2 = np.sum(m[:, None] * np.abs(U) ** q, axis=0) ** (2.0 / q)
             ratios = tvals / nq2
             j = int(np.argmin(ratios))
@@ -249,12 +249,12 @@ class InterpConstant:
 
 def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
     """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2."""
-    A, m, n = T.form, T.measure, T.n
+    m, n = T.measure, T.n
     w = T.eigenvalues()
     step0 = 1.0 / max(float(w[-1]), 1e-300)
 
     def vg(u):
-        Au = A @ u
+        Au = T.form_product(u)
         t = float(u @ Au)
         n2 = float(np.sum(m * u * u))
         J = t**theta * n2 ** (1.0 - theta)
@@ -403,7 +403,7 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
         raise ValueError(f"requires S >= 0, got {S}")
     if S == 0.0:
         return NashReport(min_slack_rel=math.inf, passed=True, n_samples=0, vacuous=True)
-    A, m, n = T.form, T.measure, T.n
+    m, n = T.measure, T.n
     p = q / (2.0 * (q - 1.0))
     e1 = (q - 2.0) / (q - 1.0)
     rng = np.random.default_rng(seed)
@@ -414,7 +414,7 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
         U = rng.standard_normal((n, b))
         if (done // 500) % 2:
             U = np.abs(U)
-        tvals = np.einsum("ij,ij->j", U, A @ U)
+        tvals = np.einsum("ij,ij->j", U, T.form_product(U))
         n1 = np.sum(m[:, None] * np.abs(U), axis=0)
         n2sq = np.sum(m[:, None] * U * U, axis=0)
         lhs = np.maximum(tvals, 0.0) ** p * n1**e1

@@ -150,18 +150,6 @@ def _measure_vector(space: LatticeSpace, measure) -> np.ndarray:
     return m
 
 
-def as_grid_function(space: LatticeSpace, values) -> np.ndarray:
-    """Validate values as a (possibly complex) function on the site set."""
-    u = np.asarray(values)
-    if u.shape != (space.n,):
-        raise ValueError(f"function has shape {u.shape}, expected ({space.n},)")
-    if not np.issubdtype(u.dtype, np.complexfloating):
-        u = u.astype(np.float64)
-    if not np.all(np.isfinite(u.view(np.float64) if u.dtype == np.complex128 else u)):
-        raise ValueError("function values must be finite")
-    return u
-
-
 def as_potential(space: LatticeSpace, values) -> np.ndarray:
     """Validate values as a nonnegative real potential."""
     v = np.asarray(values, dtype=np.float64)

@@ -9,11 +9,23 @@ symmetrized matrix M^{-1/2} A M^{-1/2}, which has the same spectrum.
 The plain Laplacian form is t[u] = sum_edges h^(d-2) |u_x - u_y|^2 plus
 one h^(d-2) |u_x|^2 penalty per missing neighbor slot under Dirichlet
 boundary conditions.
+
+Forms are stored dense, and every product A @ U (a vector or an n x b
+block) goes through KineticOperator.form_product.  On first use it looks
+at the form once: when its fullest row holds k nonzeros with
+k * ROW_ROUTE_FACTOR < n, it keeps a padded row list (per row, the
+column indices and values of its nonzeros, padded to k slots) and
+applies the form through it in O(k n) work per column; otherwise it
+multiplies densely.  The nearest-neighbour families (Laplacian,
+magnetic, periodic, shifted and weighted forms; k <= 2d + 1) take the
+row route on large lattices; fractional and inverse-square forms are
+full and stay dense at every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +33,36 @@ from ._specfun import hardy_constant
 from .lattice import LatticeSpace, as_potential, as_weight
 
 SYM_TOL = 1e-12
+
+# A form takes the row route when its fullest row has k nonzeros with
+# k * ROW_ROUTE_FACTOR < n.  Measured for one vector at one OpenBLAS
+# thread (numpy 2.4.6, OpenBLAS 0.3.31, x86-64): the dense matvec costs
+# 2-3 us for n <= 81, 4 us at n = 128 and 440 us at n = 1024, while the
+# row route costs 4-6 us at every n up to 256 and 13 us at n = 1024; the
+# two break even near n = 40 k.  32 keeps every form with k >= 3 and
+# n <= 96 dense.
+ROW_ROUTE_FACTOR = 32
+
+
+def _padded_rows(form: np.ndarray):
+    """(cols, vals), each of shape (k, n), for the row route, or None.
+
+    Slot s of row i holds the column index and value of the s-th nonzero
+    of that row in ascending column order; short rows are padded with
+    their own index and a zero value (a zero form keeps one such slot).
+    """
+    n = form.shape[0]
+    counts = np.count_nonzero(form, axis=1)
+    k = int(counts.max(initial=1))
+    if k * ROW_ROUTE_FACTOR >= n:
+        return None
+    rows, cols = np.nonzero(form)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pad_cols = np.tile(np.arange(n), (k, 1))
+    pad_vals = np.zeros((k, n), dtype=form.dtype)
+    pad_cols[slot, rows] = cols
+    pad_vals[slot, rows] = form[rows, cols]
+    return pad_cols, pad_vals
 
 
 class KineticOperator:
@@ -88,13 +130,37 @@ class KineticOperator:
     def is_positive_definite(self, tol_rel: float = 1e-12) -> bool:
         return self.min_eigenvalue() > tol_rel * self.spectral_scale()
 
+    @cached_property
+    def _rows(self):
+        """Padded row list of the form, or None for the dense route."""
+        return _padded_rows(self.form)
+
+    def form_product(self, U) -> np.ndarray:
+        """A @ U for a vector U of length n or an n x b block."""
+        U = np.asarray(U)
+        rows = self._rows
+        if rows is None:
+            return self.form @ U
+        cols, vals = rows
+        if U.ndim == 1:
+            # all k slots in one gather: the fewest numpy calls per descent step
+            return (vals * U[cols]).sum(axis=0)
+        # blocks: one slot at a time, so temporaries stay of size n x b; each
+        # column is summed in the same slot order as a vector
+        out = vals[0][:, None] * U[cols[0]]
+        buf = np.empty_like(out)
+        for c, v in zip(cols[1:], vals[1:]):
+            np.multiply(v[:, None], U[c], out=buf)
+            out += buf
+        return out
+
     def quad_form(self, u) -> float:
         u = np.asarray(u)
-        return float(np.real(np.conj(u) @ (self.form @ u)))
+        return float(np.real(np.conj(u) @ self.form_product(u)))
 
     def apply(self, u) -> np.ndarray:
         """Operator action M^{-1} A u."""
-        return (self.form @ np.asarray(u)) / self.measure
+        return self.form_product(u) / self.measure
 
     def shifted(self, tau: float) -> "KineticOperator":
         """Operator T + tau (form A + tau * diag(m))."""
@@ -119,11 +185,9 @@ class KineticOperator:
 class MagneticKineticOperator(KineticOperator):
     """Hermitian kinetic operator with unit-modulus phases on edges."""
 
-    def __init__(self, space, form, *, phases, base: KineticOperator,
-                 measure=None, name="", meta=None):
+    def __init__(self, space, form, *, phases, measure=None, name="", meta=None):
         super().__init__(space, form, measure=measure, name=name, meta=meta)
         self.phases = np.asarray(phases, dtype=np.float64)
-        self.base = base
 
 
 def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
@@ -203,13 +267,12 @@ def build_magnetic_laplacian(space: LatticeSpace, phases) -> MagneticKineticOper
         raise ValueError(
             f"expected one phase per edge ({space.edges.shape[0]}), got shape {phases.shape}"
         )
-    base = build_laplacian(space)
     if np.count_nonzero(phases) == 0:
-        A = base.form.astype(np.complex128)
+        A = _assemble_laplacian(space).astype(np.complex128)
     else:
         A = _assemble_laplacian(space, np.exp(1j * phases))
     return MagneticKineticOperator(
-        space, A, phases=phases, base=base, name="magnetic-laplacian",
+        space, A, phases=phases, name="magnetic-laplacian",
         meta={"family": "magnetic"},
     )
 
@@ -509,10 +572,10 @@ def diamagnetic_form_pair(T: KineticOperator, T_A: MagneticKineticOperator, u, v
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.float64)
     absu = np.abs(u)
-    lhs = float(np.real(v @ (T.form @ absu)))
+    lhs = float(np.real(v @ T.form_product(absu)))
     sgn = np.zeros_like(u)
     nz = absu > 0.0
     sgn[nz] = u[nz] / absu[nz]
     w = v * sgn
-    rhs = float(np.real(np.conj(w) @ (T_A.form @ u)))
+    rhs = float(np.real(np.conj(w) @ T_A.form_product(u)))
     return lhs, rhs

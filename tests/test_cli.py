@@ -414,3 +414,27 @@ def test_golden_residual_rows_sit_under_floor():
     for r in residual:
         assert 0.0 <= float(r[3]) <= RESIDUAL_FLOOR / 20
         assert RESIDUAL_FLOOR <= float(r[4]) / 400
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The package needs numpy alone; scipy stays a test-only oracle.
+
+    Measured with numpy 2.4.6 and scipy 1.17.1 at one BLAS thread:
+    importing scipy.sparse after numpy adds about 0.3 s of CPU and 22 MB
+    of peak RSS (scipy.sparse.linalg: 0.4 s, 32 MB), and a CSR variant of
+    the sparse form product raised the peak RSS of the two 1024-site
+    suite scenarios from 101.0 to 118.5 MB, where the numpy row list
+    lowered it to 93.9 MB.  Every run of the CLI would pay that cost.
+    """
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ineqlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

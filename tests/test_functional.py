@@ -83,6 +83,17 @@ def test_sobolev_kernel_is_vacuous():
     assert trace.vacuous
 
 
+def test_sobolev_row_route_matches_dense_route(monkeypatch):
+    T = build_laplacian(make_lattice(d=1, extents=256))
+    assert T._rows is not None
+    S_row, trace = sobolev_constant(T, 6.0, restarts=4)
+    dense = build_laplacian(make_lattice(d=1, extents=256))
+    monkeypatch.setattr(dense, "_rows", None)
+    S_dense, _ = sobolev_constant(dense, 6.0, restarts=4)
+    assert S_row == pytest.approx(S_dense, rel=1e-10)
+    assert trace.certificate_slack >= 0.0
+
+
 def test_sobolev_rejects_bad_input():
     T = build_laplacian(make_lattice(d=1, extents=4))
     with pytest.raises(ValueError):

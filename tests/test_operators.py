@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
@@ -323,3 +324,85 @@ def test_beurling_deny_complex_form_fails_condition_one():
     TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.5))
     rep = beurling_deny_check(TA)
     assert not rep.is_real and not rep.passed
+
+
+# --- form products: row route against the dense matrix ---------------------
+
+def _row_route_operators(size):
+    """Nearest-neighbour forms at one lattice size ("small": n = 16,
+    dense route; "large": n = 256, row route), keyed by family."""
+    n1, e2 = (16, (4, 4)) if size == "small" else (256, (16, 16))
+    path = make_lattice(d=1, extents=n1)
+    ring = make_lattice(d=1, extents=n1, bc="periodic")
+    grid = make_lattice(d=2, extents=e2)
+    torus = make_lattice(d=2, extents=e2, bc="periodic")
+    lap = build_laplacian(path)
+    omega = np.exp(0.3 * np.random.default_rng(5).standard_normal(path.n))
+    W = 0.5 * np.cos(2.0 * np.pi * np.arange(ring.n) / ring.n)
+    return {
+        "laplacian-1d": lap,
+        "periodic-1d": build_laplacian(ring),
+        "laplacian-2d": build_laplacian(grid),
+        "periodic-2d": build_laplacian(torus),
+        "magnetic-2d": build_magnetic_laplacian(grid, uniform_flux_phases(grid, 0.7)),
+        "shifted": lap.shifted(0.3),
+        "weighted": weighted_transform(lap, omega, 1.5).operator,
+        "periodic-shifted": build_periodic_schrodinger(ring, W).shifted,
+    }
+
+
+def _dense_operators():
+    hole = make_lattice(d=2, extents=(9, 9), exclusions=[(4, 4)])
+    return {
+        "fractional-1d": fractional_laplacian(make_lattice(d=1, extents=256), 0.5),
+        "hardy-2d": build_hardy_operator(hole, 0.5),
+    }
+
+
+FORM_OPERATORS = {("small", k): T for k, T in _row_route_operators("small").items()}
+FORM_OPERATORS.update({("large", k): T for k, T in _row_route_operators("large").items()})
+FORM_OPERATORS.update({("full", k): T for k, T in _dense_operators().items()})
+
+
+def test_bundled_suite_forms_route_by_size():
+    # every bundled form under 1024 sites stays dense; both n = 1024 forms
+    # take the row route
+    from ineqlab import cli, verify
+
+    for sc in cli._load_config("paper-suite")["scenarios"]:
+        lat = sc["lattice"]
+        space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
+                             bc=lat.get("bc", "dirichlet"),
+                             exclusions=[tuple(x) for x in lat.get("exclusions", [])])
+        T, T_A, bundle, _ = verify._build_operator(space, sc["operator"])
+        ops = [T, T_A, bundle.shifted if bundle is not None else None]
+        for op in filter(None, ops):
+            assert (op._rows is not None) == (space.n >= 1024), sc["id"]
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("width", [None, 1, 5])
+@pytest.mark.parametrize("key", sorted(FORM_OPERATORS), ids="-".join)
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_form_product_matches_dense_matrix(key, width, complex_input, seed):
+    T = FORM_OPERATORS[key]
+    assert (T._rows is not None) == (key[0] == "large")
+    rng = np.random.default_rng(seed)
+    shape = (T.n,) if width is None else (T.n, width)
+    U = rng.standard_normal(shape)
+    if complex_input:
+        U = U + 1j * rng.standard_normal(shape)
+    want = T.form @ U
+    got = T.form_product(U)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    scale = float(np.max(np.abs(T.form))) * float(np.max(np.abs(U)))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+    if width is not None and T._rows is not None:
+        # the row route sums each column of a block as it sums a vector
+        assert np.array_equal(got[:, -1], T.form_product(U[:, -1].copy()))
+    if width is None:
+        qf = float(np.real(np.conj(U) @ want))
+        assert T.quad_form(U) == pytest.approx(qf, rel=1e-14, abs=1e-14 * scale * T.n)
+        np.testing.assert_allclose(T.apply(U), want / T.measure, rtol=1e-14,
+                                   atol=1e-14 * scale / float(np.min(T.measure)))
