@@ -434,6 +434,7 @@ class HeatBoundReport:
     K12_bound: float
     passed_12: bool
     s_grid: np.ndarray
+    kernel_min: float           # least real heat-kernel entry over s_grid
 
 
 def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
@@ -441,7 +442,8 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
     """Measure sup_s s^kappa ||exp(-sT)||_(1->inf) and compare with (kappa/S)^kappa.
 
     Also checks the squared 1->2 norm against (kappa/2S)^kappa s^(-kappa)
-    pointwise on the grid.
+    pointwise on the grid, and records the least real kernel entry over the
+    grid (``kernel_min``) from the same kernels.
     """
     from .spectra import heat_norms  # deferred to avoid import cycle at module load
 
@@ -458,10 +460,12 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
         s_grid = np.asarray(s_grid, dtype=np.float64)
     K_meas = 0.0
     K12_meas = 0.0
+    kernel_min = math.inf
     for s in s_grid:
-        n1inf, n12 = heat_norms(T, float(s))
+        n1inf, n12, kmin = heat_norms(T, float(s))
         K_meas = max(K_meas, float(s**kappa * n1inf))
         K12_meas = max(K12_meas, float(s**kappa * n12**2))
+        kernel_min = min(kernel_min, kmin)
     K_bound = (kappa / S) ** kappa
     K12_bound = (kappa / (2.0 * S)) ** kappa
     return HeatBoundReport(
@@ -469,7 +473,7 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
         passed_1inf=K_meas <= K_bound * (1.0 + 1e-8),
         K12_measured=K12_meas, K12_bound=K12_bound,
         passed_12=K12_meas <= K12_bound * (1.0 + 1e-8),
-        s_grid=s_grid,
+        s_grid=s_grid, kernel_min=kernel_min,
     )
 
 

@@ -4,11 +4,13 @@ profile transforms, and the cyclic-path trace formula.
 Counting is strict ("less than -tau", "larger than one") with a relative
 tie guard of 1e-9: ties are reported, never silently miscounted.  All
 eigenproblems use full dense decompositions; the intended scale is a few
-thousand sites at most.
+thousand sites at most.  A scenario's checks share one T - V spectrum per
+potential draw (``shared_spectrum``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -31,9 +33,6 @@ class CountResult(NamedTuple):
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray
-    counts: tuple = ()          # ((tau, n), ...)
-    riesz: tuple = ()           # ((gamma, value), ...)
-    tie_warnings: tuple = ()    # ((tau, distance), ...)
 
 
 def _sym_matrix(op) -> np.ndarray:
@@ -67,6 +66,21 @@ def schrodinger_eigenvalues(T, V) -> np.ndarray:
     return np.linalg.eigvalsh(B)
 
 
+def shared_spectrum(T, V) -> Callable[[], np.ndarray]:
+    """Spectrum of T - V as a zero-argument callable, computed on its first call.
+
+    Checks of one potential draw pass it as their ``spectrum`` keyword, so
+    they read one eigendecomposition, and a draw whose checks read no
+    spectrum computes none.  Only the callable holds the spectrum; it is
+    freed with it.
+    """
+    return functools.cache(lambda: schrodinger_eigenvalues(T, V))
+
+
+def _eigenvalues(T, V, spectrum) -> np.ndarray:
+    return schrodinger_eigenvalues(T, V) if spectrum is None else spectrum()
+
+
 def count_from_eigenvalues(eigs: np.ndarray, tau: float, *, scale=None) -> CountResult:
     """Strict count of eigenvalues below -tau with the relative tie guard."""
     eigs = np.asarray(eigs)
@@ -79,28 +93,33 @@ def count_from_eigenvalues(eigs: np.ndarray, tau: float, *, scale=None) -> Count
     return CountResult(n, tie)
 
 
-def count_below(T, V, tau: float) -> CountResult:
-    """N(-tau, T - V): number of eigenvalues strictly below -tau."""
+def count_below(T, V, tau: float, *, spectrum=None) -> CountResult:
+    """N(-tau, T - V): number of eigenvalues strictly below -tau.
+
+    ``spectrum`` (from ``shared_spectrum(T, V)``) supplies the eigenvalues
+    of T - V; without it they are computed here.  The same holds for
+    ``riesz_mean`` and ``riesz_mean_from_counts``.
+    """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return count_from_eigenvalues(schrodinger_eigenvalues(T, V), tau)
+    return count_from_eigenvalues(_eigenvalues(T, V, spectrum), tau)
 
 
-def riesz_mean(T, V, gamma: float) -> float:
+def riesz_mean(T, V, gamma: float, *, spectrum=None) -> float:
     """Tr (T - V)_-^gamma = sum |lambda_j|^gamma over negative eigenvalues.
 
     gamma = 0 returns the plain count N(0).
     """
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    eigs = schrodinger_eigenvalues(T, V)
+    eigs = _eigenvalues(T, V, spectrum)
     neg = eigs[eigs < 0.0]
     if gamma == 0.0:
         return float(neg.size)
     return float(np.sum((-neg) ** gamma))
 
 
-def riesz_mean_from_counts(T, V, gamma: float) -> float:
+def riesz_mean_from_counts(T, V, gamma: float, *, spectrum=None) -> float:
     """Riesz mean through the moment representation gamma * int N(-tau) tau^(gamma-1) dtau.
 
     The counting function is piecewise constant, so the integral is
@@ -110,7 +129,7 @@ def riesz_mean_from_counts(T, V, gamma: float) -> float:
     """
     if not gamma > 0.0:
         raise ValueError(f"moment representation requires gamma > 0, got {gamma}")
-    eigs = schrodinger_eigenvalues(T, V)
+    eigs = _eigenvalues(T, V, spectrum)
     mags = np.sort(-eigs[eigs < 0.0])
     if mags.size == 0:
         return 0.0
@@ -219,17 +238,19 @@ def heat_matrix_sym(T, s: float) -> np.ndarray:
     return np.real(E) if not np.iscomplexobj(E) else E
 
 
-def heat_norms(T, s: float) -> tuple[float, float]:
-    """(L1 -> Linf, L1 -> L2) operator norms of exp(-sT).
+def heat_norms(T, s: float) -> tuple[float, float, float]:
+    """(L1 -> Linf, L1 -> L2) operator norms of exp(-sT), and the kernel's
+    minimum real entry.
 
     The 1->inf norm is the sup of |k|; the 1->2 norm is the largest
     weighted column 2-norm over the normalized point inputs delta_x/m_x.
+    The minimum comes from the same kernel, so no caller builds it twice.
     """
     K = heat_kernel(T, s)
     m = T.measure
     n1inf = float(np.max(np.abs(K)))
     col = np.sqrt(np.sum(m[:, None] * np.abs(K) ** 2, axis=0))
-    return n1inf, float(np.max(col))
+    return n1inf, float(np.max(col)), float(np.min(np.real(K)))
 
 
 @dataclass(frozen=True)

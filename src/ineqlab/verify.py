@@ -112,8 +112,13 @@ def _assumption_block(bd, s_provenance: str) -> dict:
 
 
 def verify_clr(T, V, kappa: float, S: float, *, scenario_id: str = "",
-               bd=None, tag: str = "CLR") -> VerificationReport:
-    """N(0, T - V) <= e^(kappa-1) S^-kappa int V^kappa against the operator's measure."""
+               bd=None, tag: str = "CLR", spectrum=None) -> VerificationReport:
+    """N(0, T - V) <= e^(kappa-1) S^-kappa int V^kappa against the operator's measure.
+
+    ``spectrum`` (``spectra.shared_spectrum(T, V)``) lets the checks of one
+    draw share the T - V spectrum; the weakLT, LTmoment, momentIdentity and
+    magneticCLR checks take the same keyword.
+    """
     if not kappa > 1.0:
         raise ValueError(f"counting bound requires kappa > 1, got {kappa}")
     V = as_potential(T.space, V)
@@ -122,7 +127,7 @@ def verify_clr(T, V, kappa: float, S: float, *, scenario_id: str = "",
         return make_report(scenario_id, tag, 0.0, 0.0, assumptions=assumptions,
                            vacuous=True, extras={"reason": "S = 0 (operator has kernel)"})
     intV = integral(V, kappa, T.space, measure=T.measure)
-    count = spectra.count_below(T, V, 0.0)
+    count = spectra.count_below(T, V, 0.0, spectrum=spectrum)
     rhs = math.exp(kappa - 1.0) * S ** (-kappa) * intV
     ties = [] if count.tie is None else [{"tau": 0.0, "distance": count.tie}]
     extras = {"count": count.n, "integral": intV, "S": S, "kappa": kappa,
@@ -133,7 +138,7 @@ def verify_clr(T, V, kappa: float, S: float, *, scenario_id: str = "",
 
 
 def verify_weak_lt(T, V, gamma: float, kappa: float, tau_grid, S_interp: float,
-                   *, scenario_id: str = "", bd=None) -> VerificationReport:
+                   *, scenario_id: str = "", bd=None, spectrum=None) -> VerificationReport:
     """N(-tau, T - V) <= e^(g+k-1) (theta^-theta (1-theta)^(theta-1) S)^-(g+k) tau^-g int V^(g+k)
     across a tau grid; the worst relative margin is reported."""
     exps = exponents_from_gamma_kappa(gamma, kappa)
@@ -147,7 +152,7 @@ def verify_weak_lt(T, V, gamma: float, kappa: float, tau_grid, S_interp: float,
                            vacuous=True, extras={"reason": "S_interp = 0 (operator has kernel)"})
     _, upper = functional.ltw_bounds_from_S(S_interp, gamma, kappa)
     intV = integral(V, gamma + kappa, T.space, measure=T.measure)
-    eigs = spectra.schrodinger_eigenvalues(T, V)
+    eigs = spectra.schrodinger_eigenvalues(T, V) if spectrum is None else spectrum()
     scale = float(np.max(np.abs(eigs))) if eigs.size else 1.0
     rows, ties = [], []
     worst = None
@@ -169,7 +174,7 @@ def verify_weak_lt(T, V, gamma: float, kappa: float, tau_grid, S_interp: float,
 
 def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
                       L_weak: float, *, scenario_id: str = "",
-                      bd=None) -> VerificationReport:
+                      bd=None, spectrum=None) -> VerificationReport:
     """Tr (T-V)_-^gt <= lifting_factor(g, gt, k) * L_weak * int V^(gt+k)."""
     if not gamma_tilde > gamma:
         raise ValueError(f"requires gamma_tilde > gamma, got {gamma_tilde} <= {gamma}")
@@ -180,7 +185,7 @@ def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
                            vacuous=True, extras={"reason": "weak constant vanished"})
     factor = functional.aizenman_lieb_factor(gamma, gamma_tilde, kappa)
     intV = integral(V, gamma_tilde + kappa, T.space, measure=T.measure)
-    lhs = spectra.riesz_mean(T, V, gamma_tilde)
+    lhs = spectra.riesz_mean(T, V, gamma_tilde, spectrum=spectrum)
     rhs = factor * L_weak * intV
     extras = {"lifting_factor": factor, "integral": intV, "L_weak": L_weak,
               "gamma": gamma, "gamma_tilde": gamma_tilde, "kappa": kappa}
@@ -190,11 +195,11 @@ def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
 
 
 def verify_moment_identity(T, V, gamma_tilde: float, *, scenario_id: str = "",
-                           rel_tol: float = 1e-6) -> VerificationReport:
+                           rel_tol: float = 1e-6, spectrum=None) -> VerificationReport:
     """Riesz mean vs its moment-representation recomputation; lhs is the
     relative discrepancy, rhs the tolerance."""
-    direct = spectra.riesz_mean(T, V, gamma_tilde)
-    from_counts = spectra.riesz_mean_from_counts(T, V, gamma_tilde)
+    direct = spectra.riesz_mean(T, V, gamma_tilde, spectrum=spectrum)
+    from_counts = spectra.riesz_mean_from_counts(T, V, gamma_tilde, spectrum=spectrum)
     rel = abs(direct - from_counts) / max(abs(direct), abs(from_counts), 1e-300)
     extras = {"riesz_direct": direct, "riesz_from_counts": from_counts,
               "gamma_tilde": gamma_tilde}
@@ -246,12 +251,16 @@ def verify_diamagnetic(T, T_A, t_grid, *, scenario_id: str = "",
 
 def verify_magnetic_clr(T_A, V, kappa: float, S_nonmagnetic: float, *,
                         scenario_id: str = "", bd=None,
-                        T=None) -> VerificationReport:
-    """Counting bound for the magnetic operator with the non-magnetic constant."""
+                        T=None, spectrum=None) -> VerificationReport:
+    """Counting bound for the magnetic operator with the non-magnetic constant.
+
+    T_A - V gets its own spectrum; ``spectrum`` is that of T - V, read only
+    for the non-magnetic count recorded when T is given.
+    """
     report = verify_clr(T_A, V, kappa, S_nonmagnetic, scenario_id=scenario_id,
                         bd=bd, tag="magneticCLR")
     if T is not None and report.status != "vacuous":
-        c = spectra.count_below(T, V, 0.0)
+        c = spectra.count_below(T, V, 0.0, spectrum=spectrum)
         # recorded for comparison only; no ordering is asserted
         report.extras["count_nonmagnetic"] = c.n
     return report
@@ -618,25 +627,28 @@ def run_scenario(sc: dict) -> ScenarioResult:
                                  or "liyauTrace" in checks)
 
     for label, V in draws:
+        spectrum = spectra.shared_spectrum(T, V)
         for check in checks:
             if check == "CLR":
-                r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd)
+                r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd,
+                               spectrum=spectrum)
             elif check == "weakLT":
                 grid = _tau_grid(sc.get("grids", {}).get("tau"), scale)
                 r = verify_weak_lt(T, V, gamma, kappa, grid, constants.S_interp,
-                                   scenario_id=sid, bd=bd)
+                                   scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "LTmoment":
                 L_weak = 0.0
                 if constants.S_interp and constants.S_interp > 0.0:
                     L_weak = functional.ltw_bounds_from_S(constants.S_interp,
                                                           gamma, kappa)[1]
                 r = verify_lt_moments(T, V, gamma_tilde, gamma, kappa, L_weak,
-                                      scenario_id=sid, bd=bd)
+                                      scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "momentIdentity":
-                r = verify_moment_identity(T, V, gamma_tilde, scenario_id=sid)
+                r = verify_moment_identity(T, V, gamma_tilde, scenario_id=sid,
+                                           spectrum=spectrum)
             elif check == "magneticCLR":
                 r = verify_magnetic_clr(T_A, V, kappa, constants.S,
-                                        scenario_id=sid, bd=bd, T=T)
+                                        scenario_id=sid, bd=bd, T=T, spectrum=spectrum)
             elif check == "liyauTrace":
                 grid = sc.get("grids", {}).get("s", [0.05, 0.25, 1.0, 5.0])
                 r = verify_liyau_trace(T, V, constants.S, kappa, grid,
@@ -688,8 +700,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
             q = exponents_from_gamma_kappa(0.0, kappa).q
             samples = int(hn.get("nash_samples", 10_000)) if isinstance(hn, dict) else 10_000
             nr = functional.nash_check(T, q, constants.S, n_samples=samples)
-            kmin = min(float(np.min(np.real(spectra.heat_kernel(T, float(s)))))
-                       for s in hb.s_grid) if bd.passed else None
+            kmin = hb.kernel_min if bd.passed else None
             extras["heat_nash"] = {
                 "passed_1inf": hb.passed_1inf, "passed_12": hb.passed_12,
                 "K12_measured": hb.K12_measured, "K12_bound": hb.K12_bound,

@@ -210,6 +210,7 @@ def test_criterion_6_heat_chain_on_suite_operators(suite_run, suite_config):
             kmin = min(float(np.min(np.real(spectra.heat_kernel(T, float(s)))))
                        for s in hb.s_grid)
             assert kmin >= -1e-12, (res["scenario_id"], kmin)
+            assert hb.kernel_min == kmin, res["scenario_id"]
         checked += 1
     assert checked >= 8
 

@@ -165,11 +165,13 @@ def test_heat_norms_match_dense_definitions():
     T = build_laplacian(sp)
     s = 0.35
     K = heat_kernel(T, s)
-    n1inf, n12 = heat_norms(T, s)
+    n1inf, n12, kmin = heat_norms(T, s)
     assert n1inf == pytest.approx(float(np.max(np.abs(K))), rel=1e-12)
     # 1 -> 2 norm: the largest L2(m) norm of a kernel column
     cols = np.sqrt(np.sum(sp.measures[:, None] * K * K, axis=0))
     assert n12 == pytest.approx(float(np.max(cols)), rel=1e-12)
+    # the minimum entry comes from the same kernel, so it is exact
+    assert kmin == float(np.min(np.real(K)))
 
 
 def test_hinge_profile_transform_against_quadrature():

@@ -12,11 +12,12 @@ from ineqlab import (beurling_deny_check, build_laplacian,
                      count_below, exponents_from_gamma_kappa, integral,
                      ltw_bounds_from_S, make_lattice, make_report,
                      run_scenario, sobolev_constant, sobolev_interp_constant,
-                     uniform_flux_phases, validate_config, verify_clr,
+                     spectra, uniform_flux_phases, validate_config, verify_clr,
                      verify_diamagnetic, verify_gsr_identity,
                      verify_liyau_trace, verify_lt_moments,
                      verify_magnetic_clr, verify_moment_identity,
                      verify_weak_lt, weighted_transform)
+from ineqlab.cli import _load_config
 from ineqlab.operators import KineticOperator
 from ineqlab.verify import (ConfigError, run_scenario_jsonable,
                             validate_scenario)
@@ -409,3 +410,53 @@ def test_run_scenario_torus_counting_is_vacuous():
     res = run_scenario(sc)
     assert [r.status for r in res.reports] == ["vacuous"]
     assert res.constants.S == 0.0
+
+
+# --- one T - V spectrum per draw ----------------------------------------------
+
+def _bundled(sid):
+    return next(sc for sc in _load_config("paper-suite")["scenarios"] if sc["id"] == sid)
+
+
+def _count_spectra(monkeypatch, sc):
+    calls = []
+    original = spectra.schrodinger_eigenvalues
+
+    def counted(T, V):
+        calls.append(T)
+        return original(T, V)
+
+    monkeypatch.setattr(spectra, "schrodinger_eigenvalues", counted)
+    return run_scenario(sc), calls
+
+
+def _n_draws(sc):
+    pot = sc["potential"]
+    return len(pot["sigmas"]) * pot["draws"]
+
+
+def test_checks_share_one_spectrum_per_draw(monkeypatch):
+    sc = _bundled("clr-1d-n32")
+    res, calls = _count_spectra(monkeypatch, sc)
+    # every draw check reads T - V once; each adversarial coupling is its own T - V
+    assert len(calls) == _n_draws(sc) + len(sc["potential"]["adversarial"])
+    assert {r.tag for r in res.reports} == set(sc["checks"])
+
+
+def test_magnetic_draw_computes_one_spectrum_per_operator(monkeypatch):
+    sc = _bundled("magclr-4x4-flux-pi2")
+    res, calls = _count_spectra(monkeypatch, sc)
+    n = _n_draws(sc)
+    # CLR and the non-magnetic count of magneticCLR share T - V; T_A - V is its own
+    assert len(calls) == 2 * n
+    assert len({id(T) for T in calls}) == 2
+    assert sum(r.tag == "magneticCLR" and r.status == "pass" for r in res.reports) == n
+
+
+def test_vacuous_draw_checks_compute_no_spectrum(monkeypatch):
+    sc = copy.deepcopy(_bundled("periodic-1d-n1024"))
+    sc["lattice"]["extents"] = [32]
+    sc["checks"] = ["weakLT"]
+    res, calls = _count_spectra(monkeypatch, sc)
+    assert [r.status for r in res.reports] == ["vacuous"] * _n_draws(sc)
+    assert calls == []
