@@ -55,8 +55,6 @@ class ConstantsBundle:
     L_lower: float | None = None
     L_upper: float | None = None
     L_lieb: float | None = None
-    hardy: dict | None = None
-    al_factor: float | None = None
     provenance: dict = field(default_factory=dict)
 
 
@@ -73,15 +71,19 @@ def _value_grad(u: np.ndarray, T, q: float):
     return t, g
 
 
-def _bb_descent(T, q, u0, *, max_iter, step0, stall_window=50, tol=1e-6):
+def _bb_descent(vg, u0, m, q, *, step0, max_iter, tol, stall_window):
+    """Barzilai-Borwein descent with an Armijo backtracking safeguard on the
+    manifold ||u||_q = 1; ``vg(u)`` returns the objective and its gradient.
+
+    Returns (best value, its point, iterations).
+    """
     # Hand-off semantics: descent only needs to settle into a basin; the
     # fixed-point polish drives the residual to the 1e-10 level.  Exit on
     # a small gradient or when relative value improvements stall, since
     # the quotient Hessian is too ill-conditioned for gradient descent to
     # reach tight first-order tolerances directly.
-    m = T.measure
     u = u0 / _norm_q(u0, m, q)
-    t, g = _value_grad(u, T, q)
+    t, g = vg(u)
     best_t, best_u = t, u.copy()
     prev_u = prev_g = None
     step = step0
@@ -107,7 +109,7 @@ def _bb_descent(T, q, u0, *, max_iter, step0, stall_window=50, tol=1e-6):
             nq = _norm_q(un, m, q)
             if nq > 0.0:
                 un = un / nq
-                tn, gn = _value_grad(un, T, q)
+                tn, gn = vg(un)
                 if tn <= t - 1e-4 * st * gn2:
                     accepted = True
                     break
@@ -192,7 +194,9 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     best_t, best_u, best_res = np.inf, None, np.inf
     total_iters = 0
     for u0 in starts:
-        t_bb, u_bb, iters = _bb_descent(T, q, u0, max_iter=max_iter, step0=step0)
+        t_bb, u_bb, iters = _bb_descent(lambda u: _value_grad(u, T, q), u0, m, q,
+                                        step0=step0, max_iter=max_iter, tol=1e-6,
+                                        stall_window=50)
         total_iters += iters
         t_p, u_p, res = _polish(T, q, u_bb)
         if t_p < best_t:
@@ -236,6 +240,28 @@ def _xpowx(x: float) -> float:
     return 1.0 if x <= 0.0 else math.exp(x * math.log(x))
 
 
+def _golden_log(f, lo: float, hi: float, *, iterations: int):
+    """Golden-section search for the minimum of f over [lo, hi] on a log scale.
+
+    Returns the midpoint (geometric) of the final bracket and the smaller
+    of the two final probe values.
+    """
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    for _ in range(iterations):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(math.exp(d))
+    return math.exp(0.5 * (a + b)), min(fc, fd)
+
+
 @dataclass
 class InterpConstant:
     value: float
@@ -264,40 +290,9 @@ def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
 
     best = np.inf
     for k in range(restarts):
-        u = np.random.default_rng(seed + 7000 + k).standard_normal(n)
-        u /= _norm_q(u, m, q)
-        J, g = vg(u)
-        prev_u = prev_g = None
-        step = step0
-        last = 0
-        for it in range(max_iter):
-            gn2 = float(g @ g)
-            if math.sqrt(gn2) <= 1e-8 * max(1.0, J):
-                break
-            if prev_u is not None:
-                du, dg = u - prev_u, g - prev_g
-                denom = float(du @ dg)
-                step = (min(max(float(du @ du) / denom, 1e-12 * step0), 1e12 * step0)
-                        if denom > 0 else min(step * 2.0, 1e12 * step0))
-            st, ok = step, False
-            for _ in range(60):
-                un = u - st * g
-                nq = _norm_q(un, m, q)
-                if nq > 0:
-                    un = un / nq
-                    Jn, gn = vg(un)
-                    if Jn <= J - 1e-4 * st * gn2:
-                        ok = True
-                        break
-                st *= 0.5
-            if not ok:
-                break
-            prev_u, prev_g = u, g
-            u, J, g = un, Jn, gn
-            if J < best:
-                last = it
-            if it - last > 150:
-                break
+        u0 = np.random.default_rng(seed + 7000 + k).standard_normal(n)
+        J, _, _ = _bb_descent(vg, u0, m, q, step0=step0, max_iter=max_iter,
+                              tol=1e-8, stall_window=150)
         best = min(best, J)
     return best
 
@@ -337,22 +332,8 @@ def sobolev_interp_constant(T, q: float, theta: float, *, sweep_points: int = 33
     # (e.g. theta near 1, where the infimum is approached as tau -> 0)
     lo = taus[i - 1] if i > 0 else taus[0] * 1e-6
     hi = taus[i + 1] if i < len(taus) - 1 else taus[-1] * 1e6
-    # golden-section refinement on log tau
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = val(math.exp(c)), val(math.exp(d))
-    for _ in range(30):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = val(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = val(math.exp(d))
-    tau_star = math.exp(0.5 * (a + b))
-    best = min(float(np.min(sweep_vals)), fc, fd)
+    tau_star, f_gold = _golden_log(val, lo, hi, iterations=30)
+    best = min(float(np.min(sweep_vals)), f_gold)
     coef = _xpowx(theta) * _xpowx(1.0 - theta)
     value = coef * best
 
@@ -520,7 +501,7 @@ class LiebBound:
     unimodal: bool
 
 
-def lieb_bound_from_K(K: float, kappa: float, *, rel_tol: float = 1e-8) -> LiebBound:
+def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
     """Semigroup-method eigenvalue-counting constant from the heat constant K.
 
     Minimizes the closed-form objective over a > 0 (the inner integral
@@ -539,21 +520,10 @@ def lieb_bound_from_K(K: float, kappa: float, *, rel_tol: float = 1e-8) -> LiebB
     i = int(np.argmin(vals))
     a_lo = grid[max(i - 1, 0)]
     a_hi = grid[min(i + 1, len(grid) - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(a_lo), math.log(a_hi)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc = lieb_objective(math.exp(c), K, kappa)
-    fd = lieb_objective(math.exp(d), K, kappa)
-    while b - a > rel_tol * 0.1:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = lieb_objective(math.exp(c), K, kappa)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = lieb_objective(math.exp(d), K, kappa)
-    a_star = math.exp(0.5 * (a + b))
+    # 40 steps shrink the interior bracket (two grid cells, width 0.159 in
+    # log a) below 1e-9
+    a_star, _ = _golden_log(lambda a: lieb_objective(a, K, kappa), a_lo, a_hi,
+                            iterations=40)
     return LiebBound(value=lieb_objective(a_star, K, kappa), a_star=a_star,
                      unimodal=unimodal)
 

@@ -231,13 +231,6 @@ def heat_kernel(T, s: float) -> np.ndarray:
     return np.real(K) if not np.iscomplexobj(K) else K
 
 
-def heat_matrix_sym(T, s: float) -> np.ndarray:
-    """exp(-s B) for the symmetrized matrix B (used for kernel comparisons)."""
-    w, Q = T.eigensystem()
-    E = (Q * np.exp(-s * w)[None, :]) @ Q.conj().T
-    return np.real(E) if not np.iscomplexobj(E) else E
-
-
 def heat_norms(T, s: float) -> tuple[float, float, float]:
     """(L1 -> Linf, L1 -> L2) operator norms of exp(-sT), and the kernel's
     minimum real entry.

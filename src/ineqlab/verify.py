@@ -20,12 +20,45 @@ from . import functional, operators, spectra
 from .lattice import (as_potential, exponents_from_gamma_kappa,
                       exponents_from_q_theta, integral, make_lattice)
 
-THEOREM_TAGS = ("CLR", "weakLT", "LTmoment", "diamagnetic", "magneticCLR",
-                "liyauTrace", "momentIdentity", "gsrIdentity")
-
 MARGIN_REL = 1e-9
 
 OPERATOR_FAMILIES = ("laplacian", "fractional", "magnetic", "periodic", "hardy")
+
+
+@dataclass(frozen=True)
+class CheckNeeds:
+    """What a check reads from its scenario."""
+
+    exponents: tuple[str, ...] = ()  # exponent fields it reads
+    per_draw: bool = False           # runs once per potential draw
+    constant: str | None = None      # Sobolev constant it reads: "S" or "S_interp"
+    family: str | None = None        # operator family it requires; None = any
+
+
+CHECK_NEEDS = {
+    "CLR": CheckNeeds(("kappa",), per_draw=True, constant="S"),
+    "weakLT": CheckNeeds(("kappa", "gamma"), per_draw=True, constant="S_interp"),
+    "LTmoment": CheckNeeds(("kappa", "gamma", "gamma_tilde"), per_draw=True,
+                           constant="S_interp"),
+    "diamagnetic": CheckNeeds(family="magnetic"),
+    "magneticCLR": CheckNeeds(("kappa",), per_draw=True, constant="S", family="magnetic"),
+    "liyauTrace": CheckNeeds(("kappa",), per_draw=True, constant="S"),
+    "momentIdentity": CheckNeeds(("gamma_tilde",), per_draw=True),
+    "gsrIdentity": CheckNeeds(family="periodic"),
+}
+
+# the heat-kernel and Nash block of a scenario reads S at exponent kappa
+HEAT_NASH_NEEDS = CheckNeeds(("kappa",), constant="S")
+
+THEOREM_TAGS = tuple(CHECK_NEEDS)
+
+# exponent field -> (rule, message); gamma >= 0 with kappa > 1 gives the
+# gamma + kappa > 1 the weak bounds need
+_EXPONENT_RULES = {
+    "kappa": (lambda x: x > 1, "must be > 1 for counting/moment/heat checks"),
+    "gamma": (lambda x: x >= 0, "must be >= 0"),
+    "gamma_tilde": (lambda x: x > 0, "must be > 0"),
+}
 
 
 class ConfigError(ValueError):
@@ -424,33 +457,24 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
     checks = sc.get("checks", [])
     _expect(isinstance(checks, list), f"{where}.checks", "must be a list")
     for c in checks:
-        _expect(c in THEOREM_TAGS, f"{where}.checks", f"unknown check {c!r}")
+        _expect(c in CHECK_NEEDS, f"{where}.checks", f"unknown check {c!r}")
+        required = CHECK_NEEDS[c].family
+        _expect(required is None or fam == required, f"{where}.checks",
+                f"check {c!r} requires operator family {required!r}, got {fam!r}")
 
     exps = sc.get("exponents", {})
-    needs_kappa = any(c in checks for c in
-                      ("CLR", "weakLT", "LTmoment", "magneticCLR", "liyauTrace"))
-    if needs_kappa:
-        kappa = exps.get("kappa")
-        _expect(isinstance(kappa, (int, float)) and kappa > 1,
-                f"{where}.exponents.kappa", "must be > 1 for counting/moment checks")
-    if any(c in checks for c in ("weakLT", "LTmoment")):
-        gamma = exps.get("gamma")
-        _expect(isinstance(gamma, (int, float)) and gamma >= 0,
-                f"{where}.exponents.gamma", "must be >= 0")
-        _expect(gamma + exps.get("kappa", 0) > 1,
-                f"{where}.exponents", "gamma + kappa must exceed 1")
-    if any(c in checks for c in ("LTmoment", "momentIdentity")):
-        gt = exps.get("gamma_tilde")
-        _expect(isinstance(gt, (int, float)) and gt > 0,
-                f"{where}.exponents.gamma_tilde", "must be > 0")
-        if "LTmoment" in checks:
-            _expect(gt > exps["gamma"], f"{where}.exponents.gamma_tilde",
-                    "must exceed gamma")
+    needs = _scenario_needs(sc)
+    for name, (rule, msg) in _EXPONENT_RULES.items():
+        if any(name in nd.exponents for nd in needs):
+            x = exps.get(name)
+            _expect(isinstance(x, (int, float)) and rule(x),
+                    f"{where}.exponents.{name}", msg)
+    if "LTmoment" in checks:
+        _expect(exps["gamma_tilde"] > exps["gamma"], f"{where}.exponents.gamma_tilde",
+                "must exceed gamma")
 
-    needs_draws = any(c in checks for c in
-                      ("CLR", "weakLT", "LTmoment", "magneticCLR", "liyauTrace",
-                       "momentIdentity"))
     pot = sc.get("potential", {})
+    needs_draws = any(nd.per_draw for nd in needs)
     if needs_draws and "values" not in pot and "adversarial" not in pot:
         _expect(isinstance(pot.get("seed"), int), f"{where}.potential.seed",
                 "random potentials require an explicit integer seed")
@@ -458,6 +482,14 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
         _expect(isinstance(sig, list) and all(s > 0 for s in sig),
                 f"{where}.potential.sigmas", "must be positive numbers")
     return sc
+
+
+def _scenario_needs(sc: dict) -> list:
+    """The needs of each listed check, plus those of the heat/Nash block."""
+    needs = [CHECK_NEEDS[c] for c in sc.get("checks", [])]
+    if sc.get("heat_nash"):
+        needs.append(HEAT_NASH_NEEDS)
+    return needs
 
 
 def _build_operator(space, op_cfg: dict):
@@ -549,8 +581,7 @@ class ScenarioResult:
             "constants": _py({
                 "S": c.S, "S_interp": c.S_interp, "K_measured": c.K_measured,
                 "K_bound": c.K_bound, "L_lower": c.L_lower, "L_upper": c.L_upper,
-                "L_lieb": c.L_lieb, "hardy": c.hardy, "al_factor": c.al_factor,
-                "provenance": c.provenance,
+                "L_lieb": c.L_lieb, "provenance": c.provenance,
             }),
             "assumptions": _py(self.assumptions),
             "extras": _py(self.extras),
@@ -588,10 +619,8 @@ def run_scenario(sc: dict) -> ScenarioResult:
     gamma = float(exps["gamma"]) if "gamma" in exps else None
     gamma_tilde = float(exps["gamma_tilde"]) if "gamma_tilde" in exps else None
 
-    needs_S = any(c in checks for c in ("CLR", "magneticCLR", "liyauTrace")) \
-        or bool(sc.get("heat_nash"))
-    S_trace = None
-    if needs_S and kappa is not None:
+    needs = _scenario_needs(sc)
+    if any(nd.constant == "S" for nd in needs):
         q = exponents_from_gamma_kappa(0.0, kappa).q
         restarts = int(sc.get("sobolev", {}).get("restarts", 16))
         S, S_trace = functional.sobolev_constant(T, q, restarts=restarts)
@@ -605,7 +634,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
             constants.L_lower, constants.L_upper = lo, up
             constants.provenance["L_bracket"] = "closed-form from minimized S"
 
-    if "weakLT" in checks:
+    if any(nd.constant == "S_interp" for nd in needs):
         e = exponents_from_gamma_kappa(gamma, kappa)
         interp = functional.sobolev_interp_constant(
             T, e.q, e.theta,
@@ -617,18 +646,16 @@ def run_scenario(sc: dict) -> ScenarioResult:
                             "rel_gap": interp.rel_gap, "vacuous": interp.vacuous}
 
     pot_cfg = sc.get("potential", {})
-    needs_draws = any(c in checks for c in
-                      ("CLR", "weakLT", "LTmoment", "magneticCLR", "liyauTrace",
-                       "momentIdentity"))
+    per_draw = [c for c in checks if CHECK_NEEDS[c].per_draw]
     draws = []
-    if needs_draws and ("values" in pot_cfg or "seed" in pot_cfg):
+    if per_draw and ("values" in pot_cfg or "seed" in pot_cfg):
         draws = _draw_potentials(space, scale, pot_cfg,
                                  positive_floor=bool(pot_cfg.get("floor", False))
                                  or "liyauTrace" in checks)
 
     for label, V in draws:
         spectrum = spectra.shared_spectrum(T, V)
-        for check in checks:
+        for check in per_draw:
             if check == "CLR":
                 r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd,
                                spectrum=spectrum)
@@ -638,7 +665,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
                                    scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "LTmoment":
                 L_weak = 0.0
-                if constants.S_interp and constants.S_interp > 0.0:
+                if constants.S_interp > 0.0:
                     L_weak = functional.ltw_bounds_from_S(constants.S_interp,
                                                           gamma, kappa)[1]
                 r = verify_lt_moments(T, V, gamma_tilde, gamma, kappa, L_weak,
@@ -649,19 +676,16 @@ def run_scenario(sc: dict) -> ScenarioResult:
             elif check == "magneticCLR":
                 r = verify_magnetic_clr(T_A, V, kappa, constants.S,
                                         scenario_id=sid, bd=bd, T=T, spectrum=spectrum)
-            elif check == "liyauTrace":
+            else:  # liyauTrace
                 grid = sc.get("grids", {}).get("s", [0.05, 0.25, 1.0, 5.0])
                 r = verify_liyau_trace(T, V, constants.S, kappa, grid,
                                        scenario_id=sid, bd=bd)
-            else:
-                continue
             r.extras["potential"] = label
             reports.append(r)
 
     # adversarial coupling sweep: V = c * S * |minimizer|^(q-2) keeps the
     # empirical ratio N / int V^kappa pinned to the bracket ends
-    if ("CLR" in checks and "adversarial" in pot_cfg
-            and constants.S and constants.S > 0.0 and S_trace is not None):
+    if "CLR" in checks and "adversarial" in pot_cfg and constants.S > 0.0:
         q = exponents_from_gamma_kappa(0.0, kappa).q
         u_hat = np.abs(S_trace.minimizer)
         best_ratio = 0.0
@@ -673,17 +697,17 @@ def run_scenario(sc: dict) -> ScenarioResult:
             reports.append(r)
         extras["adversarial_best_ratio"] = best_ratio
 
-    if "diamagnetic" in checks and T_A is not None:
+    if "diamagnetic" in checks:
         grid = sc.get("grids", {}).get("t", [0.1, 1.0, 10.0])
         reports.append(verify_diamagnetic(T, T_A, grid, scenario_id=sid,
                                           seed=int(sc.get("seed", 20240815))))
 
-    if "gsrIdentity" in checks and bundle is not None:
+    if "gsrIdentity" in checks:
         reports.append(verify_gsr_identity(bundle, scenario_id=sid,
                                            seed=int(sc.get("seed", 77001))))
 
     hn = sc.get("heat_nash")
-    if hn and constants.S is not None and kappa is not None:
+    if hn:
         if constants.S > 0.0:
             hb = functional.heat_bound_check(
                 T, kappa, constants.S,

@@ -166,6 +166,18 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o2")]) == 2
     assert "kappa" in capsys.readouterr().err
 
+    # checks the scenario's operator family or exponents cannot support
+    for i, (over, field) in enumerate([
+            ({"checks": ["magneticCLR"]}, "checks"),
+            ({"checks": ["diamagnetic"]}, "checks"),
+            ({"checks": ["gsrIdentity"]}, "checks"),
+            ({"checks": [], "heat_nash": True, "exponents": {}}, "exponents.kappa")]):
+        bad = json.loads(json.dumps(TINY_CONFIG))
+        bad["scenarios"][0].update(over)
+        assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),
+                         "--out", str(tmp_path / f"o{3 + i}")]) == 2
+        assert f"scenario 'tiny-a'.{field}:" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # sweep subcommand

@@ -113,12 +113,13 @@ def test_interp_limit_recovers_sobolev():
 
 
 def test_interp_two_routes_agree():
-    T = build_laplacian(make_lattice(d=1, extents=16))
-    ic = sobolev_interp_constant(T, 4.0, 0.5)
-    assert ic.direct_value is not None
-    assert ic.rel_gap is not None and ic.rel_gap <= 1e-6
-    assert ic.tau_star > 0.0
-    assert not ic.vacuous
+    for T in (build_laplacian(make_lattice(d=1, extents=16)),
+              build_laplacian(make_lattice(d=2, extents=6))):
+        ic = sobolev_interp_constant(T, 4.0, 0.5)
+        assert ic.direct_value is not None
+        assert ic.rel_gap is not None and ic.rel_gap <= 1e-6
+        assert ic.tau_star > 0.0
+        assert not ic.vacuous
 
 
 def test_interp_scaling_homogeneity():
@@ -237,18 +238,19 @@ def test_lieb_objective_against_mpmath():
 
 
 def test_lieb_bound_matches_scalar_oracle():
-    K, kappa = (4.0 * math.pi) ** -1.5, 1.5
-    lb = lieb_bound_from_K(K, kappa)
-    res = scipy.optimize.minimize_scalar(
-        lambda la: lieb_objective(math.exp(la), K, kappa),
-        bounds=(math.log(1e-3), math.log(10.0)), method="bounded",
-        options={"xatol": 1e-13})
-    assert lb.value == pytest.approx(res.fun, rel=1e-9)
-    assert lb.a_star == pytest.approx(math.exp(res.x), rel=1e-6)
-    assert lb.unimodal
-    # linear in K
-    lb2 = lieb_bound_from_K(2.0 * K, kappa)
-    assert lb2.value == pytest.approx(2.0 * lb.value, rel=1e-10)
+    K = (4.0 * math.pi) ** -1.5
+    for kappa in (4.0 / 3.0, 1.5, 2.0, 2.5):
+        lb = lieb_bound_from_K(K, kappa)
+        res = scipy.optimize.minimize_scalar(
+            lambda la: lieb_objective(math.exp(la), K, kappa),
+            bounds=(math.log(1e-3), math.log(10.0)), method="bounded",
+            options={"xatol": 1e-13})
+        assert lb.value == pytest.approx(res.fun, rel=1e-9)
+        assert lb.a_star == pytest.approx(math.exp(res.x), rel=1e-6)
+        assert lb.unimodal
+        # linear in K
+        lb2 = lieb_bound_from_K(2.0 * K, kappa)
+        assert lb2.value == pytest.approx(2.0 * lb.value, rel=1e-10)
     with pytest.raises(ValueError):
         lieb_bound_from_K(K, 1.0)
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
                      riesz_mean_from_counts, schrodinger_eigenvalues,
                      tabulated_profile, trotter_trace)
 from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
-from ineqlab.spectra import heat_matrix_sym
 
 
 def single_site(t0=2.0, m0=1.0):
@@ -153,10 +152,12 @@ def test_heat_kernel_mass():
     assert np.min(Kp) >= -1e-14
 
 
-def test_heat_matrix_sym_matches_expm():
+def test_heat_kernel_matches_expm():
+    # k_s = M^-1/2 exp(-s B) M^-1/2 for the symmetrized matrix B
     T = build_laplacian(make_lattice(d=2, extents=3, h=0.7))
-    want = scipy.linalg.expm(-0.9 * T.sym())
-    np.testing.assert_allclose(heat_matrix_sym(T, 0.9), want, rtol=1e-11,
+    rs = 1.0 / np.sqrt(T.measure)
+    want = rs[:, None] * scipy.linalg.expm(-0.9 * T.sym()) * rs[None, :]
+    np.testing.assert_allclose(heat_kernel(T, 0.9), want, rtol=1e-11,
                                atol=1e-14)
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +377,29 @@ def test_validate_scenario_field_paths_in_errors():
     with pytest.raises(ConfigError, match="gamma"):
         sc = minimal_scenario(checks=["weakLT"], exponents={"kappa": 1.5})
         validate_scenario(sc)
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"checks": ["magneticCLR"]}, "checks"),        # needs the magnetic family
+    ({"checks": ["diamagnetic"]}, "checks"),
+    ({"checks": ["gsrIdentity"]}, "checks"),        # needs the periodic family
+    ({"checks": [], "heat_nash": True, "exponents": {}}, "exponents.kappa"),
+])
+def test_validate_rejects_what_a_check_cannot_run_on(over, field):
+    cfg = {"schema": 1, "scenarios": [minimal_scenario(**over)]}
+    with pytest.raises(ConfigError, match=re.escape(f"scenario 'unit-mini'.{field}:")):
+        validate_config(cfg)
+
+
+def test_lt_moment_alone_matches_lt_moment_after_weak_lt():
+    common = {"exponents": {"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0},
+              "grids": {"tau": {"points": 5}}}
+    alone = run_scenario(minimal_scenario(checks=["LTmoment"], **common)).reports
+    paired = run_scenario(minimal_scenario(checks=["weakLT", "LTmoment"], **common)).reports
+    paired = [r for r in paired if r.tag == "LTmoment"]
+    assert [(r.status, r.lhs, r.rhs) for r in alone] == \
+        [(r.status, r.lhs, r.rhs) for r in paired]
+    assert alone and all(r.status == "pass" for r in alone)
 
 
 def test_run_scenario_empty_checks():
