@@ -262,14 +262,16 @@ def _golden_log(f, lo: float, hi: float, *, iterations: int):
     return math.exp(0.5 * (a + b)), min(fc, fd)
 
 
+# cap on the S(T + tau) solves of one interpolation constant
+TAU_STEPS = 65
+
+
 @dataclass
 class InterpConstant:
     value: float
     tau_star: float
     direct_value: float | None
     rel_gap: float | None
-    sweep_taus: np.ndarray
-    sweep_values: np.ndarray
     vacuous: bool = False
 
 
@@ -297,16 +299,21 @@ def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
     return best
 
 
-def sobolev_interp_constant(T, q: float, theta: float, *, sweep_points: int = 33,
-                            sweep_restarts: int = 8, with_direct: bool = True,
+def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
                             seed: int = 0) -> InterpConstant:
     """Interpolation constant inf t[u]^theta ||u||^(2(1-theta)) / ||u||_q^2.
 
     Computed through the scaling equivalence
-    S_interp = theta^theta (1-theta)^(1-theta) * inf_tau S_linear(tau^(theta-1)(T+tau), q)
-    with a 33-point log tau sweep plus golden-section refinement, and
+    S_interp = theta^theta (1-theta)^(1-theta) * inf_tau tau^(theta-1) S(T + tau, q)
+    by alternating the two infima, starting at tau = lambda_max: solve
+    S(T + tau) for its minimizer u, then move tau to the closed-form best
+    shift for that u, tau* = t[u] (1-theta) / (theta ||u||^2)
+    (``tau_min_value``).  Since inf_tau inf_u = inf_u inf_tau, no step
+    raises the value, and every value seen is an upper bound.  The loop
+    stops when tau moves by at most 1e-8 relative, or after TAU_STEPS
+    solves, and reports the least value seen with its tau.  The result is
     cross-checked against direct minimization of the interpolated
-    quotient (recorded in the result).
+    quotient (``direct_value``, ``rel_gap``).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"requires theta in (0, 1), got {theta}")
@@ -316,34 +323,29 @@ def sobolev_interp_constant(T, q: float, theta: float, *, sweep_points: int = 33
     scale = T.spectral_scale()
     if w[0] <= 1e-12 * scale:
         return InterpConstant(value=0.0, tau_star=0.0, direct_value=None,
-                              rel_gap=None, sweep_taus=np.array([]),
-                              sweep_values=np.array([]), vacuous=True)
-    lam_max = float(w[-1])
-    taus = np.geomspace(1e-4 * lam_max, 1e4 * lam_max, sweep_points)
+                              rel_gap=None, vacuous=True)
+    m = T.measure
+    tau = float(w[-1])
+    best, tau_star = math.inf, tau
+    for _ in range(TAU_STEPS):
+        s, trace = sobolev_constant(T.shifted(tau), q, restarts=restarts, seed=seed,
+                                    certificate_samples=0)
+        val = tau ** (theta - 1.0) * s
+        if val < best:
+            best, tau_star = val, tau
+        u = trace.minimizer
+        tau_next = tau_min_value(T.quad_form(u), float(np.sum(m * u * u)),
+                                 theta).tau_star
+        converged = abs(tau_next - tau) <= 1e-8 * tau
+        tau = tau_next
+        if converged:
+            break
+    value = _xpowx(theta) * _xpowx(1.0 - theta) * best
 
-    def val(tau: float) -> float:
-        s, _ = sobolev_constant(T.shifted(tau), q, restarts=sweep_restarts,
-                                seed=seed, certificate_samples=0)
-        return tau ** (theta - 1.0) * s
-
-    sweep_vals = np.array([val(t) for t in taus])
-    i = int(np.argmin(sweep_vals))
-    # extend the refinement bracket when the minimum sits on a sweep boundary
-    # (e.g. theta near 1, where the infimum is approached as tau -> 0)
-    lo = taus[i - 1] if i > 0 else taus[0] * 1e-6
-    hi = taus[i + 1] if i < len(taus) - 1 else taus[-1] * 1e6
-    tau_star, f_gold = _golden_log(val, lo, hi, iterations=30)
-    best = min(float(np.min(sweep_vals)), f_gold)
-    coef = _xpowx(theta) * _xpowx(1.0 - theta)
-    value = coef * best
-
-    direct = rel_gap = None
-    if with_direct:
-        direct = _interp_direct(T, q, theta, restarts=sweep_restarts, seed=seed)
-        rel_gap = abs(direct - value) / max(value, 1e-300)
+    direct = _interp_direct(T, q, theta, restarts=restarts, seed=seed)
     return InterpConstant(value=float(value), tau_star=float(tau_star),
-                          direct_value=direct, rel_gap=rel_gap,
-                          sweep_taus=taus, sweep_values=sweep_vals)
+                          direct_value=direct,
+                          rel_gap=abs(direct - value) / max(value, 1e-300))
 
 
 @dataclass
@@ -506,26 +508,42 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
 
     Minimizes the closed-form objective over a > 0 (the inner integral
     int_0^inf e^-lambda/(lambda+a) dlambda equals e^a E1(a)) by a log
-    grid bracket plus golden-section refinement.
+    grid bracket plus golden-section refinement.  The grid spans
+    [1e-4, 30] and is extended geometrically past an end that holds the
+    minimum until the minimum is interior; an objective that overflows
+    raises ValueError.
     """
     if not kappa > 1.0:
         raise ValueError(f"requires kappa > 1, got {kappa}")
     if not K > 0.0:
         raise ValueError(f"requires K > 0, got {K}")
-    grid = np.geomspace(1e-4, 30.0, 160)
-    vals = np.array([lieb_objective(float(a), K, kappa) for a in grid])
+
+    def f(a: float) -> float:
+        try:
+            v = lieb_objective(a, K, kappa)
+        except ArithmeticError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ValueError(f"Lieb objective overflows at a = {a:.6g} for kappa = {kappa}")
+        return v
+
+    grid = [float(a) for a in np.geomspace(1e-4, 30.0, 160)]
+    vals = [f(a) for a in grid]
+    ratio = grid[1] / grid[0]
+    i = int(np.argmin(vals))
+    while i in (0, len(grid) - 1):
+        at, a = (0, grid[0] / ratio) if i == 0 else (len(grid), grid[-1] * ratio)
+        grid.insert(at, a)
+        vals.insert(at, f(a))
+        i = int(np.argmin(vals))
     diffs = np.sign(np.diff(vals))
     changes = int(np.count_nonzero(np.diff(diffs[diffs != 0.0])))
     unimodal = changes <= 1
-    i = int(np.argmin(vals))
-    a_lo = grid[max(i - 1, 0)]
-    a_hi = grid[min(i + 1, len(grid) - 1)]
+    a_lo, a_hi = grid[i - 1], grid[i + 1]
     # 40 steps shrink the interior bracket (two grid cells, width 0.159 in
     # log a) below 1e-9
-    a_star, _ = _golden_log(lambda a: lieb_objective(a, K, kappa), a_lo, a_hi,
-                            iterations=40)
-    return LiebBound(value=lieb_objective(a_star, K, kappa), a_star=a_star,
-                     unimodal=unimodal)
+    a_star, _ = _golden_log(f, a_lo, a_hi, iterations=40)
+    return LiebBound(value=f(a_star), a_star=a_star, unimodal=unimodal)
 
 
 def aizenman_lieb_factor(gamma: float, gamma_tilde: float, kappa: float) -> float:

@@ -415,6 +415,8 @@ def validate_config(config: dict) -> dict:
 def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
     lat = sc.get("lattice")
     _expect(isinstance(lat, dict), f"{where}.lattice", "must be an object")
+    for block in ("operator", "exponents", "potential", "grids", "sobolev"):
+        _expect(isinstance(sc.get(block, {}), dict), f"{where}.{block}", "must be an object")
     d = lat.get("d")
     extents = lat.get("extents")
     _expect(isinstance(d, int) and d >= 1, f"{where}.lattice.d", "must be an integer >= 1")
@@ -479,8 +481,14 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
         _expect(isinstance(pot.get("seed"), int), f"{where}.potential.seed",
                 "random potentials require an explicit integer seed")
         sig = pot.get("sigmas", [0.1, 1.0, 10.0])
-        _expect(isinstance(sig, list) and all(s > 0 for s in sig),
+        _expect(isinstance(sig, list)
+                and all(isinstance(s, (int, float)) and s > 0 for s in sig),
                 f"{where}.potential.sigmas", "must be positive numbers")
+
+    for name, least in (("restarts", 0), ("sweep_restarts", 1)):
+        x = sc.get("sobolev", {}).get(name, least)
+        _expect(isinstance(x, int) and x >= least, f"{where}.sobolev.{name}",
+                f"must be an integer >= {least}")
     return sc
 
 
@@ -638,9 +646,9 @@ def run_scenario(sc: dict) -> ScenarioResult:
         e = exponents_from_gamma_kappa(gamma, kappa)
         interp = functional.sobolev_interp_constant(
             T, e.q, e.theta,
-            sweep_restarts=int(sc.get("sobolev", {}).get("sweep_restarts", 8)))
+            restarts=int(sc.get("sobolev", {}).get("sweep_restarts", 8)))
         constants.S_interp = interp.value
-        constants.provenance["S_interp"] = "minimized (tau sweep)"
+        constants.provenance["S_interp"] = "minimized (tau step)"
         extras["interp"] = {"tau_star": interp.tau_star,
                             "direct_value": interp.direct_value,
                             "rel_gap": interp.rel_gap, "vacuous": interp.vacuous}

@@ -171,7 +171,17 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"checks": ["magneticCLR"]}, "checks"),
             ({"checks": ["diamagnetic"]}, "checks"),
             ({"checks": ["gsrIdentity"]}, "checks"),
-            ({"checks": [], "heat_nash": True, "exponents": {}}, "exponents.kappa")]):
+            ({"checks": [], "heat_nash": True, "exponents": {}}, "exponents.kappa"),
+            # malformed field types
+            ({"operator": "laplacian"}, "operator"),
+            ({"exponents": []}, "exponents"),
+            ({"potential": []}, "potential"),
+            ({"grids": "x"}, "grids"),
+            ({"potential": {"seed": 5, "sigmas": ["a"]}}, "potential.sigmas"),
+            ({"sobolev": []}, "sobolev"),
+            ({"sobolev": {"restarts": "x"}}, "sobolev.restarts"),
+            ({"sobolev": {"restarts": -1}}, "sobolev.restarts"),
+            ({"sobolev": {"sweep_restarts": 0}}, "sobolev.sweep_restarts")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
         assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),

@@ -1,5 +1,6 @@
 """Variational constants: minimization, interpolation, brackets, heat/Nash."""
 
+import itertools
 import math
 
 import mpmath
@@ -12,7 +13,9 @@ from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
                      lieb_objective, ltw_bounds_from_S, make_lattice,
                      nash_check, sobolev_constant, sobolev_interp_constant,
                      tau_min_value)
+from ineqlab import functional
 from ineqlab.functional import aizenman_lieb_unminimized
+from ineqlab.lattice import exponents_from_gamma_kappa
 from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
 
 mpmath.mp.dps = 30
@@ -125,9 +128,61 @@ def test_interp_two_routes_agree():
 def test_interp_scaling_homogeneity():
     T = build_laplacian(make_lattice(d=1, extents=12))
     theta = 0.5
-    a = sobolev_interp_constant(T, 4.0, theta, with_direct=False)
-    b = sobolev_interp_constant(T.scaled(3.0), 4.0, theta, with_direct=False)
+    a = sobolev_interp_constant(T, 4.0, theta)
+    b = sobolev_interp_constant(T.scaled(3.0), 4.0, theta)
     assert b.value == pytest.approx(3.0**theta * a.value, rel=1e-9)
+
+
+# the two bundled interpolation scenarios: (lattice, gamma, kappa)
+INTERP_CASES = [(dict(d=1, extents=32), 1.0, 1.5), (dict(d=2, extents=(8, 8)), 1.0, 2.0)]
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = functional.sobolev_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(functional, "sobolev_constant", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lat, gamma, kappa", INTERP_CASES)
+def test_interp_tau_step_solve_count(monkeypatch, lat, gamma, kappa):
+    T = build_laplacian(make_lattice(**lat))
+    e = exponents_from_gamma_kappa(gamma, kappa)
+    calls = _counting_solves(monkeypatch)
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    assert 1 <= len(calls) <= 20
+    assert ic.rel_gap <= 1e-6
+
+
+def test_interp_tau_step_stops_at_cap(monkeypatch):
+    # a tau step that never settles is cut after TAU_STEPS solves
+    T = build_laplacian(make_lattice(d=1, extents=6))
+    calls = _counting_solves(monkeypatch)
+    taus = itertools.cycle([1.0, 2.0])
+    monkeypatch.setattr(functional, "tau_min_value",
+                        lambda a, b, th: functional.TauMinimum(1.0, next(taus)))
+    sobolev_interp_constant(T, 4.0, 0.5, restarts=1)
+    assert len(calls) == functional.TAU_STEPS
+
+
+@pytest.mark.parametrize("lat, gamma, kappa", INTERP_CASES)
+def test_interp_tau_step_beats_global_tau_grid(lat, gamma, kappa):
+    # the alternation keeps the global-in-tau guarantee of a log sweep
+    # over [1e-4, 1e4] lambda_max
+    T = build_laplacian(make_lattice(**lat))
+    e = exponents_from_gamma_kappa(gamma, kappa)
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    coef = e.theta**e.theta * (1.0 - e.theta) ** (1.0 - e.theta)
+    grid = [coef * tau ** (e.theta - 1.0)
+            * sobolev_constant(T.shifted(tau), e.q, restarts=8,
+                               certificate_samples=0)[0]
+            for tau in np.geomspace(1e-4, 1e4, 9) * T.eigenvalues()[-1]]
+    assert ic.value <= (1.0 + 1e-10) * min(grid)
 
 
 def test_interp_vacuous_on_kernel():
@@ -255,6 +310,23 @@ def test_lieb_bound_matches_scalar_oracle():
         lieb_bound_from_K(K, 1.0)
     with pytest.raises(ValueError):
         lieb_bound_from_K(0.0, 1.5)
+
+
+def test_lieb_bound_extends_grid_past_either_edge():
+    # minima beyond the initial grid [1e-4, 30]: large kappa above it,
+    # kappa -> 1 below it
+    for kappa, lo, hi in ((40.0, 10.0, 100.0), (1.00001, 1e-8, 1e-4)):
+        lb = lieb_bound_from_K(1.0, kappa)
+        res = scipy.optimize.minimize_scalar(
+            lambda la: lieb_objective(math.exp(la), 1.0, kappa),
+            bounds=(math.log(lo), math.log(hi)), method="bounded",
+            options={"xatol": 1e-13})
+        assert lo < lb.a_star < hi
+        assert lb.value == pytest.approx(res.fun, rel=1e-9)
+        assert lb.a_star == pytest.approx(math.exp(res.x), rel=1e-5)
+        assert lb.unimodal
+    with pytest.raises(ValueError, match="kappa = 700"):
+        lieb_bound_from_K(1.0, 700.0)
 
 
 def test_lieb_bound_reference_point():

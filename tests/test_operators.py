@@ -13,6 +13,7 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      ensure_positive_definite, fractional_laplacian,
                      hardy_constant, make_lattice, random_phases,
                      ring_flux_phases, uniform_flux_phases, weighted_transform)
+from ineqlab import cli, verify
 from ineqlab.operators import build_function_of_operator
 
 
@@ -317,6 +318,64 @@ def test_beurling_deny_detects_positive_offdiagonal():
     assert rep.cond2_witness is not None
     u = rep.cond2_witness
     assert bad.quad_form(np.abs(u)) > bad.quad_form(u)
+
+
+def sampled_beurling_deny(T, omega=None, *, n_samples=100, seed=20240801):
+    """Sampling oracle for conditions 2 and 3: the worst excess of
+    t[|u|] - t[u] over real and complex u, and of t[min(u, omega)] - t[u]
+    over nonnegative u, each passed against 1e-10 * scale."""
+    n = T.n
+    scale = max(1.0, float(np.max(np.abs(T.form))))
+    rng = np.random.default_rng(seed)
+    cond2 = -np.inf
+    for i in range(n_samples):
+        u = rng.standard_normal(n)
+        if i % 2:
+            u = u + 1j * rng.standard_normal(n)
+        cond2 = max(cond2, T.quad_form(np.abs(u)) - T.quad_form(u))
+    w = np.ones(n) if omega is None else np.asarray(omega)
+    cond3 = -np.inf
+    for _ in range(n_samples):
+        u = np.abs(rng.standard_normal(n)) * float(rng.uniform(0.2, 2.0))
+        cond3 = max(cond3, T.quad_form(np.minimum(u, w)) - T.quad_form(u))
+    return cond2 <= 1e-10 * scale, cond3 <= 1e-10 * scale
+
+
+def _bundled_forms():
+    for sc in cli._load_config("paper-suite")["scenarios"]:
+        lat = sc["lattice"]
+        space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
+                             bc=lat.get("bc", "dirichlet"),
+                             exclusions=[tuple(x) for x in lat.get("exclusions", [])])
+        T, _, bundle, _ = verify._build_operator(space, sc.get("operator", {}))
+        yield sc["id"], T, (bundle.omega if bundle is not None else None)
+
+
+def test_beurling_deny_exact_matches_sampler():
+    forms = list(_bundled_forms())
+    assert len(forms) == 16
+    # Markov sign structure whose only defect is one negative row sum
+    sp = make_lattice(d=1, extents=6)
+
+    def row_sum_defect(diag):
+        A = build_laplacian(sp).form.copy()
+        A[3, 3] = diag
+        return KineticOperator(sp, A)
+
+    forms.append(("negative-row-sum", row_sum_defect(1.0), None))
+    verdicts = {}
+    for sid, T, omega in forms:
+        rep = beurling_deny_check(T, omega=omega)
+        assert (rep.cond2_pass, rep.cond3_pass) == sampled_beurling_deny(T, omega), sid
+        verdicts[sid] = rep.passed
+    assert not verdicts["negative-row-sum"]
+    assert verdicts["clr-1d-n32"]
+    # a row sum of -0.5 escapes the 100 samples but not the exact test
+    mild = row_sum_defect(1.5)
+    assert sampled_beurling_deny(mild) == (True, True)
+    rep = beurling_deny_check(mild)
+    assert rep.cond2_pass and not rep.cond3_pass
+    assert rep.cond3_excess == pytest.approx(0.5, rel=1e-14)
 
 
 def test_beurling_deny_complex_form_fails_condition_one():

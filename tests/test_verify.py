@@ -220,8 +220,7 @@ def test_tau_shift_reduction_matches_counting_verdict():
 
         S_tau, _ = sobolev_constant(T_tau, e.q)
         r_clr = verify_clr(T_tau, c * V, gamma + kappa, S_tau)
-        ic = sobolev_interp_constant(T, e.q, e.theta, with_direct=False,
-                                     sweep_points=9)
+        ic = sobolev_interp_constant(T, e.q, e.theta)
         r_weak = verify_weak_lt(T, V, gamma, kappa, [tau], ic.value)
         assert r_weak.passed == r_clr.passed
         assert r_weak.status == r_clr.status == "pass"
