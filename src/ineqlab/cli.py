@@ -222,13 +222,8 @@ def _sweep_instance(inst: dict):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    if config.get("schema") != 1:
-        raise verify.ConfigError("config.schema: must be 1")
-    sweep = config.get("sweep")
-    if not isinstance(sweep, dict):
-        raise verify.ConfigError("config.sweep: must be an object")
-    axis = sweep.get("axis")
+    sweep = verify.validate_sweep(_load_config(args.config))
+    axis = sweep["axis"]
     values = sweep.get("values", [])
     inst = sweep.get("instance", {})
     out_path = args.out or "sweep.csv"
@@ -266,7 +261,7 @@ def cmd_sweep(args) -> int:
                 phases = operators.uniform_flux_phases(space, float(phi))
                 T_A = operators.build_magnetic_laplacian(space, phases)
                 rows.append([float(phi), spectra.count_below(T_A, V, 0.0).n, base_count])
-    elif axis == "tau":
+    else:  # tau
         header = ["tau", "count"]
         rows = []
         if values:
@@ -276,8 +271,6 @@ def cmd_sweep(args) -> int:
             for tau in values:
                 c = spectra.count_from_eigenvalues(eigs, float(tau), scale=scale)
                 rows.append([float(tau), c.n])
-    else:
-        raise verify.ConfigError(f"sweep.axis: unknown axis {axis!r}")
 
     _write_csv(out_path, header, rows)
     print(f"wrote {out_path}")

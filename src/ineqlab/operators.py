@@ -19,7 +19,8 @@ applies the form through it in O(k n) work per column; otherwise it
 multiplies densely.  The nearest-neighbour families (Laplacian,
 magnetic, periodic, shifted and weighted forms; k <= 2d + 1) take the
 row route on large lattices; fractional and inverse-square forms are
-full and stay dense at every size.
+full and stay dense at every size.  The row list also gives the form's
+bandwidth, which the inertia count in ``spectra`` reads.
 """
 
 from __future__ import annotations
@@ -134,6 +135,16 @@ class KineticOperator:
     def _rows(self):
         """Padded row list of the form, or None for the dense route."""
         return _padded_rows(self.form)
+
+    @cached_property
+    def bandwidth(self) -> int | None:
+        """Largest |i - j| over the form's nonzeros on the row route; None
+        for forms that stay dense."""
+        rows = self._rows
+        if rows is None:
+            return None
+        cols, _ = rows  # padding slots hold their own index, distance 0
+        return int(np.max(np.abs(cols - np.arange(self.n))))
 
     def form_product(self, U) -> np.ndarray:
         """A @ U for a vector U of length n or an n x b block."""

@@ -484,12 +484,42 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
         _expect(isinstance(sig, list)
                 and all(isinstance(s, (int, float)) and s > 0 for s in sig),
                 f"{where}.potential.sigmas", "must be positive numbers")
+    draws = pot.get("draws", 2)
+    _expect(isinstance(draws, int) and draws >= 1, f"{where}.potential.draws",
+            "must be an integer >= 1")
 
     for name, least in (("restarts", 0), ("sweep_restarts", 1)):
         x = sc.get("sobolev", {}).get(name, least)
         _expect(isinstance(x, int) and x >= least, f"{where}.sobolev.{name}",
                 f"must be an integer >= {least}")
     return sc
+
+
+SWEEP_AXES = ("trotter_n", "coupling", "flux", "tau")
+
+
+def validate_sweep(config: dict) -> dict:
+    """Schema-check a sweep config; returns its ``sweep`` block."""
+    _expect(isinstance(config, dict) and config.get("schema") == 1,
+            "config.schema", "must be 1")
+    sweep = config.get("sweep")
+    _expect(isinstance(sweep, dict), "config.sweep", "must be an object")
+    axis = sweep.get("axis")
+    _expect(axis in SWEEP_AXES, "sweep.axis", f"unknown axis {axis!r}")
+    values = sweep.get("values", [])
+    _expect(isinstance(values, list)
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values),
+            "sweep.values", "must be a list of finite numbers")
+    if axis == "trotter_n":
+        _expect(all(v >= 1 and v == int(v) for v in values), "sweep.values",
+                "Trotter orders must be integers >= 1")
+    if axis in ("coupling", "tau"):
+        _expect(all(v >= 0 for v in values), "sweep.values", f"{axis} values must be >= 0")
+    inst = sweep.get("instance", {})
+    _expect(isinstance(inst, dict), "sweep.instance", "must be an object")
+    if values:
+        validate_scenario(inst, where="sweep.instance")
+    return sweep
 
 
 def _scenario_needs(sc: dict) -> list:

@@ -181,7 +181,9 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"sobolev": []}, "sobolev"),
             ({"sobolev": {"restarts": "x"}}, "sobolev.restarts"),
             ({"sobolev": {"restarts": -1}}, "sobolev.restarts"),
-            ({"sobolev": {"sweep_restarts": 0}}, "sobolev.sweep_restarts")]):
+            ({"sobolev": {"sweep_restarts": 0}}, "sobolev.sweep_restarts"),
+            ({"potential": {"seed": 5, "sigmas": [1.0], "draws": "x"}}, "potential.draws"),
+            ({"potential": {"seed": 5, "sigmas": [1.0], "draws": 0}}, "potential.draws")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
         assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),
@@ -310,6 +312,22 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     assert cli.main(["sweep", "--config", _write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,values,instance,field", [
+    ("coupling", [1.0], {"operator": {"family": "laplacian"}}, "sweep.instance.lattice"),
+    ("coupling", ["a", 1.0], None, "sweep.values"),
+    ("flux", "0.5", None, "sweep.values"),
+    ("tau", [0.0, -0.5], None, "sweep.values"),
+    ("trotter_n", [0], None, "sweep.values"),
+])
+def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
+    cfg = _sweep_config(axis, values, instance)
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bundled_configs_resolve():

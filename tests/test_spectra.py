@@ -1,5 +1,6 @@
 """Counting, resolvent-sandwich, heat-kernel, and trace-formula layer."""
 
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ import scipy.integrate
 import scipy.linalg
 
 from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
-                     count_below, count_from_eigenvalues, eigen_herm, eigen_sym,
-                     f_transform, heat_kernel, heat_norms, hinge_profile,
+                     cli, count_below, count_from_eigenvalues, f_transform,
+                     fractional_laplacian, heat_kernel, heat_norms, hinge_profile,
                      liyau_upsilon, make_lattice, riesz_mean,
-                     riesz_mean_from_counts, schrodinger_eigenvalues,
-                     tabulated_profile, trotter_trace)
+                     riesz_mean_from_counts, schrodinger_eigenvalues, spectra,
+                     tabulated_profile, trotter_trace, weighted_transform)
 from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
 
 
@@ -20,19 +21,6 @@ def single_site(t0=2.0, m0=1.0):
     sp = make_lattice(d=1, extents=1, h=1.0)
     op = KineticOperator(sp, np.array([[t0]]), measure=np.array([m0]))
     return sp, op
-
-
-def test_eigen_sym_and_herm():
-    T = build_laplacian(make_lattice(d=1, extents=5))
-    np.testing.assert_allclose(eigen_sym(T).eigenvalues, T.eigenvalues(), rtol=1e-14)
-    with pytest.raises(ValueError):
-        eigen_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    sp = make_lattice(d=2, extents=3, bc="periodic")
-    TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.4))
-    w = eigen_herm(TA).eigenvalues
-    assert np.all(np.diff(w) >= -1e-12)
-    with pytest.raises(ValueError):
-        eigen_herm(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
 
 
 def test_count_strictness_and_ties():
@@ -54,6 +42,106 @@ def test_count_below_matches_direct_spectrum():
     for tau in (0.0, 0.1, 1.0):
         got = count_below(T, V, tau)
         assert got.n == int(np.count_nonzero(eigs < -tau))
+
+
+def _dense_count(T, V, tau):
+    return count_from_eigenvalues(schrodinger_eigenvalues(T, V), tau)
+
+
+def _banded_cases():
+    """(T, V) on forms that take the inertia route, fixed seeds."""
+    rng = np.random.default_rng(2024)
+    path = build_laplacian(make_lattice(d=1, extents=300))
+    square = build_laplacian(make_lattice(d=2, extents=16))
+    cube = build_laplacian(make_lattice(d=3, extents=7))
+    holes = build_laplacian(make_lattice(d=2, extents=16,
+                                         exclusions=[(3, 4), (8, 8), (12, 2)]))
+    wt = weighted_transform(square, rng.uniform(0.5, 2.0, square.n), 1.5)
+    sp = make_lattice(d=2, extents=16)
+    magnetic = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.7))
+    cases = [("1d", path), ("2d", square), ("3d", cube), ("exclusions", holes),
+             ("weighted", wt.operator), ("magnetic", magnetic)]
+    out = []
+    for label, T in cases:
+        V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+        out.append(pytest.param(T, V, id=label))
+    return out
+
+
+@pytest.mark.parametrize("T,V", _banded_cases())
+def test_inertia_count_matches_dense_spectrum(T, V):
+    rng = np.random.default_rng(17)
+    taus = [0.0] + list(rng.uniform(0.0, float(np.max(V)), 12))
+    for tau in taus:
+        assert spectra._inertia_count(T, V, tau) is not None, tau
+        assert count_below(T, V, tau) == _dense_count(T, V, tau), tau
+
+
+def test_inertia_count_exact_tie_returns_dense_result():
+    T = build_laplacian(make_lattice(d=1, extents=300))
+    lam = float(T.eigenvalues()[40])
+    V = np.full(T.n, lam)          # T - V has an eigenvalue at 0 up to rounding
+    want = _dense_count(T, V, 0.0)
+    assert want.tie is not None
+    assert spectra._inertia_count(T, V, 0.0) is None
+    assert count_below(T, V, 0.0) == want
+
+
+def test_inertia_count_singular_pivot_falls_back():
+    T = build_laplacian(make_lattice(d=1, extents=300))
+    m = spectra.INERTIA_BLOCK
+    tau = 0.5
+    rng = np.random.default_rng(5)
+    V = np.abs(rng.normal(0.0, 1.0, T.n))
+    # constant V on the first block puts an eigenvalue of its pivot
+    # B_11 - V + tau at 0, so the shifted pivots sit 2 delta from singular
+    w1 = np.linalg.eigvalsh(T.sym()[:m, :m])
+    V[:m] = w1[3] + tau
+    assert spectra._inertia_count(T, V, tau) is None
+    assert count_below(T, V, tau) == _dense_count(T, V, tau)
+
+
+def test_inertia_route_skips_periodic_dense_and_small_forms():
+    m = spectra.INERTIA_BLOCK
+    small = spectra.INERTIA_MIN_BLOCKS * m - 1
+    forms = [build_laplacian(make_lattice(d=1, extents=300, bc="periodic")),
+             build_laplacian(make_lattice(d=2, extents=16, bc="periodic")),
+             fractional_laplacian(make_lattice(d=1, extents=300), 0.5),
+             build_laplacian(make_lattice(d=1, extents=small))]
+    assert forms[-1].bandwidth == 1       # banded, but too few blocks
+    rng = np.random.default_rng(9)
+    for T in forms:
+        V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+        assert spectra._band_blocks(T, V) is None
+        assert count_below(T, V, 0.1) == _dense_count(T, V, 0.1)
+
+
+def test_coupling_sweep_runs_no_full_size_eigvalsh(tmp_path, monkeypatch, capsys):
+    side = 32
+    rng = np.random.default_rng(0)
+    V = np.abs(rng.normal(0.0, 1.5, side * side))
+    cfg = {"schema": 1, "sweep": {
+        "axis": "coupling", "values": [0.1, 0.5, 2.0],
+        "instance": {"lattice": {"d": 2, "extents": [side, side]},
+                     "potential": {"values": V.tolist()}}}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert side * side not in sizes
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    T = build_laplacian(make_lattice(d=2, extents=side))
+    counts = [int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert counts == [_dense_count(T, c * V, 0.0).n for c in (0.1, 0.5, 2.0)]
 
 
 def test_birman_schwinger_single_site_closed_form():
