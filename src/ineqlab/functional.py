@@ -9,6 +9,16 @@ starts plus one positive start, then polishes each candidate with the
 fixed-point iteration u <- normalize(A^{-1}(m |u|^(q-1) sgn u)), which
 drives the first-order residual to the 1e-10 level that plain descent
 cannot reach in double precision.
+
+The starts run as one block: they are the rows of a k x n array, and
+one form product per round serves all of them.  Each row keeps its own
+BB step, backtracking, stall window and best point.  A row leaves the
+block when it exits: on a small gradient, a stalled value, the floor of
+its line search or max_iter.  Every row computes exactly what it would
+compute alone, since the form product and the row reductions treat each
+row as a vector, so block and restart count never change a row's result.
+The polish refines all rows together and retires each one as it
+converges or as its value guard trips.
 """
 
 from __future__ import annotations
@@ -58,109 +68,154 @@ class ConstantsBundle:
     provenance: dict = field(default_factory=dict)
 
 
-def _norm_q(u: np.ndarray, m: np.ndarray, q: float) -> float:
-    return float(np.sum(m * np.abs(u) ** q) ** (1.0 / q))
+def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u . v for each pair of rows, each summed as a vector dot product."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
 
 
-def _value_grad(u: np.ndarray, T, q: float):
-    # value and gradient of t[u] on the manifold ||u||_q = 1
+def _norm_q(U: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
+    """||u||_q of each row u of U (of u itself for a vector)."""
+    return (m * np.abs(U) ** q).sum(axis=-1) ** (1.0 / q)
+
+
+def _value_grad(U: np.ndarray, T, q: float):
+    # per row: value and gradient of t[u] on the manifold ||u||_q = 1
     m = T.measure
-    Au = T.form_product(u)
-    t = float(u @ Au)
-    g = 2.0 * (Au - t * m * np.abs(u) ** (q - 1.0) * np.sign(u))
-    return t, g
+    AU = T.form_product(U)
+    t = _rowdot(U, AU)
+    G = 2.0 * (AU - t[:, None] * m * np.abs(U) ** (q - 1.0) * np.sign(U))
+    return t, G
 
 
-def _bb_descent(vg, u0, m, q, *, step0, max_iter, tol, stall_window):
+def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
     """Barzilai-Borwein descent with an Armijo backtracking safeguard on the
-    manifold ||u||_q = 1; ``vg(u)`` returns the objective and its gradient.
+    manifold ||u||_q = 1, run on every row of the k x n block U0 at once;
+    ``vg(U)`` returns the objective of each row (shape k) and the gradients
+    (k x n).
 
-    Returns (best value, its point, iterations).
+    Returns (best values, their points, iterations), one entry per row.
     """
     # Hand-off semantics: descent only needs to settle into a basin; the
-    # fixed-point polish drives the residual to the 1e-10 level.  Exit on
-    # a small gradient or when relative value improvements stall, since
-    # the quotient Hessian is too ill-conditioned for gradient descent to
-    # reach tight first-order tolerances directly.
-    u = u0 / _norm_q(u0, m, q)
-    t, g = vg(u)
-    best_t, best_u = t, u.copy()
-    prev_u = prev_g = None
-    step = step0
-    last_improve = 0
-    iters = 0
-    for it in range(max_iter):
-        iters = it + 1
-        gn2 = float(g @ g)
-        if math.sqrt(gn2) <= tol * max(1.0, abs(t)):
+    # fixed-point polish drives the residual to the 1e-10 level.  A row
+    # exits on a small gradient or when relative value improvements stall,
+    # since the quotient Hessian is too ill-conditioned for gradient
+    # descent to reach tight first-order tolerances directly; it also exits
+    # at the numerical floor of its line search (60 halvings) or after
+    # max_iter iterations.
+    #
+    # Each round evaluates one trial point of every live row.  A row whose
+    # trial passes the Armijo test moves there and proposes its next BB
+    # step; a row whose trial fails halves its step and tries again in the
+    # next round.  So the rows need not be in the same iteration, every row
+    # takes exactly the steps and evaluations it would take alone, and a
+    # row that exits leaves the block.
+    k = U0.shape[0]
+    U = U0 / _norm_q(U0, m, q)[:, None]
+    t, G = vg(U)
+    best_t, best_U = t.copy(), U.copy()
+    iters = np.zeros(k, dtype=np.int64)
+    if max_iter < 1:
+        return best_t, best_U, iters
+    live = np.arange(k)             # row of U0 held by each live row
+    it = np.zeros(k, dtype=np.int64)
+    last_improve = np.zeros(k, dtype=np.int64)
+    halvings = np.zeros(k, dtype=np.int64)
+    step = np.full(k, step0)        # BB step of the current iteration
+    st = step.copy()                # step of the current trial
+    prev_U, prev_G = U.copy(), G.copy()
+    gn2 = _rowdot(G, G)
+    done = np.sqrt(gn2) <= tol * np.maximum(1.0, np.abs(t))
+    iters[done] = 1
+    while True:
+        if done.any():
+            keep = ~done
+            live, U, t, G, gn2, prev_U, prev_G, step, st, it, last_improve, halvings = (
+                x[keep] for x in (live, U, t, G, gn2, prev_U, prev_G, step, st, it,
+                                  last_improve, halvings))
+        if not live.size:
             break
-        if prev_u is not None:
-            du = u - prev_u
-            dg = g - prev_g
-            denom = float(du @ dg)
-            if denom > 0.0:
-                step = min(max(float(du @ du) / denom, 1e-12 * step0), 1e12 * step0)
-            else:
-                step = min(step * 2.0, 1e12 * step0)
-        st = step
-        accepted = False
-        for _ in range(60):
-            un = u - st * g
-            nq = _norm_q(un, m, q)
-            if nq > 0.0:
-                un = un / nq
-                tn, gn = vg(un)
-                if tn <= t - 1e-4 * st * gn2:
-                    accepted = True
-                    break
-            st *= 0.5
-        if not accepted:
-            break  # at the numerical floor of the line search
-        prev_u, prev_g = u, g
-        u, t, g = un, tn, gn
-        if t < best_t:
-            # only improvements of at least 0.1% reset the stall window;
-            # finer progress is left to the polish stage
-            if t < best_t * (1.0 - 1e-3):
-                last_improve = it
-            best_t, best_u = t, u.copy()
-        if it - last_improve > stall_window:
-            break
-    return best_t, best_u, iters
+        Un = U - st[:, None] * G
+        nq = _norm_q(Un, m, q)
+        ok = nq > 0.0
+        if ok.all():
+            Un /= nq[:, None]
+            tn, Gn = vg(Un)
+        else:                       # a zero trial point is not evaluated
+            tn, Gn = np.full(live.size, np.nan), np.zeros_like(G)
+            Un[ok] /= nq[ok, None]
+            tn[ok], Gn[ok] = vg(Un[ok])
+        acc = tn <= t - 1e-4 * st * gn2
+        halvings = np.where(acc, 0, halvings + 1)
+        moved = acc[:, None]
+        np.copyto(prev_U, U, where=moved)
+        np.copyto(prev_G, G, where=moved)
+        np.copyto(U, Un, where=moved)
+        np.copyto(G, Gn, where=moved)
+        t = np.where(acc, tn, t)
+        bt = best_t[live]
+        better = t < bt
+        # only improvements of at least 0.1% reset the stall window; finer
+        # progress is left to the polish stage
+        last_improve = np.where(better & (t < bt * (1.0 - 1e-3)), it, last_improve)
+        best_t[live[better]] = t[better]
+        best_U[live[better]] = U[better]
+        stall = acc & (it - last_improve > stall_window)
+        it += acc
+        gn2 = _rowdot(G, G)
+        cap = acc & (it >= max_iter)
+        conv = acc & (np.sqrt(gn2) <= tol * np.maximum(1.0, np.abs(t)))
+        done = (halvings >= 60) | stall | cap | conv
+        # a row's count includes the iteration it exits in: a stall or
+        # max_iter exits in the iteration just taken, the line-search floor
+        # and a small gradient in the one after it
+        iters[live[done]] = (it + 1 - (stall | cap))[done]
+        dU = U - prev_U
+        dG = G - prev_G
+        denom = _rowdot(dU, dG)
+        bb = _rowdot(dU, dU) / np.where(denom > 0.0, denom, 1.0)
+        step = np.where(acc, np.where(denom > 0.0,
+                                      np.minimum(np.maximum(bb, 1e-12 * step0), 1e12 * step0),
+                                      np.minimum(step * 2.0, 1e12 * step0)),
+                        step)
+        st = np.where(acc, step, st * 0.5)
+    return best_t, best_U, iters
 
 
-def _polish(T, q, u, *, max_iter=500):
-    """Fixed-point refinement u <- normalize(A^{-1}(m |u|^(q-1) sgn u)).
+def _polish(T, q, U, *, max_iter=500):
+    """Fixed-point refinement u <- normalize(A^{-1}(m |u|^(q-1) sgn u)) of
+    every row u of the k x n block U.
 
-    Value-guarded: reverts and stops if an update increases the quotient,
-    so a polished candidate is never worse than its descent seed.
+    Value-guarded per row: a row whose update would increase its quotient
+    keeps its last point and stops, so a polished row is never worse than
+    its seed.  Returns (values, points, gradient norms), one per row.
     """
     w, Q = T.eigensystem()
     m = T.measure
+    U = np.array(U, dtype=np.float64)
+    t, G = _value_grad(U, T, q)
+    res = np.sqrt(_rowdot(G, G))
     if w[0] <= 1e-10 * max(w[-1], 1e-300):
-        t, g = _value_grad(u, T, q)
-        return t, u, float(np.linalg.norm(g))
+        return t, U, res
     rs = 1.0 / np.sqrt(m)
-
-    def solve_form(b):
-        y = Q.T @ (rs * b)
-        return rs * (Q @ (y / w))
-
-    t, g = _value_grad(u, T, q)
+    live = np.flatnonzero(res > 1e-10 * np.maximum(1.0, np.abs(t)))
     for _ in range(max_iter):
-        if float(np.linalg.norm(g)) <= 1e-10 * max(1.0, abs(t)):
+        if not live.size:
             break
-        b = m * np.abs(u) ** (q - 1.0) * np.sign(u)
-        x = solve_form(b)
-        nq = _norm_q(x, m, q)
-        if not nq > 0.0:
-            break
-        un = x / nq
-        tn, gn = _value_grad(un, T, q)
-        if tn > t + 1e-14 * max(1.0, abs(t)):
-            break
-        u, t, g = un, tn, gn
-    return t, u, float(np.linalg.norm(g))
+        Ul, tl = U[live], t[live]
+        B = m * np.abs(Ul) ** (q - 1.0) * np.sign(Ul)
+        X = rs * ((((rs * B) @ Q) / w) @ Q.T)  # the eigenbasis solve of all rows
+        nq = _norm_q(X, m, q)
+        # a row stops when its update vanishes or would raise its value
+        ok = nq > 0.0
+        live, X, nq, tl = live[ok], X[ok], nq[ok], tl[ok]
+        Un = X / nq[:, None]
+        tn, Gn = _value_grad(Un, T, q)
+        keep = ~(tn > tl + 1e-14 * np.maximum(1.0, np.abs(tl)))
+        live, Un, tn, Gn = live[keep], Un[keep], tn[keep], Gn[keep]
+        U[live], t[live] = Un, tn
+        res[live] = rn = np.sqrt(_rowdot(Gn, Gn))
+        live = live[rn > 1e-10 * np.maximum(1.0, np.abs(tn))]
+    return t, U, res
 
 
 def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
@@ -188,19 +243,14 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     m = T.measure
     n = T.n
     step0 = 1.0 / max(float(w[-1]), 1e-300)
-    starts = [np.random.default_rng(seed + k).standard_normal(n) for k in range(restarts)]
-    starts.append(np.ones(n))
-
-    best_t, best_u, best_res = np.inf, None, np.inf
-    total_iters = 0
-    for u0 in starts:
-        t_bb, u_bb, iters = _bb_descent(lambda u: _value_grad(u, T, q), u0, m, q,
-                                        step0=step0, max_iter=max_iter, tol=1e-6,
-                                        stall_window=50)
-        total_iters += iters
-        t_p, u_p, res = _polish(T, q, u_bb)
-        if t_p < best_t:
-            best_t, best_u, best_res = t_p, u_p, res
+    U0 = np.array([np.random.default_rng(seed + k).standard_normal(n)
+                   for k in range(restarts)] + [np.ones(n)])
+    _, U_bb, iters = _bb_descent(lambda U: _value_grad(U, T, q), U0, m, q,
+                                 step0=step0, max_iter=max_iter, tol=1e-6,
+                                 stall_window=50)
+    t_p, U_p, res = _polish(T, q, U_bb)
+    i = int(np.argmin(t_p))         # the first of equal minima
+    best_t, best_u, best_res = float(t_p[i]), U_p[i], float(res[i])
 
     slack = None
     if certificate_samples > 0:
@@ -210,29 +260,29 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
         done = 0
         while done < certificate_samples:
             b = min(500, certificate_samples - done)
-            U = rng.standard_normal((n, b))
+            # probe j is column j of an n x b draw
+            U = np.ascontiguousarray(rng.standard_normal((n, b)).T)
             if done % 2:
                 U = np.abs(U)
-            tvals = np.einsum("ij,ij->j", U, T.form_product(U))
-            nq2 = np.sum(m[:, None] * np.abs(U) ** q, axis=0) ** (2.0 / q)
-            ratios = tvals / nq2
+            tvals = _rowdot(U, T.form_product(U))
+            ratios = tvals / np.sum(m * np.abs(U) ** q, axis=1) ** (2.0 / q)
             j = int(np.argmin(ratios))
             if ratios[j] < worst:
                 worst = float(ratios[j])
-                worst_u = U[:, j].copy()
+                worst_u = U[j].copy()
             done += b
         if worst < best_t - 1e-9 * max(1.0, best_t):
             # a probe beat the optimizer; polish it and adopt the better value
-            t_p, u_p, res = _polish(T, q, worst_u / _norm_q(worst_u, m, q))
-            if t_p < best_t:
-                best_t, best_u, best_res = t_p, u_p, res
+            t_p, U_p, res = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
+            if t_p[0] < best_t:
+                best_t, best_u, best_res = float(t_p[0]), U_p[0], float(res[0])
         slack = worst - best_t
 
-    trace = MinimizationTrace(value=float(best_t), minimizer=best_u,
-                              restarts=len(starts), iterations=total_iters,
+    trace = MinimizationTrace(value=best_t, minimizer=best_u,
+                              restarts=U0.shape[0], iterations=int(iters.sum()),
                               residual=best_res / max(1.0, abs(best_t)),
                               certificate_slack=slack)
-    return float(best_t), trace
+    return best_t, trace
 
 
 def _xpowx(x: float) -> float:
@@ -281,22 +331,20 @@ def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
     w = T.eigenvalues()
     step0 = 1.0 / max(float(w[-1]), 1e-300)
 
-    def vg(u):
-        Au = T.form_product(u)
-        t = float(u @ Au)
-        n2 = float(np.sum(m * u * u))
+    def vg(U):
+        AU = T.form_product(U)
+        t = _rowdot(U, AU)[:, None]
+        n2 = np.sum(m * U * U, axis=1)[:, None]
         J = t**theta * n2 ** (1.0 - theta)
-        g = J * (2.0 * theta * Au / t + 2.0 * (1.0 - theta) * m * u / n2
-                 - 2.0 * m * np.abs(u) ** (q - 1.0) * np.sign(u))
-        return J, g
+        G = J * (2.0 * theta * AU / t + 2.0 * (1.0 - theta) * m * U / n2
+                 - 2.0 * m * np.abs(U) ** (q - 1.0) * np.sign(U))
+        return J[:, 0], G
 
-    best = np.inf
-    for k in range(restarts):
-        u0 = np.random.default_rng(seed + 7000 + k).standard_normal(n)
-        J, _, _ = _bb_descent(vg, u0, m, q, step0=step0, max_iter=max_iter,
-                              tol=1e-8, stall_window=150)
-        best = min(best, J)
-    return best
+    U0 = np.array([np.random.default_rng(seed + 7000 + k).standard_normal(n)
+                   for k in range(restarts)]).reshape(restarts, n)
+    J, _, _ = _bb_descent(vg, U0, m, q, step0=step0, max_iter=max_iter,
+                          tol=1e-8, stall_window=150)
+    return float(np.min(J, initial=np.inf))
 
 
 def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
@@ -394,12 +442,13 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
     done = 0
     while done < n_samples:
         b = min(500, n_samples - done)
-        U = rng.standard_normal((n, b))
+        # sample j is column j of an n x b draw
+        U = np.ascontiguousarray(rng.standard_normal((n, b)).T)
         if (done // 500) % 2:
             U = np.abs(U)
-        tvals = np.einsum("ij,ij->j", U, T.form_product(U))
-        n1 = np.sum(m[:, None] * np.abs(U), axis=0)
-        n2sq = np.sum(m[:, None] * U * U, axis=0)
+        tvals = _rowdot(U, T.form_product(U))
+        n1 = np.sum(m * np.abs(U), axis=1)
+        n2sq = np.sum(m * U * U, axis=1)
         lhs = np.maximum(tvals, 0.0) ** p * n1**e1
         rhs = S**p * n2sq
         slack = (lhs - rhs) / np.maximum(rhs, 1e-300)
@@ -493,7 +542,12 @@ def lieb_objective(a: float, K: float, kappa: float) -> float:
     denom = 1.0 - a * e1_scaled(a)
     if denom <= 0.0:
         raise ArithmeticError(f"objective denominator nonpositive at a={a}")
-    return K / (kappa * (kappa - 1.0)) * a ** (1.0 - kappa) * math.exp(a) / denom
+    log_power = (1.0 - kappa) * math.log(a)
+    if abs(log_power) < 700.0 and a < 700.0:
+        return K / (kappa * (kappa - 1.0)) * a ** (1.0 - kappa) * math.exp(a) / denom
+    # a^(1-kappa) or e^a alone leaves the double range, though their product
+    # may not: join them in one exponential (OverflowError if it overflows)
+    return K / (kappa * (kappa - 1.0)) * math.exp(log_power + a) / denom
 
 
 @dataclass
@@ -510,8 +564,9 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
     int_0^inf e^-lambda/(lambda+a) dlambda equals e^a E1(a)) by a log
     grid bracket plus golden-section refinement.  The grid spans
     [1e-4, 30] and is extended geometrically past an end that holds the
-    minimum until the minimum is interior; an objective that overflows
-    raises ValueError.
+    minimum until the minimum is interior.  Where the objective overflows
+    (a^(1-kappa) near a = 0 at large kappa) the search reads it as +inf;
+    only a minimum that is not a finite positive double raises ValueError.
     """
     if not kappa > 1.0:
         raise ValueError(f"requires kappa > 1, got {kappa}")
@@ -520,12 +575,9 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
 
     def f(a: float) -> float:
         try:
-            v = lieb_objective(a, K, kappa)
-        except ArithmeticError:
-            v = math.inf
-        if not math.isfinite(v):
-            raise ValueError(f"Lieb objective overflows at a = {a:.6g} for kappa = {kappa}")
-        return v
+            return lieb_objective(a, K, kappa)
+        except ArithmeticError:     # overflow, or a nonpositive denominator
+            return math.inf
 
     grid = [float(a) for a in np.geomspace(1e-4, 30.0, 160)]
     vals = [f(a) for a in grid]
@@ -536,14 +588,19 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
         grid.insert(at, a)
         vals.insert(at, f(a))
         i = int(np.argmin(vals))
-    diffs = np.sign(np.diff(vals))
-    changes = int(np.count_nonzero(np.diff(diffs[diffs != 0.0])))
+    with np.errstate(invalid="ignore"):     # inf - inf where it overflows
+        diffs = np.sign(np.diff(vals))
+    changes = int(np.count_nonzero(np.diff(diffs[np.abs(diffs) == 1.0])))
     unimodal = changes <= 1
     a_lo, a_hi = grid[i - 1], grid[i + 1]
     # 40 steps shrink the interior bracket (two grid cells, width 0.159 in
     # log a) below 1e-9
     a_star, _ = _golden_log(f, a_lo, a_hi, iterations=40)
-    return LiebBound(value=f(a_star), a_star=a_star, unimodal=unimodal)
+    value = f(a_star)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"the Lieb bound for kappa = {kappa} lies outside the "
+                         f"double range (computed {value})")
+    return LiebBound(value=value, a_star=a_star, unimodal=unimodal)
 
 
 def aizenman_lieb_factor(gamma: float, gamma_tilde: float, kappa: float) -> float:

@@ -10,13 +10,16 @@ The plain Laplacian form is t[u] = sum_edges h^(d-2) |u_x - u_y|^2 plus
 one h^(d-2) |u_x|^2 penalty per missing neighbor slot under Dirichlet
 boundary conditions.
 
-Forms are stored dense, and every product A @ U (a vector or an n x b
-block) goes through KineticOperator.form_product.  On first use it looks
-at the form once: when its fullest row holds k nonzeros with
-k * ROW_ROUTE_FACTOR < n, it keeps a padded row list (per row, the
-column indices and values of its nonzeros, padded to k slots) and
-applies the form through it in O(k n) work per column; otherwise it
-multiplies densely.  The nearest-neighbour families (Laplacian,
+Forms are stored dense, and every product goes through
+KineticOperator.form_product: A @ u for a vector u, or for each row u of
+a block U whose rows are the vectors (shape b x n).  A row of a block is
+computed as the vector alone would be, so it never depends on the rows
+beside it.  On first use form_product looks at the form once: when its
+fullest row holds k nonzeros with k * ROW_ROUTE_FACTOR < n, it keeps a
+padded row list (per row, the column indices and values of its nonzeros,
+padded to k slots) and applies the form through it in O(k n) work per
+vector; otherwise it multiplies densely, one matrix-vector product per
+row.  The nearest-neighbour families (Laplacian,
 magnetic, periodic, shifted and weighted forms; k <= 2d + 1) take the
 row route on large lattices; fractional and inverse-square forms are
 full and stay dense at every size.  The row list also gives the form's
@@ -147,21 +150,28 @@ class KineticOperator:
         return int(np.max(np.abs(cols - np.arange(self.n))))
 
     def form_product(self, U) -> np.ndarray:
-        """A @ U for a vector U of length n or an n x b block."""
+        """A @ u for a vector u of length n, or for every row u of a b x n
+        block (the rows of the result)."""
         U = np.asarray(U)
         rows = self._rows
         if rows is None:
-            return self.form @ U
+            if U.ndim == 1:
+                return self.form @ U
+            # one matrix-vector product per row, never a matrix-matrix
+            # product: a BLAS GEMM rounds a row differently with the block's
+            # height, so a row's result would depend on the rows beside it
+            return np.matmul(U[:, None, :], self.form.T)[:, 0, :]
         cols, vals = rows
         if U.ndim == 1:
             # all k slots in one gather: the fewest numpy calls per descent step
             return (vals * U[cols]).sum(axis=0)
-        # blocks: one slot at a time, so temporaries stay of size n x b; each
-        # column is summed in the same slot order as a vector
-        out = vals[0][:, None] * U[cols[0]]
+        # blocks: one slot at a time, so temporaries stay of size b x n; each
+        # row is summed in the same slot order as a vector.  take() keeps the
+        # gathers (and so the result) row-major, where U[:, c] would not.
+        out = vals[0] * U.take(cols[0], axis=1)
         buf = np.empty_like(out)
         for c, v in zip(cols[1:], vals[1:]):
-            np.multiply(v[:, None], U[c], out=buf)
+            np.multiply(v, U.take(c, axis=1), out=buf)
             out += buf
         return out
 

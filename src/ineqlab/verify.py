@@ -427,9 +427,13 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
             f"{where}.lattice.bc", "must be 'dirichlet' or 'periodic'")
     h = lat.get("h", 1.0)
     _expect(isinstance(h, (int, float)) and h > 0, f"{where}.lattice.h", "must be > 0")
+    excluded = set()
     for x in lat.get("exclusions", []):
-        _expect(isinstance(x, list) and len(x) == d, f"{where}.lattice.exclusions",
-                "each exclusion must be a d-tuple")
+        _expect(isinstance(x, list) and len(x) == d
+                and all(isinstance(c, int) and 0 <= c < e for c, e in zip(x, extents)),
+                f"{where}.lattice.exclusions",
+                "each exclusion must be a d-tuple of site coordinates inside the extents")
+        excluded.add(tuple(x))
 
     op = sc.get("operator", {"family": "laplacian"})
     fam = op.get("family")
@@ -484,6 +488,14 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
         _expect(isinstance(sig, list)
                 and all(isinstance(s, (int, float)) and s > 0 for s in sig),
                 f"{where}.potential.sigmas", "must be positive numbers")
+    if "values" in pot:
+        n_sites = math.prod(extents) - len(excluded)
+        vals = pot["values"]
+        _expect(isinstance(vals, list) and len(vals) == n_sites
+                and all(isinstance(v, (int, float)) and math.isfinite(v) and v >= 0
+                        for v in vals),
+                f"{where}.potential.values",
+                f"must be a list of {n_sites} finite numbers >= 0, one per site")
     draws = pot.get("draws", 2)
     _expect(isinstance(draws, int) and draws >= 1, f"{where}.potential.draws",
             "must be an integer >= 1")
@@ -519,6 +531,9 @@ def validate_sweep(config: dict) -> dict:
     _expect(isinstance(inst, dict), "sweep.instance", "must be an object")
     if values:
         validate_scenario(inst, where="sweep.instance")
+        if axis == "flux":
+            _expect(inst["lattice"]["d"] == 2, "sweep.instance.lattice.d",
+                    "a flux sweep needs a d = 2 lattice")
     return sweep
 
 

@@ -51,6 +51,15 @@ def test_constants_lieb_bound_and_json_out(tmp_path, capsys):
     assert payload["lieb_bound"]["a_star"] == pytest.approx(ref.a_star, rel=1e-12)
 
 
+def test_constants_lieb_bound_at_large_kappa(capsys):
+    # a^(1 - kappa) overflows at the grid's first point; the minimum near
+    # a = kappa - 2 is finite
+    assert cli.main(["constants", "--lieb-bound", "1,80"]) == 0
+    out = capsys.readouterr().out
+    assert "lieb_L(K=1, kappa=80)  3.17493" in out
+    assert "lieb_a_star            78.02" in out
+
+
 def test_constants_exit_codes(capsys):
     # no flags at all is a usage error
     assert cli.main(["constants"]) == 2
@@ -183,7 +192,11 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"sobolev": {"restarts": -1}}, "sobolev.restarts"),
             ({"sobolev": {"sweep_restarts": 0}}, "sobolev.sweep_restarts"),
             ({"potential": {"seed": 5, "sigmas": [1.0], "draws": "x"}}, "potential.draws"),
-            ({"potential": {"seed": 5, "sigmas": [1.0], "draws": 0}}, "potential.draws")]):
+            ({"potential": {"seed": 5, "sigmas": [1.0], "draws": 0}}, "potential.draws"),
+            # one value per site: tiny-a has 8 sites
+            ({"potential": {"values": [0.5, 1.0]}}, "potential.values"),
+            ({"lattice": {"d": 1, "extents": [8], "exclusions": [[9]]}},
+             "lattice.exclusions")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
         assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),
@@ -320,6 +333,10 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     ("flux", "0.5", None, "sweep.values"),
     ("tau", [0.0, -0.5], None, "sweep.values"),
     ("trotter_n", [0], None, "sweep.values"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, potential={"values": [0.5, 1.0, 2.0]}),
+     "sweep.instance.potential.values"),
+    ("flux", [0.5], dict(SWEEP_INSTANCE, lattice={"d": 1, "extents": [8]},
+                         potential={"values": [1.0] * 8}), "sweep.instance.lattice.d"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)

@@ -1,7 +1,9 @@
 """Variational constants: minimization, interpolation, brackets, heat/Nash."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,7 +15,7 @@ from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
                      lieb_objective, ltw_bounds_from_S, make_lattice,
                      nash_check, sobolev_constant, sobolev_interp_constant,
                      tau_min_value)
-from ineqlab import functional
+from ineqlab import cli, functional
 from ineqlab.functional import aizenman_lieb_unminimized
 from ineqlab.lattice import exponents_from_gamma_kappa
 from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
@@ -95,6 +97,157 @@ def test_sobolev_row_route_matches_dense_route(monkeypatch):
     S_dense, _ = sobolev_constant(dense, 6.0, restarts=4)
     assert S_row == pytest.approx(S_dense, rel=1e-10)
     assert trace.certificate_slack >= 0.0
+
+
+def _starts(n):
+    # the 16 seeded starts and the positive start of sobolev_constant
+    return np.array([np.random.default_rng(k).standard_normal(n) for k in range(16)]
+                    + [np.ones(n)])
+
+
+@pytest.mark.parametrize("extents", [32, 256], ids=["dense-n32", "rows-n256"])
+def test_bb_descent_rows_are_independent(extents):
+    # every row of a block takes the steps it would take alone
+    T = build_laplacian(make_lattice(d=1, extents=extents))
+    assert (T._rows is not None) == (extents == 256)
+    q = 6.0
+    U0 = _starts(T.n)
+    kw = dict(step0=1.0 / T.eigenvalues()[-1], max_iter=50_000, tol=1e-6,
+              stall_window=50)
+
+    def vg(U):
+        return functional._value_grad(U, T, q)
+
+    best, points, iters = functional._bb_descent(vg, U0, T.measure, q, **kw)
+    assert best.shape == iters.shape == (17,) and points.shape == U0.shape
+    assert np.all(iters >= 1)
+    for r in range(17):
+        b1, _, i1 = functional._bb_descent(vg, U0[r:r + 1], T.measure, q, **kw)
+        assert b1[0] == pytest.approx(best[r], rel=1e-12), r
+        assert i1[0] == iters[r], r
+
+
+def _vector_descent(vg, u0, m, q, *, step0, max_iter, tol, stall_window):
+    # reference: the BB/Armijo loop over one start, one vector at a time
+    def norm_q(u):
+        return float(functional._norm_q(u[None], m, q)[0])
+
+    u = u0 / norm_q(u0)
+    t, g = vg(u)
+    best_t, best_u = t, u.copy()
+    prev_u = prev_g = None
+    step, last_improve, iters = step0, 0, 0
+    for it in range(max_iter):
+        iters = it + 1
+        gn2 = float(g @ g)
+        if math.sqrt(gn2) <= tol * max(1.0, abs(t)):
+            break
+        if prev_u is not None:
+            du, dg = u - prev_u, g - prev_g
+            denom = float(du @ dg)
+            if denom > 0.0:
+                step = min(max(float(du @ du) / denom, 1e-12 * step0), 1e12 * step0)
+            else:
+                step = min(step * 2.0, 1e12 * step0)
+        st, accepted = step, False
+        for _ in range(60):
+            un = u - st * g
+            nq = norm_q(un)
+            if nq > 0.0:
+                un = un / nq
+                tn, gn = vg(un)
+                if tn <= t - 1e-4 * st * gn2:
+                    accepted = True
+                    break
+            st *= 0.5
+        if not accepted:
+            break
+        prev_u, prev_g = u, g
+        u, t, g = un, tn, gn
+        if t < best_t:
+            if t < best_t * (1.0 - 1e-3):
+                last_improve = it
+            best_t, best_u = t, u.copy()
+        if it - last_improve > stall_window:
+            break
+    return best_t, best_u, iters
+
+
+@pytest.mark.parametrize("max_iter, stall_window", [(50_000, 50), (37, 50), (50_000, 5)])
+def test_bb_descent_matches_vector_loop(max_iter, stall_window):
+    # same arithmetic, so every row equals the reference exactly, whichever
+    # exit it takes (gradient, stall, max_iter)
+    T = build_laplacian(make_lattice(d=2, extents=(6, 6)))
+    q = 4.0
+    U0 = _starts(T.n)
+    kw = dict(step0=1.0 / T.eigenvalues()[-1], max_iter=max_iter, tol=1e-6,
+              stall_window=stall_window)
+    best, points, iters = functional._bb_descent(
+        lambda U: functional._value_grad(U, T, q), U0, T.measure, q, **kw)
+
+    def vg(u):
+        t, G = functional._value_grad(u[None], T, q)
+        return float(t[0]), G[0]
+
+    for r in range(17):
+        t1, u1, i1 = _vector_descent(vg, U0[r], T.measure, q, **kw)
+        assert (t1, i1) == (best[r], iters[r]), r
+        assert np.array_equal(u1, points[r]), r
+
+
+def test_polish_guard_reverts_only_the_rising_row():
+    # a row handed over at half its unit-norm scale has a quarter of the value
+    # its normalized update would have, so the guard keeps it as it came;
+    # the other rows polish as they do alone
+    T = build_laplacian(make_lattice(d=1, extents=32))
+    q = 6.0
+    _, U, _ = functional._bb_descent(
+        lambda V: functional._value_grad(V, T, q), _starts(T.n)[:3], T.measure, q,
+        step0=1.0 / T.eigenvalues()[-1], max_iter=50_000, tol=1e-6, stall_window=50)
+    U[1] *= 0.5
+    t_in, _ = functional._value_grad(U, T, q)
+    t, P, res = functional._polish(T, q, U)
+    assert np.array_equal(P[1], U[1]) and t[1] == t_in[1]
+    assert res[1] > 1e-3
+    for r in (0, 2):
+        t1, P1, res1 = functional._polish(T, q, U[r:r + 1])
+        assert t[r] < t_in[r]
+        assert t[r] == pytest.approx(t1[0], rel=1e-12)
+        assert res[r] <= 1e-9 and res1[0] <= 1e-9
+        np.testing.assert_allclose(P[r], P1[0], rtol=0, atol=1e-8)
+
+
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("sid", ["clr-1d-n32", "clr-2d-8x8"])
+def test_sobolev_matches_benchmark_reference(sid):
+    want = json.loads(REFERENCE_PATH.read_text())["constants"][sid]["S"]
+    sc = next(s for s in cli._load_config("paper-suite")["scenarios"] if s["id"] == sid)
+    lat = sc["lattice"]
+    T = build_laplacian(make_lattice(lat["d"], lat["extents"], h=lat["h"], bc=lat["bc"]))
+    q = exponents_from_gamma_kappa(0.0, sc["exponents"]["kappa"]).q
+    S, trace = sobolev_constant(T, q)
+    assert S == pytest.approx(want, rel=1e-10)
+    assert trace.certificate_slack >= 0.0
+
+
+def test_sobolev_block_cuts_form_products(monkeypatch):
+    # all 17 starts share one form product per round; a loop over the starts
+    # with one product per start and trial point makes 4,891 calls here
+    T = build_laplacian(make_lattice(d=1, extents=32))
+    calls = []
+    product = KineticOperator.form_product
+
+    def counted(self, U):
+        calls.append(1)
+        return product(self, U)
+
+    monkeypatch.setattr(KineticOperator, "form_product", counted)
+    S, trace = sobolev_constant(T, 6.0)
+    assert S == pytest.approx(REFERENCE_S[1][2], rel=1e-10)
+    assert trace.restarts == 17
+    assert 1 <= len(calls) <= 4891 // 3
 
 
 def test_sobolev_rejects_bad_input():
@@ -327,6 +480,22 @@ def test_lieb_bound_extends_grid_past_either_edge():
         assert lb.unimodal
     with pytest.raises(ValueError, match="kappa = 700"):
         lieb_bound_from_K(1.0, 700.0)
+
+
+def test_lieb_bound_at_large_kappa():
+    # a^(1 - kappa) overflows at a = 1e-4 once kappa > 78; only the minimum
+    # itself must be a finite double
+    lb = lieb_bound_from_K(1.0, 80.0)
+    assert math.isfinite(lb.value) and lb.value > 0.0
+    assert lb.a_star == pytest.approx(78.0, abs=0.1)
+    assert lb.value <= lieb_objective(78.0, 1.0, 80.0)
+    assert lb.unimodal
+    # at kappa = 150 a^(1 - kappa) underflows near the minimum, 5.4e-262
+    lb = lieb_bound_from_K(1.0, 150.0)
+    a = mpmath.mpf(lb.a_star)
+    want = a ** -149 * mpmath.exp(a) / (1 - a * mpmath.exp(a) * mpmath.e1(a)) / (150 * 149)
+    assert lb.value == pytest.approx(float(want), rel=1e-12)
+    assert lb.a_star == pytest.approx(148.0, abs=0.1)
 
 
 def test_lieb_bound_reference_point():

@@ -448,18 +448,22 @@ def test_form_product_matches_dense_matrix(key, width, complex_input, seed):
     T = FORM_OPERATORS[key]
     assert (T._rows is not None) == (key[0] == "large")
     rng = np.random.default_rng(seed)
-    shape = (T.n,) if width is None else (T.n, width)
+    shape = (T.n,) if width is None else (width, T.n)
     U = rng.standard_normal(shape)
     if complex_input:
         U = U + 1j * rng.standard_normal(shape)
-    want = T.form @ U
+    want = T.form @ U if width is None else U @ T.form.T
     got = T.form_product(U)
     assert got.shape == want.shape and got.dtype == want.dtype
     scale = float(np.max(np.abs(T.form))) * float(np.max(np.abs(U)))
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
-    if width is not None and T._rows is not None:
-        # the row route sums each column of a block as it sums a vector
-        assert np.array_equal(got[:, -1], T.form_product(U[:, -1].copy()))
+    if width is not None:
+        # a row of a block does not depend on the rows beside it, and the
+        # row route sums it as it sums a vector
+        for r in range(width):
+            assert np.array_equal(got[r], T.form_product(U[r:r + 1].copy())[0])
+            if T._rows is not None:
+                assert np.array_equal(got[r], T.form_product(U[r].copy()))
     if width is None:
         qf = float(np.real(np.conj(U) @ want))
         assert T.quad_form(U) == pytest.approx(qf, rel=1e-14, abs=1e-14 * scale * T.n)
