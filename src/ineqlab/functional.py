@@ -49,6 +49,7 @@ class MinimizationTrace:
     residual: float              # ||grad||_2 / max(1, |value|) at the reported minimizer
     certificate_slack: float | None = None
     vacuous: bool = False
+    polished: np.ndarray | None = None  # every polished start, one per row
 
 
 @dataclass
@@ -219,12 +220,17 @@ def _polish(T, q, U, *, max_iter=500):
 
 
 def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
-                     max_iter: int = 50_000, certificate_samples: int = 2000):
+                     max_iter: int = 50_000, certificate_samples: int = 2000,
+                     starts: np.ndarray | None = None):
     """Best found value of inf t[u]/||u||_q^2 with a minimization trace.
 
     Returns (S, trace).  S is an upper bound on the infimum; the trace
-    carries the minimizer, iteration counts, first-order residual, and
-    the certificate slack min(R(u) - S) over fresh random probes.
+    carries the minimizer, iteration counts, first-order residual, the
+    certificate slack min(R(u) - S) over fresh random probes, and the
+    polished block (``trace.polished``: each start after descent and
+    polish, in the order of the starts).  The starts are ``restarts``
+    seeded random rows plus one positive row, unless ``starts`` gives a
+    k x n block to use instead (``restarts`` and ``seed`` are then unused).
     Operators with nontrivial kernel return S = 0 immediately (the
     infimum vanishes on kernel vectors) with trace.vacuous set.
     """
@@ -243,8 +249,14 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     m = T.measure
     n = T.n
     step0 = 1.0 / max(float(w[-1]), 1e-300)
-    U0 = np.array([np.random.default_rng(seed + k).standard_normal(n)
-                   for k in range(restarts)] + [np.ones(n)])
+    if starts is None:
+        U0 = np.array([np.random.default_rng(seed + k).standard_normal(n)
+                       for k in range(restarts)] + [np.ones(n)])
+    else:
+        U0 = np.asarray(starts, dtype=np.float64)
+        if U0.ndim != 2 or U0.shape[1] != n or not U0.shape[0]:
+            raise ValueError(f"starts must be a k x {n} block with k >= 1, "
+                             f"got shape {U0.shape}")
     _, U_bb, iters = _bb_descent(lambda U: _value_grad(U, T, q), U0, m, q,
                                  step0=step0, max_iter=max_iter, tol=1e-6,
                                  stall_window=50)
@@ -273,15 +285,15 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
             done += b
         if worst < best_t - 1e-9 * max(1.0, best_t):
             # a probe beat the optimizer; polish it and adopt the better value
-            t_p, U_p, res = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
-            if t_p[0] < best_t:
-                best_t, best_u, best_res = float(t_p[0]), U_p[0], float(res[0])
+            t_w, U_w, res_w = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
+            if t_w[0] < best_t:
+                best_t, best_u, best_res = float(t_w[0]), U_w[0], float(res_w[0])
         slack = worst - best_t
 
     trace = MinimizationTrace(value=best_t, minimizer=best_u,
                               restarts=U0.shape[0], iterations=int(iters.sum()),
                               residual=best_res / max(1.0, abs(best_t)),
-                              certificate_slack=slack)
+                              certificate_slack=slack, polished=U_p)
     return best_t, trace
 
 
@@ -326,7 +338,11 @@ class InterpConstant:
 
 
 def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
-    """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2."""
+    """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2.
+
+    It starts cold from its own seeded block, never from a minimizer of the
+    tau step, so that it stays an independent cross-check of that route.
+    """
     m, n = T.measure, T.n
     w = T.eigenvalues()
     step0 = 1.0 / max(float(w[-1]), 1e-300)
@@ -357,7 +373,10 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
     S(T + tau) for its minimizer u, then move tau to the closed-form best
     shift for that u, tau* = t[u] (1-theta) / (theta ||u||^2)
     (``tau_min_value``).  Since inf_tau inf_u = inf_u inf_tau, no step
-    raises the value, and every value seen is an upper bound.  The loop
+    raises the value, and every value seen is an upper bound.  The first
+    solve starts from the seeded block of ``sobolev_constant``; each later
+    solve starts from every row of the previous solve's polished block,
+    so each keeps its multi-start search but begins near its basins.  The loop
     stops when tau moves by at most 1e-8 relative, or after TAU_STEPS
     solves, and reports the least value seen with its tau.  The result is
     cross-checked against direct minimization of the interpolated
@@ -375,9 +394,11 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
     m = T.measure
     tau = float(w[-1])
     best, tau_star = math.inf, tau
+    starts = None
     for _ in range(TAU_STEPS):
         s, trace = sobolev_constant(T.shifted(tau), q, restarts=restarts, seed=seed,
-                                    certificate_samples=0)
+                                    certificate_samples=0, starts=starts)
+        starts = trace.polished
         val = tau ** (theta - 1.0) * s
         if val < best:
             best, tau_star = val, tau

@@ -394,6 +394,12 @@ def _expect(cond: bool, where: str, msg: str):
         raise ConfigError(f"{where}: {msg}")
 
 
+def _is_a(x, types) -> bool:
+    """isinstance(x, types), except that a JSON boolean is never a number
+    (bool subclasses int in Python)."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def validate_config(config: dict) -> dict:
     """Schema-check a suite config; returns it unchanged on success."""
     _expect(isinstance(config, dict), "config", "must be a JSON object")
@@ -419,18 +425,18 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
         _expect(isinstance(sc.get(block, {}), dict), f"{where}.{block}", "must be an object")
     d = lat.get("d")
     extents = lat.get("extents")
-    _expect(isinstance(d, int) and d >= 1, f"{where}.lattice.d", "must be an integer >= 1")
+    _expect(_is_a(d, int) and d >= 1, f"{where}.lattice.d", "must be an integer >= 1")
     _expect(isinstance(extents, list) and len(extents) == d
-            and all(isinstance(e, int) and e >= 1 for e in extents),
+            and all(_is_a(e, int) and e >= 1 for e in extents),
             f"{where}.lattice.extents", "must be a list of d integers >= 1")
     _expect(lat.get("bc", "dirichlet") in ("dirichlet", "periodic"),
             f"{where}.lattice.bc", "must be 'dirichlet' or 'periodic'")
     h = lat.get("h", 1.0)
-    _expect(isinstance(h, (int, float)) and h > 0, f"{where}.lattice.h", "must be > 0")
+    _expect(_is_a(h, (int, float)) and h > 0, f"{where}.lattice.h", "must be > 0")
     excluded = set()
     for x in lat.get("exclusions", []):
         _expect(isinstance(x, list) and len(x) == d
-                and all(isinstance(c, int) and 0 <= c < e for c, e in zip(x, extents)),
+                and all(_is_a(c, int) and 0 <= c < e for c, e in zip(x, extents)),
                 f"{where}.lattice.exclusions",
                 "each exclusion must be a d-tuple of site coordinates inside the extents")
         excluded.add(tuple(x))
@@ -441,17 +447,17 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
             f"must be one of {OPERATOR_FAMILIES}")
     if fam == "fractional" or fam == "hardy":
         s = op.get("s")
-        _expect(isinstance(s, (int, float)) and 0 < s <= 1, f"{where}.operator.s",
+        _expect(_is_a(s, (int, float)) and 0 < s <= 1, f"{where}.operator.s",
                 "must satisfy 0 < s <= 1")
     if fam == "magnetic":
         kind = op.get("phases", "flux")
         _expect(kind in ("flux", "ring", "random"), f"{where}.operator.phases",
                 "must be 'flux', 'ring', or 'random'")
         if kind == "flux":
-            _expect(isinstance(op.get("flux"), (int, float)),
+            _expect(_is_a(op.get("flux"), (int, float)),
                     f"{where}.operator.flux", "must be a number")
         if kind == "random":
-            _expect(isinstance(op.get("seed"), int),
+            _expect(_is_a(op.get("seed"), int),
                     f"{where}.operator.seed", "random phases require an integer seed")
     if fam == "periodic":
         _expect(lat.get("bc") == "periodic", f"{where}.operator.family",
@@ -473,7 +479,7 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
     for name, (rule, msg) in _EXPONENT_RULES.items():
         if any(name in nd.exponents for nd in needs):
             x = exps.get(name)
-            _expect(isinstance(x, (int, float)) and rule(x),
+            _expect(_is_a(x, (int, float)) and rule(x),
                     f"{where}.exponents.{name}", msg)
     if "LTmoment" in checks:
         _expect(exps["gamma_tilde"] > exps["gamma"], f"{where}.exponents.gamma_tilde",
@@ -482,27 +488,28 @@ def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
     pot = sc.get("potential", {})
     needs_draws = any(nd.per_draw for nd in needs)
     if needs_draws and "values" not in pot and "adversarial" not in pot:
-        _expect(isinstance(pot.get("seed"), int), f"{where}.potential.seed",
+        _expect(_is_a(pot.get("seed"), int), f"{where}.potential.seed",
                 "random potentials require an explicit integer seed")
         sig = pot.get("sigmas", [0.1, 1.0, 10.0])
         _expect(isinstance(sig, list)
-                and all(isinstance(s, (int, float)) and s > 0 for s in sig),
+                and all(_is_a(s, (int, float)) and s > 0 for s in sig),
                 f"{where}.potential.sigmas", "must be positive numbers")
     if "values" in pot:
         n_sites = math.prod(extents) - len(excluded)
         vals = pot["values"]
         _expect(isinstance(vals, list) and len(vals) == n_sites
-                and all(isinstance(v, (int, float)) and math.isfinite(v) and v >= 0
+                and all(_is_a(v, (int, float)) and math.isfinite(v) and v >= 0
                         for v in vals),
                 f"{where}.potential.values",
                 f"must be a list of {n_sites} finite numbers >= 0, one per site")
     draws = pot.get("draws", 2)
-    _expect(isinstance(draws, int) and draws >= 1, f"{where}.potential.draws",
+    _expect(_is_a(draws, int) and draws >= 1, f"{where}.potential.draws",
             "must be an integer >= 1")
 
+    _expect(_is_a(sc.get("seed", 0), int), f"{where}.seed", "must be an integer")
     for name, least in (("restarts", 0), ("sweep_restarts", 1)):
         x = sc.get("sobolev", {}).get(name, least)
-        _expect(isinstance(x, int) and x >= least, f"{where}.sobolev.{name}",
+        _expect(_is_a(x, int) and x >= least, f"{where}.sobolev.{name}",
                 f"must be an integer >= {least}")
     return sc
 
@@ -520,7 +527,7 @@ def validate_sweep(config: dict) -> dict:
     _expect(axis in SWEEP_AXES, "sweep.axis", f"unknown axis {axis!r}")
     values = sweep.get("values", [])
     _expect(isinstance(values, list)
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values),
+            and all(_is_a(v, (int, float)) and math.isfinite(v) for v in values),
             "sweep.values", "must be a list of finite numbers")
     if axis == "trotter_n":
         _expect(all(v >= 1 and v == int(v) for v in values), "sweep.values",

@@ -196,7 +196,17 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             # one value per site: tiny-a has 8 sites
             ({"potential": {"values": [0.5, 1.0]}}, "potential.values"),
             ({"lattice": {"d": 1, "extents": [8], "exclusions": [[9]]}},
-             "lattice.exclusions")]):
+             "lattice.exclusions"),
+            # a JSON boolean is not a number, though Python's bool is an int
+            ({"lattice": {"d": True, "extents": [8]}}, "lattice.d"),
+            ({"lattice": {"d": 1, "extents": [8], "h": True}}, "lattice.h"),
+            ({"potential": {"seed": True, "sigmas": [1.0], "draws": 1}}, "potential.seed"),
+            ({"potential": {"seed": 5, "sigmas": [True], "draws": 1}}, "potential.sigmas"),
+            ({"potential": {"seed": 5, "sigmas": [1.0], "draws": True}}, "potential.draws"),
+            ({"potential": {"values": [True] * 8}}, "potential.values"),
+            ({"sobolev": {"restarts": True}}, "sobolev.restarts"),
+            ({"seed": True}, "seed"),
+            ({"seed": "x"}, "seed")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
         assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),
@@ -337,6 +347,10 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
      "sweep.instance.potential.values"),
     ("flux", [0.5], dict(SWEEP_INSTANCE, lattice={"d": 1, "extents": [8]},
                          potential={"values": [1.0] * 8}), "sweep.instance.lattice.d"),
+    ("coupling", [True, 1.0], None, "sweep.values"),
+    ("trotter_n", [True], None, "sweep.values"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, potential={"values": [True] * 9}),
+     "sweep.instance.potential.values"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)

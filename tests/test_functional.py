@@ -99,9 +99,9 @@ def test_sobolev_row_route_matches_dense_route(monkeypatch):
     assert trace.certificate_slack >= 0.0
 
 
-def _starts(n):
-    # the 16 seeded starts and the positive start of sobolev_constant
-    return np.array([np.random.default_rng(k).standard_normal(n) for k in range(16)]
+def _starts(n, restarts=16):
+    # the seeded starts and the positive start of sobolev_constant
+    return np.array([np.random.default_rng(k).standard_normal(n) for k in range(restarts)]
                     + [np.ones(n)])
 
 
@@ -220,22 +220,60 @@ def test_polish_guard_reverts_only_the_rising_row():
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
-@pytest.mark.parametrize("sid", ["clr-1d-n32", "clr-2d-8x8"])
-def test_sobolev_matches_benchmark_reference(sid):
-    want = json.loads(REFERENCE_PATH.read_text())["constants"][sid]["S"]
+def _reference_case(sid):
+    # the bundled scenario's operator and exponents, and its reference constants
+    want = json.loads(REFERENCE_PATH.read_text())["constants"][sid]
     sc = next(s for s in cli._load_config("paper-suite")["scenarios"] if s["id"] == sid)
     lat = sc["lattice"]
     T = build_laplacian(make_lattice(lat["d"], lat["extents"], h=lat["h"], bc=lat["bc"]))
-    q = exponents_from_gamma_kappa(0.0, sc["exponents"]["kappa"]).q
+    return want, T, sc["exponents"]
+
+
+@pytest.mark.parametrize("sid", ["clr-1d-n32", "clr-2d-8x8"])
+def test_sobolev_matches_benchmark_reference(sid):
+    want, T, exps = _reference_case(sid)
+    q = exponents_from_gamma_kappa(0.0, exps["kappa"]).q
     S, trace = sobolev_constant(T, q)
-    assert S == pytest.approx(want, rel=1e-10)
+    assert S == pytest.approx(want["S"], rel=1e-10)
     assert trace.certificate_slack >= 0.0
 
 
-def test_sobolev_block_cuts_form_products(monkeypatch):
-    # all 17 starts share one form product per round; a loop over the starts
-    # with one product per start and trial point makes 4,891 calls here
-    T = build_laplacian(make_lattice(d=1, extents=32))
+@pytest.mark.parametrize("sid", ["clr-1d-n32", "clr-2d-8x8"])
+def test_interp_matches_benchmark_reference(sid):
+    want, T, exps = _reference_case(sid)
+    e = exponents_from_gamma_kappa(exps["gamma"], exps["kappa"])
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    assert ic.value == pytest.approx(want["S_interp"], rel=1e-10)
+
+
+@pytest.mark.parametrize("restarts, shift, samples", [(16, 0.0, 2000), (8, 1.5, 0)],
+                         ids=["default", "first-tau-solve"])
+def test_sobolev_given_seeded_starts_is_the_default_call(restarts, shift, samples):
+    # passing the seeded block itself changes nothing, so the first solve of
+    # the tau step, which gets no starts, is the solve it was before
+    T = build_laplacian(make_lattice(d=1, extents=32)).shifted(shift)
+    q = 6.0
+    S, trace = sobolev_constant(T, q, restarts=restarts, certificate_samples=samples)
+    S_b, trace_b = sobolev_constant(T, q, starts=_starts(T.n, restarts),
+                                    certificate_samples=samples)
+    assert S_b == S
+    assert np.array_equal(trace_b.minimizer, trace.minimizer)
+    assert trace_b.iterations == trace.iterations
+    assert trace_b.restarts == trace.restarts == restarts + 1
+    assert (trace_b.residual, trace_b.certificate_slack) == (trace.residual,
+                                                             trace.certificate_slack)
+    assert np.array_equal(trace_b.polished, trace.polished)
+    assert trace.polished.shape == (restarts + 1, T.n)
+
+
+def test_sobolev_rejects_malformed_starts():
+    T = build_laplacian(make_lattice(d=1, extents=8))
+    for starts in (np.ones(8), np.ones((3, 7)), np.ones((0, 8))):
+        with pytest.raises(ValueError, match="starts"):
+            sobolev_constant(T, 4.0, starts=starts)
+
+
+def _counting_products(monkeypatch):
     calls = []
     product = KineticOperator.form_product
 
@@ -244,6 +282,14 @@ def test_sobolev_block_cuts_form_products(monkeypatch):
         return product(self, U)
 
     monkeypatch.setattr(KineticOperator, "form_product", counted)
+    return calls
+
+
+def test_sobolev_block_cuts_form_products(monkeypatch):
+    # all 17 starts share one form product per round; a loop over the starts
+    # with one product per start and trial point makes 4,891 calls here
+    T = build_laplacian(make_lattice(d=1, extents=32))
+    calls = _counting_products(monkeypatch)
     S, trace = sobolev_constant(T, 6.0)
     assert S == pytest.approx(REFERENCE_S[1][2], rel=1e-10)
     assert trace.restarts == 17
@@ -321,6 +367,41 @@ def test_interp_tau_step_stops_at_cap(monkeypatch):
                         lambda a, b, th: functional.TauMinimum(1.0, next(taus)))
     sobolev_interp_constant(T, 4.0, 0.5, restarts=1)
     assert len(calls) == functional.TAU_STEPS
+
+
+@pytest.mark.parametrize("lat, gamma, kappa, cold_products",
+                         [(*case, cold) for case, cold in zip(INTERP_CASES, [4296, 2853])])
+def test_interp_warm_start_cuts_form_products(monkeypatch, lat, gamma, kappa,
+                                              cold_products):
+    # every tau solve after the first starts from the polished block of the
+    # one before; started cold from the seeded block each time, the loop and
+    # its direct cross-check make cold_products form products here
+    T = build_laplacian(make_lattice(**lat))
+    e = exponents_from_gamma_kappa(gamma, kappa)
+    calls = _counting_products(monkeypatch)
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    assert ic.rel_gap <= 1e-6
+    assert 1 <= len(calls) <= cold_products * 3 // 5
+
+
+def test_interp_warm_start_hands_on_every_polished_row(monkeypatch):
+    # each tau solve keeps its multi-start search: it starts from all rows
+    # of the previous solve's polished block, not from its best row alone
+    T = build_laplacian(make_lattice(d=1, extents=16))
+    seen = []
+    solve = functional.sobolev_constant
+
+    def recorded(*args, **kwargs):
+        S, trace = solve(*args, **kwargs)
+        seen.append((kwargs.get("starts"), trace.polished))
+        return S, trace
+
+    monkeypatch.setattr(functional, "sobolev_constant", recorded)
+    sobolev_interp_constant(T, 4.0, 0.5, restarts=3)
+    assert len(seen) >= 2 and seen[0][0] is None
+    for (_, polished), (starts, _) in zip(seen, seen[1:]):
+        assert starts.shape == (4, T.n)
+        assert np.array_equal(starts, polished)
 
 
 @pytest.mark.parametrize("lat, gamma, kappa", INTERP_CASES)
