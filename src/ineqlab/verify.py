@@ -784,12 +784,10 @@ def run_scenario(sc: dict) -> ScenarioResult:
             q = exponents_from_gamma_kappa(0.0, kappa).q
             samples = int(hn.get("nash_samples", 10_000)) if isinstance(hn, dict) else 10_000
             nr = functional.nash_check(T, q, constants.S, n_samples=samples)
-            kmin = hb.kernel_min if bd.passed else None
             extras["heat_nash"] = {
                 "passed_1inf": hb.passed_1inf, "passed_12": hb.passed_12,
                 "K12_measured": hb.K12_measured, "K12_bound": hb.K12_bound,
                 "nash_min_slack_rel": nr.min_slack_rel, "nash_passed": nr.passed,
-                "heat_kernel_min_entry": kmin,
             }
         else:
             extras["heat_nash"] = {"vacuous": True}

@@ -15,7 +15,7 @@ from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
                      lieb_objective, ltw_bounds_from_S, make_lattice,
                      nash_check, sobolev_constant, sobolev_interp_constant,
                      tau_min_value)
-from ineqlab import cli, functional
+from ineqlab import cli, functional, spectra
 from ineqlab.functional import aizenman_lieb_unminimized
 from ineqlab.lattice import exponents_from_gamma_kappa
 from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
@@ -496,6 +496,18 @@ def test_heat_bound_on_path():
         heat_bound_check(T, kappa, 0.0)
     with pytest.raises(ValueError):
         heat_bound_check(T, 0.0, S)
+
+
+def test_heat_bound_check_builds_no_kernel(monkeypatch):
+    # both norms come from the kernel diagonal, so no n x n kernel is built
+    def no_kernel(T, s):
+        raise AssertionError("heat_bound_check built a dense heat kernel")
+
+    T = build_laplacian(make_lattice(d=1, extents=256))
+    monkeypatch.setattr(spectra, "heat_kernel", no_kernel)
+    rep = heat_bound_check(T, 1.5, 0.05)
+    assert rep.s_grid.shape == (60,)
+    assert 0.0 < rep.K_measured < math.inf and 0.0 < rep.K12_measured < math.inf
 
 
 def test_counting_brackets():

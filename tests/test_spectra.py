@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
                      cli, count_below, count_from_eigenvalues, f_transform,
@@ -14,7 +15,9 @@ from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
                      liyau_upsilon, make_lattice, riesz_mean,
                      riesz_mean_from_counts, schrodinger_eigenvalues, spectra,
                      tabulated_profile, trotter_trace, weighted_transform)
-from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
+from ineqlab.operators import (KineticOperator, build_hardy_operator,
+                               build_magnetic_laplacian, random_phases,
+                               uniform_flux_phases)
 
 
 def single_site(t0=2.0, m0=1.0):
@@ -252,15 +255,62 @@ def test_heat_kernel_matches_expm():
 def test_heat_norms_match_dense_definitions():
     sp = make_lattice(d=1, extents=7, h=0.6)
     T = build_laplacian(sp)
-    s = 0.35
-    K = heat_kernel(T, s)
-    n1inf, n12, kmin = heat_norms(T, s)
-    assert n1inf == pytest.approx(float(np.max(np.abs(K))), rel=1e-12)
-    # 1 -> 2 norm: the largest L2(m) norm of a kernel column
-    cols = np.sqrt(np.sum(sp.measures[:, None] * K * K, axis=0))
-    assert n12 == pytest.approx(float(np.max(cols)), rel=1e-12)
-    # the minimum entry comes from the same kernel, so it is exact
-    assert kmin == float(np.min(np.real(K)))
+    s = np.array([0.35, 1.2])
+    n1inf, n12 = heat_norms(T, s)
+    assert n1inf.shape == n12.shape == (2,)
+    for j, sj in enumerate(s):
+        K = heat_kernel(T, sj)
+        assert n1inf[j] == pytest.approx(float(np.max(np.abs(K))), rel=1e-12)
+        # 1 -> 2 norm: the largest L2(m) norm of a kernel column
+        cols = np.sqrt(np.sum(sp.measures[:, None] * K * K, axis=0))
+        assert n12[j] == pytest.approx(float(np.max(cols)), rel=1e-12)
+    with pytest.raises(ValueError):
+        heat_norms(T, np.array([0.5, 0.0]))
+
+
+def _identity_operator(family, n, h, seed):
+    """An operator of the named family on at most 40 sites."""
+    rng = np.random.default_rng(seed)
+    if family in ("dirichlet", "periodic"):
+        bc = "dirichlet" if family == "dirichlet" else "periodic"
+        return build_laplacian(make_lattice(d=1, extents=n, h=h, bc=bc))
+    if family == "weighted":
+        T = build_laplacian(make_lattice(d=1, extents=n, h=h))
+        return weighted_transform(T, rng.uniform(0.5, 2.0, n), 2.5).operator
+    side = max(2, min(6, int(math.isqrt(n))))
+    if family == "magnetic":
+        sp = make_lattice(d=2, extents=side, h=h)
+        return build_magnetic_laplacian(sp, random_phases(sp, seed))
+    if family == "fractional":
+        return fractional_laplacian(make_lattice(d=2, extents=side, h=h),
+                                    float(rng.uniform(0.3, 1.0)))
+    # hardy: d = 2 > 2s, the origin is the one excluded site
+    sp = make_lattice(d=2, extents=max(side, 3), h=h, exclusions=[(1, 1)])
+    return build_hardy_operator(sp, float(rng.uniform(0.2, 0.8)))
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "periodic", "weighted", "magnetic",
+                                    "fractional", "hardy"])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(n=st.integers(min_value=4, max_value=40),
+       h=st.sampled_from([0.3, 0.7, 1.9]),
+       t=st.lists(st.floats(min_value=1e-2, max_value=20.0), min_size=1, max_size=4),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_heat_norms_diagonal_identities(family, n, h, t, seed):
+    # ||e^-sT||_(1->inf) = max_x k_s(x, x) and ||e^-sT||_(1->2)^2 = max_x k_2s(x, x)
+    # against the dense kernel, on real and complex forms and non-uniform measures
+    T = _identity_operator(family, n, h, seed)
+    s = np.array(t) / T.spectral_scale()
+    n1inf, n12 = heat_norms(T, s)
+    diag = spectra._heat_diagonal(T, s)
+    for j, sj in enumerate(s):
+        K = heat_kernel(T, sj)
+        assert n1inf[j] == pytest.approx(float(np.max(np.abs(K))), rel=1e-12)
+        col2 = np.sum(T.measure[:, None] * np.abs(K) ** 2, axis=0)
+        assert n12[j] ** 2 == pytest.approx(float(np.max(col2)), rel=1e-12)
+        kd = np.real(np.diag(K))
+        np.testing.assert_allclose(diag[:, j], kd, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(kd)))
 
 
 def test_hinge_profile_transform_against_quadrature():
@@ -340,3 +390,33 @@ def test_trotter_state_budget_guard():
     ring = build_laplacian(make_lattice(d=1, extents=4, bc="periodic"))
     with pytest.raises(ValueError):
         trotter_trace(ring, np.ones(4), hinge_profile(1.0), 2)
+
+
+def _bound_per_node(T, V, profile, tt):
+    """The diagonal-kernel bound of ``trotter_trace`` with one dense kernel per
+    Gauss-Legendre node."""
+    kinks = [profile.a / v for v in np.unique(V) if v > 0.0]
+    bound = 0.0
+    for a, b in spectra._panels(tt.s_lo, tt.s_hi, kinks):
+        mid, rad = 0.5 * (b + a), 0.5 * (b - a)
+        sval = 0.0
+        for node, wgt in zip(*np.polynomial.legendre.leggauss(12)):
+            s = mid + rad * node
+            kd = np.diag(heat_kernel(T, s))
+            sval += wgt * float(np.sum(T.measure * kd * profile.f(s * V))) / s
+        bound += rad * sval
+    return bound
+
+
+def test_trotter_bound_matches_per_node_kernels():
+    prof = hinge_profile(1.0)
+    T = build_laplacian(make_lattice(d=2, extents=3))
+    V = np.array([0.5, 1.25, 0.5, 3.0, 1.25, 0.5, 1.25, 3.0, 0.5])
+    tt = trotter_trace(T, V, prof, 1)
+    assert tt.bound == pytest.approx(_bound_per_node(T, V, prof, tt), rel=1e-12)
+    rng = np.random.default_rng(5)
+    base = build_laplacian(make_lattice(d=1, extents=8, h=0.7))
+    W = weighted_transform(base, rng.uniform(0.5, 2.0, 8), 2.0).operator
+    Vw = np.array([0.4, 2.0, 0.4, 2.0, 0.4, 2.0, 0.4, 2.0])
+    tw = trotter_trace(W, Vw, prof, 2)
+    assert tw.bound == pytest.approx(_bound_per_node(W, Vw, prof, tw), rel=1e-12)
