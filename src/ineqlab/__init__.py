@@ -15,14 +15,13 @@ from .operators import (KineticOperator, MagneticKineticOperator,
                         beurling_deny_check, build_hardy_operator,
                         build_laplacian, build_magnetic_laplacian,
                         build_periodic_schrodinger, diamagnetic_form_pair,
-                        ensure_positive_definite, fractional_laplacian,
-                        random_phases, ring_flux_phases, uniform_flux_phases,
-                        weighted_transform)
+                        fractional_laplacian, random_phases, ring_flux_phases,
+                        uniform_flux_phases, weighted_transform)
 from .spectra import (birman_schwinger, birman_schwinger_check, count_below,
-                      count_from_eigenvalues, f_transform, heat_kernel,
-                      heat_norms, hinge_profile, liyau_upsilon, riesz_mean,
+                      count_from_eigenvalues, heat_kernel, heat_norms,
+                      hinge_profile, liyau_upsilon, riesz_mean,
                       riesz_mean_from_counts, schrodinger_eigenvalues,
-                      tabulated_profile, trotter_trace)
+                      trotter_trace)
 from .functional import (aizenman_lieb_factor, aizenman_lieb_unminimized,
                          clr_bounds_from_S, continuum_sobolev_d3,
                          hardy_constant, heat_bound_check, lieb_bound_from_K,

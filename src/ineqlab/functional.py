@@ -3,22 +3,25 @@ constants, and the closed-form constant formulas and brackets.
 
 The quotient t[u]/||u||_q^2 is non-convex, so the minimizer reports an
 upper bound on the infimum together with a certificate slack measured on
-fresh random probes.  Minimization runs seeded gradient descent with
-Barzilai-Borwein steps and a backtracking safeguard from 16 random
-starts plus one positive start, then polishes each candidate with the
-fixed-point iteration u <- normalize(A^{-1}(m |u|^(q-1) sgn u)), which
-drives the first-order residual to the 1e-10 level that plain descent
-cannot reach in double precision.
+fresh random probes.  Minimization runs the fixed-point iteration
+u <- normalize(A^{-1}(m |u|^(q-1) sgn u)) from 16 seeded random starts
+plus one positive start.  It is the nonlinear inverse power method for a
+ratio of two convex 2-homogeneous functionals (Hein & Buehler, NIPS
+2010): each round is a descent step preconditioned by A^{-1}, and a
+per-row value guard keeps every round from raising a row's quotient.  It
+drives the first-order residual to the 1e-10 level.
 
 The starts run as one block: they are the rows of a k x n array, and
-one form product per round serves all of them.  Each row keeps its own
-BB step, backtracking, stall window and best point.  A row leaves the
-block when it exits: on a small gradient, a stalled value, the floor of
-its line search or max_iter.  Every row computes exactly what it would
-compute alone, since the form product and the row reductions treat each
-row as a vector, so block and restart count never change a row's result.
-The polish refines all rows together and retires each one as it
-converges or as its value guard trips.
+each round solves all live rows with one product in the eigenbasis of A.
+A row leaves the block when its residual reaches 1e-10, when its update
+vanishes or would raise its value, or after 500 rounds.  The row
+reductions treat each row as a vector, but the shared solve does not, so
+a row matches its one-row run only to rounding; for a fixed BLAS build
+and thread count the result is deterministic to the last bit.
+
+The cold cross-check of the interpolation constant (``_interp_direct``)
+instead runs a Euclidean Barzilai-Borwein descent (``_bb_descent``), so
+that it shares no minimizer with the route it checks.
 """
 
 from __future__ import annotations
@@ -96,10 +99,8 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
 
     Returns (best values, their points, iterations), one entry per row.
     """
-    # Hand-off semantics: descent only needs to settle into a basin; the
-    # fixed-point polish drives the residual to the 1e-10 level.  A row
-    # exits on a small gradient or when relative value improvements stall,
-    # since the quotient Hessian is too ill-conditioned for gradient
+    # A row exits on a small gradient or when relative value improvements
+    # stall, since the quotient Hessian is too ill-conditioned for gradient
     # descent to reach tight first-order tolerances directly; it also exits
     # at the numerical floor of its line search (60 halvings) or after
     # max_iter iterations.
@@ -155,8 +156,7 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
         t = np.where(acc, tn, t)
         bt = best_t[live]
         better = t < bt
-        # only improvements of at least 0.1% reset the stall window; finer
-        # progress is left to the polish stage
+        # only improvements of at least 0.1% reset the stall window
         last_improve = np.where(better & (t < bt * (1.0 - 1e-3)), it, last_improve)
         best_t[live[better]] = t[better]
         best_U[live[better]] = U[better]
@@ -183,25 +183,27 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
 
 
 def _polish(T, q, U, *, max_iter=500):
-    """Fixed-point refinement u <- normalize(A^{-1}(m |u|^(q-1) sgn u)) of
-    every row u of the k x n block U.
+    """Fixed-point iteration u <- normalize(A^{-1}(m |u|^(q-1) sgn u)) on
+    every row u of the k x n block U, for a positive definite T.
 
     Value-guarded per row: a row whose update would increase its quotient
     keeps its last point and stops, so a polished row is never worse than
-    its seed.  Returns (values, points, gradient norms), one per row.
+    its seed.  Returns (values, points, gradient norms, rounds), one per
+    row; a row's rounds count every solve it took, the rejected last one
+    included.
     """
     w, Q = T.eigensystem()
     m = T.measure
     U = np.array(U, dtype=np.float64)
     t, G = _value_grad(U, T, q)
     res = np.sqrt(_rowdot(G, G))
-    if w[0] <= 1e-10 * max(w[-1], 1e-300):
-        return t, U, res
+    rounds = np.zeros(U.shape[0], dtype=np.int64)
     rs = 1.0 / np.sqrt(m)
     live = np.flatnonzero(res > 1e-10 * np.maximum(1.0, np.abs(t)))
     for _ in range(max_iter):
         if not live.size:
             break
+        rounds[live] += 1
         Ul, tl = U[live], t[live]
         B = m * np.abs(Ul) ** (q - 1.0) * np.sign(Ul)
         X = rs * ((((rs * B) @ Q) / w) @ Q.T)  # the eigenbasis solve of all rows
@@ -216,19 +218,20 @@ def _polish(T, q, U, *, max_iter=500):
         U[live], t[live] = Un, tn
         res[live] = rn = np.sqrt(_rowdot(Gn, Gn))
         live = live[rn > 1e-10 * np.maximum(1.0, np.abs(tn))]
-    return t, U, res
+    return t, U, res, rounds
 
 
 def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
-                     max_iter: int = 50_000, certificate_samples: int = 2000,
+                     certificate_samples: int = 2000,
                      starts: np.ndarray | None = None):
     """Best found value of inf t[u]/||u||_q^2 with a minimization trace.
 
     Returns (S, trace).  S is an upper bound on the infimum; the trace
-    carries the minimizer, iteration counts, first-order residual, the
-    certificate slack min(R(u) - S) over fresh random probes, and the
-    polished block (``trace.polished``: each start after descent and
-    polish, in the order of the starts).  The starts are ``restarts``
+    carries the minimizer, the fixed-point rounds summed over the starts
+    (``trace.iterations``), the first-order residual, the certificate
+    slack min(R(u) - S) over fresh random probes, and the polished block
+    (``trace.polished``: each start after its fixed-point iteration, in
+    the order of the starts).  The starts are ``restarts``
     seeded random rows plus one positive row, unless ``starts`` gives a
     k x n block to use instead (``restarts`` and ``seed`` are then unused).
     Operators with nontrivial kernel return S = 0 immediately (the
@@ -248,7 +251,6 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
 
     m = T.measure
     n = T.n
-    step0 = 1.0 / max(float(w[-1]), 1e-300)
     if starts is None:
         U0 = np.array([np.random.default_rng(seed + k).standard_normal(n)
                        for k in range(restarts)] + [np.ones(n)])
@@ -257,10 +259,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
         if U0.ndim != 2 or U0.shape[1] != n or not U0.shape[0]:
             raise ValueError(f"starts must be a k x {n} block with k >= 1, "
                              f"got shape {U0.shape}")
-    _, U_bb, iters = _bb_descent(lambda U: _value_grad(U, T, q), U0, m, q,
-                                 step0=step0, max_iter=max_iter, tol=1e-6,
-                                 stall_window=50)
-    t_p, U_p, res = _polish(T, q, U_bb)
+    t_p, U_p, res, rounds = _polish(T, q, U0 / _norm_q(U0, m, q)[:, None])
     i = int(np.argmin(t_p))         # the first of equal minima
     best_t, best_u, best_res = float(t_p[i]), U_p[i], float(res[i])
 
@@ -285,13 +284,13 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
             done += b
         if worst < best_t - 1e-9 * max(1.0, best_t):
             # a probe beat the optimizer; polish it and adopt the better value
-            t_w, U_w, res_w = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
+            t_w, U_w, res_w, _ = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
             if t_w[0] < best_t:
                 best_t, best_u, best_res = float(t_w[0]), U_w[0], float(res_w[0])
         slack = worst - best_t
 
     trace = MinimizationTrace(value=best_t, minimizer=best_u,
-                              restarts=U0.shape[0], iterations=int(iters.sum()),
+                              restarts=U0.shape[0], iterations=int(rounds.sum()),
                               residual=best_res / max(1.0, abs(best_t)),
                               certificate_slack=slack, polished=U_p)
     return best_t, trace

@@ -466,21 +466,6 @@ def weighted_transform(T: KineticOperator, omega, kappa: float) -> WeightedTrans
     return WeightedTransform(operator=op, measure=mu, weight=omega, kappa=kappa)
 
 
-def ensure_positive_definite(T: KineticOperator, eps_rel: float = 1e-8):
-    """Return (T', shift) with T' = T + shift positive definite.
-
-    shift lifts the bottom of the spectrum to eps_rel * lambda_max when
-    it is below that level; zero when already safely positive.
-    """
-    lam_min = T.min_eigenvalue()
-    lam_max = float(np.max(np.abs(T.eigenvalues())))
-    target = eps_rel * max(lam_max, 1e-300)
-    if lam_min >= target:
-        return T, 0.0
-    shift = target - lam_min
-    return T.shifted(shift), shift
-
-
 @dataclass
 class BeurlingDenyReport:
     """Outcome of the positivity/contraction checks on a kinetic form.

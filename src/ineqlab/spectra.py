@@ -25,8 +25,6 @@ import numpy as np
 from ._specfun import exp_integral_e1
 from .lattice import as_potential
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 TIE_REL = 1e-9
 
 # Inertia counts cut a form of bandwidth b into blocks of
@@ -339,70 +337,36 @@ def heat_norms(T, s) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """Spectral profile f with its exponential transform F.
-
-    The hinge kind is f(mu) = max(mu - a, 0) (convex, f(0) = 0) with
-    closed-form transform F(lam) = lam*exp(-a/lam) - a*E1(a/lam) and
-    moment int f(mu) mu^(-kappa-1) dmu = a^(1-kappa)/(kappa(kappa-1)).
-    The tabulated kind integrates a sampled profile by the trapezoid
-    rule on its own grid.
+    """Hinge profile f(mu) = max(mu - a, 0) (convex, f(0) = 0) with its
+    exponential transform F(lam) = int_0^inf f(mu) exp(-mu/lam) dmu/mu,
+    in closed form lam*exp(-a/lam) - a*E1(a/lam), and its moment
+    int f(mu) mu^(-kappa-1) dmu = a^(1-kappa)/(kappa(kappa-1)).
     """
 
-    kind: str
-    a: float = 0.0
-    mu_points: np.ndarray | None = None
-    f_values: np.ndarray | None = None
+    a: float
 
     def f(self, mu):
-        mu = np.asarray(mu, dtype=np.float64)
-        if self.kind == "hinge":
-            return np.maximum(mu - self.a, 0.0)
-        return np.interp(mu, self.mu_points, self.f_values, left=0.0, right=0.0)
+        return np.maximum(np.asarray(mu, dtype=np.float64) - self.a, 0.0)
 
     def F(self, lam: float) -> float:
-        if self.kind == "hinge":
-            if lam <= 0.0:
-                return 0.0
-            x = self.a / lam
-            if x > 700.0:
-                return 0.0
-            return lam * math.exp(-x) - self.a * exp_integral_e1(x)
         if lam <= 0.0:
             return 0.0
-        integ = self.f_values * np.exp(-self.mu_points / lam) / self.mu_points
-        return float(_trapezoid(integ, self.mu_points))
+        x = self.a / lam
+        if x > 700.0:
+            return 0.0
+        return lam * math.exp(-x) - self.a * exp_integral_e1(x)
 
     def moment(self, kappa: float) -> float:
         """int_0^inf f(mu) mu^(-kappa-1) dmu."""
-        if self.kind == "hinge":
-            if not kappa > 1.0:
-                raise ValueError(f"hinge moment requires kappa > 1, got {kappa}")
-            return self.a ** (1.0 - kappa) / (kappa * (kappa - 1.0))
-        integ = self.f_values * self.mu_points ** (-kappa - 1.0)
-        return float(_trapezoid(integ, self.mu_points))
+        if not kappa > 1.0:
+            raise ValueError(f"hinge moment requires kappa > 1, got {kappa}")
+        return self.a ** (1.0 - kappa) / (kappa * (kappa - 1.0))
 
 
 def hinge_profile(a: float) -> ProfileFunction:
     if not a > 0.0:
         raise ValueError(f"hinge parameter must be positive, got {a}")
-    return ProfileFunction(kind="hinge", a=float(a))
-
-
-def tabulated_profile(mu_points, f_values) -> ProfileFunction:
-    mu = np.asarray(mu_points, dtype=np.float64)
-    fv = np.asarray(f_values, dtype=np.float64)
-    if mu.ndim != 1 or mu.shape != fv.shape or mu.size < 2:
-        raise ValueError("tabulated profile needs matching 1-d grids")
-    if np.any(np.diff(mu) <= 0.0) or mu[0] <= 0.0:
-        raise ValueError("tabulated profile grid must be positive and increasing")
-    if np.any(fv < 0.0) or not np.all(np.isfinite(fv)):
-        raise ValueError("tabulated profile values must be finite and nonnegative")
-    return ProfileFunction(kind="tabulated", mu_points=mu, f_values=fv)
-
-
-def f_transform(profile: ProfileFunction, lam: float) -> float:
-    """F(lam) = int_0^inf f(mu) exp(-mu/lam) dmu/mu."""
-    return profile.F(lam)
+    return ProfileFunction(a=float(a))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -431,7 +395,7 @@ class TrotterTrace:
     n: int
     estimate: float
     exact: float
-    bound: float | None          # diagonal-kernel convexity bound (n = 1 integrand)
+    bound: float                 # diagonal-kernel convexity bound (n = 1 integrand)
     rel_error: float
     s_lo: float
     s_hi: float
@@ -491,7 +455,7 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int, *, s_span=None,
     [1e-4, 1e3] times the spectral time scale, split additionally at the
     hinge kinks a/V_x, with endpoint-decay checks.  Also returns the
     exact value sum_j F(beta_j) over the resolvent-sandwich spectrum and
-    (for convex hinge profiles) the diagonal-kernel upper bound.
+    the diagonal-kernel upper bound, which holds as the hinge is convex.
     """
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
@@ -507,10 +471,7 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int, *, s_span=None,
             f"{r} distinct potential values at order n={n} exceeds the count-state budget"
         )
 
-    if profile.kind == "hinge":
-        kinks = [profile.a / v for v in values if v > 0.0]
-    else:
-        kinks = []
+    kinks = [profile.a / v for v in values if v > 0.0]
     t0 = 1.0 / float(w[0])
     if s_span is None:
         lo, hi = 1e-4 * t0, 1e3 * t0
@@ -560,17 +521,15 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int, *, s_span=None,
     cutoff = 1e-13 * max(1.0, float(np.max(np.abs(betas))) if betas.size else 1.0)
     exact = float(sum(profile.F(float(b)) for b in betas if b > cutoff))
 
-    bound = None
-    if profile.kind == "hinge":
-        # every Gauss-Legendre node of every panel, with its weight rad * wgt
-        ends = np.array(panels)
-        mid = 0.5 * (ends[:, 1] + ends[:, 0])
-        rad = 0.5 * (ends[:, 1] - ends[:, 0])
-        nodes = (mid[:, None] + rad[:, None] * _GL_NODES[None, :]).ravel()
-        weights = (rad[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        kd = _heat_diagonal(T, nodes)
-        vals = np.sum(T.measure[:, None] * kd * profile.f(np.outer(V, nodes)), axis=0)
-        bound = float(np.sum(weights * vals / nodes))
+    # every Gauss-Legendre node of every panel, with its weight rad * wgt
+    ends = np.array(panels)
+    mid = 0.5 * (ends[:, 1] + ends[:, 0])
+    rad = 0.5 * (ends[:, 1] - ends[:, 0])
+    nodes = (mid[:, None] + rad[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (rad[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    kd = _heat_diagonal(T, nodes)
+    vals = np.sum(T.measure[:, None] * kd * profile.f(np.outer(V, nodes)), axis=0)
+    bound = float(np.sum(weights * vals / nodes))
 
     rel = abs(total - exact) / max(abs(exact), 1e-300)
     return TrotterTrace(n=n, estimate=total, exact=exact, bound=bound,

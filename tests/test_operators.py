@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
                      build_hardy_operator, diamagnetic_form_pair,
-                     ensure_positive_definite, fractional_laplacian,
-                     hardy_constant, make_lattice, random_phases,
-                     ring_flux_phases, uniform_flux_phases, weighted_transform)
+                     fractional_laplacian, hardy_constant, make_lattice,
+                     random_phases, ring_flux_phases, uniform_flux_phases,
+                     weighted_transform)
 from ineqlab import cli, verify
 from ineqlab.operators import build_function_of_operator
 
@@ -291,18 +291,6 @@ def test_weighted_transform_requires_positive_definite():
         weighted_transform(T, np.ones(8), 1.5)
     with pytest.raises(ValueError):
         weighted_transform(T.shifted(1.0), np.ones(8), 1.0)
-
-
-def test_ensure_positive_definite():
-    T = build_laplacian(make_lattice(d=1, extents=8))
-    same, shift = ensure_positive_definite(T)
-    assert shift == 0.0 and same is T
-    ring = build_laplacian(make_lattice(d=1, extents=8, bc="periodic"))
-    fixed, shift = ensure_positive_definite(ring)
-    assert shift > 0.0
-    assert fixed.is_positive_definite()
-    assert fixed.min_eigenvalue() == pytest.approx(1e-8 * ring.eigenvalues()[-1],
-                                                   rel=1e-6)
 
 
 def test_beurling_deny_detects_positive_offdiagonal():

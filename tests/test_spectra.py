@@ -10,11 +10,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
-                     cli, count_below, count_from_eigenvalues, f_transform,
+                     cli, count_below, count_from_eigenvalues,
                      fractional_laplacian, heat_kernel, heat_norms, hinge_profile,
                      liyau_upsilon, make_lattice, riesz_mean,
                      riesz_mean_from_counts, schrodinger_eigenvalues, spectra,
-                     tabulated_profile, trotter_trace, weighted_transform)
+                     trotter_trace, weighted_transform)
 from ineqlab.operators import (KineticOperator, build_hardy_operator,
                                build_magnetic_laplacian, random_phases,
                                uniform_flux_phases)
@@ -318,7 +318,7 @@ def test_hinge_profile_transform_against_quadrature():
     for lam in (0.3, 1.0, 7.0):
         want, err = scipy.integrate.quad(
             lambda mu: (mu - 1.3) * math.exp(-mu / lam) / mu, 1.3, np.inf)
-        assert f_transform(prof, lam) == pytest.approx(want, rel=1e-9)
+        assert prof.F(lam) == pytest.approx(want, rel=1e-9)
     assert prof.F(0.0) == 0.0
     assert prof.f(1.0) == 0.0 and prof.f(2.3) == pytest.approx(1.0)
 
@@ -333,23 +333,6 @@ def test_hinge_profile_moment_against_quadrature():
         prof.moment(1.0)
     with pytest.raises(ValueError):
         hinge_profile(0.0)
-
-
-def test_tabulated_profile():
-    a = 1.0
-    # the kappa = 2 moment has a 1/mu tail, so the table must reach far out
-    mu = np.geomspace(1e-3, 4e5, 60_000)
-    prof = tabulated_profile(mu, np.maximum(mu - a, 0.0))
-    hinge = hinge_profile(a)
-    for lam in (0.5, 2.0):
-        assert prof.F(lam) == pytest.approx(hinge.F(lam), rel=1e-3)
-    assert prof.moment(2.0) == pytest.approx(hinge.moment(2.0), rel=1e-3)
-    with pytest.raises(ValueError):
-        tabulated_profile([1.0, 0.5, 2.0], [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        tabulated_profile([1.0, 2.0], [0.0, -1.0])
-    with pytest.raises(ValueError):
-        tabulated_profile([1.0], [0.0])
 
 
 def test_trotter_single_site_exact():
