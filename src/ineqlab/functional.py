@@ -19,9 +19,14 @@ reductions treat each row as a vector, but the shared solve does not, so
 a row matches its one-row run only to rounding; for a fixed BLAS build
 and thread count the result is deterministic to the last bit.
 
-The cold cross-check of the interpolation constant (``_interp_direct``)
-instead runs a Euclidean Barzilai-Borwein descent (``_bb_descent``), so
-that it shares no minimizer with the route it checks.
+The interpolation constant runs the same fixed point jointly in (u, tau):
+every row carries its own shift tau, the solve divides by w + tau in the
+cached eigenbasis of A, and after each accepted round tau moves to its
+closed-form best value for the row's new point.  At tau = 0 with no tau
+step this is the Sobolev path, bit for bit.  The cold cross-check of the
+interpolation constant (``_interp_direct``) instead runs a Euclidean
+Barzilai-Borwein descent (``_bb_descent``), so that it shares no
+minimizer with the route it checks.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ class MinimizationTrace:
     residual: float              # ||grad||_2 / max(1, |value|) at the reported minimizer
     certificate_slack: float | None = None
     vacuous: bool = False
-    polished: np.ndarray | None = None  # every polished start, one per row
 
 
 @dataclass
@@ -82,10 +86,11 @@ def _norm_q(U: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
     return (m * np.abs(U) ** q).sum(axis=-1) ** (1.0 / q)
 
 
-def _value_grad(U: np.ndarray, T, q: float):
-    # per row: value and gradient of t[u] on the manifold ||u||_q = 1
+def _value_grad(U: np.ndarray, T, q: float, tau=0.0):
+    # per row: value and gradient of t[u] + tau ||u||^2 on the manifold
+    # ||u||_q = 1, for one shift tau or one per row (a zero shift adds +0.0)
     m = T.measure
-    AU = T.form_product(U)
+    AU = T.form_product(U) + np.reshape(tau, (-1, 1)) * (m * U)
     t = _rowdot(U, AU)
     G = 2.0 * (AU - t[:, None] * m * np.abs(U) ** (q - 1.0) * np.sign(U))
     return t, G
@@ -182,20 +187,29 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
     return best_t, best_U, iters
 
 
-def _polish(T, q, U, *, max_iter=500):
-    """Fixed-point iteration u <- normalize(A^{-1}(m |u|^(q-1) sgn u)) on
-    every row u of the k x n block U, for a positive definite T.
+def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
+    """Fixed-point iteration u <- normalize((A + tau M)^{-1}(m |u|^(q-1) sgn u))
+    on every row u of the k x n block U, for a positive definite T and a
+    shift tau >= 0, one for all rows or one per row.  The solve reads the
+    cached eigenbasis of T and divides by w + tau.
 
     Value-guarded per row: a row whose update would increase its quotient
-    keeps its last point and stops, so a polished row is never worse than
-    its seed.  Returns (values, points, gradient norms, rounds), one per
-    row; a row's rounds count every solve it took, the rejected last one
-    included.
+    t[u] + tau ||u||^2 keeps its last point and stops, so a polished row is
+    never worse than its seed.  A row also stops when its residual reaches
+    1e-10 or after max_iter rounds.  Given theta in (0, 1), each accepted
+    round then moves the row's shift to the best one for its new point,
+    tau <- t[u] (1-theta) / (theta ||u||^2) (``tau_min_value``), and the
+    residual stop also needs that move to be at most 1e-8 relative.
+
+    Returns (values at the final shifts, points, gradient norms, rounds),
+    one per row; a row's rounds count every solve it took, the rejected
+    last one included.
     """
     w, Q = T.eigensystem()
     m = T.measure
     U = np.array(U, dtype=np.float64)
-    t, G = _value_grad(U, T, q)
+    tau = np.full(U.shape[0], tau, dtype=np.float64)
+    t, G = _value_grad(U, T, q, tau)
     res = np.sqrt(_rowdot(G, G))
     rounds = np.zeros(U.shape[0], dtype=np.int64)
     rs = 1.0 / np.sqrt(m)
@@ -204,36 +218,46 @@ def _polish(T, q, U, *, max_iter=500):
         if not live.size:
             break
         rounds[live] += 1
-        Ul, tl = U[live], t[live]
+        Ul, tl, sl = U[live], t[live], tau[live]
         B = m * np.abs(Ul) ** (q - 1.0) * np.sign(Ul)
-        X = rs * ((((rs * B) @ Q) / w) @ Q.T)  # the eigenbasis solve of all rows
+        # the eigenbasis solve of all rows, each at its own shift
+        X = rs * ((((rs * B) @ Q) / (w + sl[:, None])) @ Q.T)
         nq = _norm_q(X, m, q)
         # a row stops when its update vanishes or would raise its value
         ok = nq > 0.0
-        live, X, nq, tl = live[ok], X[ok], nq[ok], tl[ok]
+        live, X, nq, tl, sl = live[ok], X[ok], nq[ok], tl[ok], sl[ok]
         Un = X / nq[:, None]
-        tn, Gn = _value_grad(Un, T, q)
+        tn, Gn = _value_grad(Un, T, q, sl)
         keep = ~(tn > tl + 1e-14 * np.maximum(1.0, np.abs(tl)))
-        live, Un, tn, Gn = live[keep], Un[keep], tn[keep], Gn[keep]
+        live, Un, tn, Gn, sl = live[keep], Un[keep], tn[keep], Gn[keep], sl[keep]
         U[live], t[live] = Un, tn
         res[live] = rn = np.sqrt(_rowdot(Gn, Gn))
-        live = live[rn > 1e-10 * np.maximum(1.0, np.abs(tn))]
+        settled = rn <= 1e-10 * np.maximum(1.0, np.abs(tn))
+        if theta is not None:
+            n2 = _rowdot(Un, m * Un)
+            t0 = tn - sl * n2
+            tau[live] = sn = tau_min_value(t0, n2, theta).tau_star
+            t[live] = t0 + sn * n2
+            settled &= np.abs(sn - sl) <= 1e-8 * sl
+        live = live[~settled]
     return t, U, res, rounds
 
 
+def _seeded_starts(n: int, restarts: int, seed: int) -> np.ndarray:
+    """``restarts`` seeded standard normal rows plus one positive row."""
+    return np.array([np.random.default_rng(seed + k).standard_normal(n)
+                     for k in range(restarts)] + [np.ones(n)])
+
+
 def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
-                     certificate_samples: int = 2000,
-                     starts: np.ndarray | None = None):
+                     certificate_samples: int = 2000):
     """Best found value of inf t[u]/||u||_q^2 with a minimization trace.
 
     Returns (S, trace).  S is an upper bound on the infimum; the trace
     carries the minimizer, the fixed-point rounds summed over the starts
     (``trace.iterations``), the first-order residual, the certificate
-    slack min(R(u) - S) over fresh random probes, and the polished block
-    (``trace.polished``: each start after its fixed-point iteration, in
-    the order of the starts).  The starts are ``restarts``
-    seeded random rows plus one positive row, unless ``starts`` gives a
-    k x n block to use instead (``restarts`` and ``seed`` are then unused).
+    slack min(R(u) - S) over fresh random probes.  The starts are
+    ``restarts`` seeded random rows plus one positive row.
     Operators with nontrivial kernel return S = 0 immediately (the
     infimum vanishes on kernel vectors) with trace.vacuous set.
     """
@@ -251,14 +275,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
 
     m = T.measure
     n = T.n
-    if starts is None:
-        U0 = np.array([np.random.default_rng(seed + k).standard_normal(n)
-                       for k in range(restarts)] + [np.ones(n)])
-    else:
-        U0 = np.asarray(starts, dtype=np.float64)
-        if U0.ndim != 2 or U0.shape[1] != n or not U0.shape[0]:
-            raise ValueError(f"starts must be a k x {n} block with k >= 1, "
-                             f"got shape {U0.shape}")
+    U0 = _seeded_starts(n, restarts, seed)
     t_p, U_p, res, rounds = _polish(T, q, U0 / _norm_q(U0, m, q)[:, None])
     i = int(np.argmin(t_p))         # the first of equal minima
     best_t, best_u, best_res = float(t_p[i]), U_p[i], float(res[i])
@@ -292,7 +309,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     trace = MinimizationTrace(value=best_t, minimizer=best_u,
                               restarts=U0.shape[0], iterations=int(rounds.sum()),
                               residual=best_res / max(1.0, abs(best_t)),
-                              certificate_slack=slack, polished=U_p)
+                              certificate_slack=slack)
     return best_t, trace
 
 
@@ -323,12 +340,15 @@ def _golden_log(f, lo: float, hi: float, *, iterations: int):
     return math.exp(0.5 * (a + b)), min(fc, fd)
 
 
-# cap on the S(T + tau) solves of one interpolation constant
-TAU_STEPS = 65
-
-
 @dataclass
 class InterpConstant:
+    """S_interp from the joint (u, tau) fixed point, with its cold cross-check.
+
+    ``rel_gap`` = |direct_value - value| / value compares two upper bounds
+    on the same infimum; a gap says that one route missed the lowest basin,
+    not which one.
+    """
+
     value: float
     tau_star: float
     direct_value: float | None
@@ -368,18 +388,19 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
 
     Computed through the scaling equivalence
     S_interp = theta^theta (1-theta)^(1-theta) * inf_tau tau^(theta-1) S(T + tau, q)
-    by alternating the two infima, starting at tau = lambda_max: solve
-    S(T + tau) for its minimizer u, then move tau to the closed-form best
-    shift for that u, tau* = t[u] (1-theta) / (theta ||u||^2)
-    (``tau_min_value``).  Since inf_tau inf_u = inf_u inf_tau, no step
-    raises the value, and every value seen is an upper bound.  The first
-    solve starts from the seeded block of ``sobolev_constant``; each later
-    solve starts from every row of the previous solve's polished block,
-    so each keeps its multi-start search but begins near its basins.  The loop
-    stops when tau moves by at most 1e-8 relative, or after TAU_STEPS
-    solves, and reports the least value seen with its tau.  The result is
-    cross-checked against direct minimization of the interpolated
-    quotient (``direct_value``, ``rel_gap``).
+    as one joint fixed point in (u, tau).  Every row of the seeded start
+    block of ``sobolev_constant`` carries its own shift, first the best one
+    for its start, tau = t[u] (1-theta) / (theta ||u||^2) (``tau_min_value``).
+    Each round of ``_polish`` takes one guarded fixed-point step of S(T + tau)
+    in the cached eigenbasis of T and then moves each row's tau to the best
+    shift for its new point.  The guard compares values at one tau and the
+    tau step minimizes J(u, tau) = tau^(theta-1) (t[u] + tau ||u||^2) over
+    tau exactly, so no round raises a row's J, and every value is an upper
+    bound.  A row stops when its residual reaches 1e-10 and its tau moves
+    by at most 1e-8 relative, when the guard rejects its update, or after
+    500 rounds.  The least J over the rows is reported with its tau, and
+    cross-checked against direct minimization of the interpolated quotient
+    (``direct_value``, ``rel_gap``).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"requires theta in (0, 1), got {theta}")
@@ -391,49 +412,48 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
         return InterpConstant(value=0.0, tau_star=0.0, direct_value=None,
                               rel_gap=None, vacuous=True)
     m = T.measure
-    tau = float(w[-1])
-    best, tau_star = math.inf, tau
-    starts = None
-    for _ in range(TAU_STEPS):
-        s, trace = sobolev_constant(T.shifted(tau), q, restarts=restarts, seed=seed,
-                                    certificate_samples=0, starts=starts)
-        starts = trace.polished
-        val = tau ** (theta - 1.0) * s
-        if val < best:
-            best, tau_star = val, tau
-        u = trace.minimizer
-        tau_next = tau_min_value(T.quad_form(u), float(np.sum(m * u * u)),
-                                 theta).tau_star
-        converged = abs(tau_next - tau) <= 1e-8 * tau
-        tau = tau_next
-        if converged:
-            break
-    value = _xpowx(theta) * _xpowx(1.0 - theta) * best
+
+    def parts(U):
+        # t[u] and ||u||^2 of each row
+        return _rowdot(U, T.form_product(U)), _rowdot(U, m * U)
+
+    U0 = _seeded_starts(T.n, restarts, seed)
+    U0 /= _norm_q(U0, m, q)[:, None]
+    _, U, _, _ = _polish(T, q, U0, tau=tau_min_value(*parts(U0), theta).tau_star,
+                         theta=theta)
+    t, n2 = parts(U)
+    tau = tau_min_value(t, n2, theta).tau_star
+    J = tau ** (theta - 1.0) * (t + tau * n2)
+    i = int(np.argmin(J))
+    value = _xpowx(theta) * _xpowx(1.0 - theta) * float(J[i])
 
     direct = _interp_direct(T, q, theta, restarts=restarts, seed=seed)
-    return InterpConstant(value=float(value), tau_star=float(tau_star),
+    return InterpConstant(value=float(value), tau_star=float(tau[i]),
                           direct_value=direct,
                           rel_gap=abs(direct - value) / max(value, 1e-300))
 
 
 @dataclass
 class TauMinimum:
-    value: float
-    tau_star: float
+    value: float | np.ndarray
+    tau_star: float | np.ndarray
 
 
-def tau_min_value(alpha: float, beta: float, theta: float) -> TauMinimum:
+def tau_min_value(alpha, beta, theta: float) -> TauMinimum:
     """min over tau > 0 of alpha tau^(theta-1) + beta tau^theta, in closed form.
 
     The minimum equals theta^(-theta) (1-theta)^(theta-1) alpha^theta beta^(1-theta)
-    at tau* = alpha (1-theta) / (beta theta).
+    at tau* = alpha (1-theta) / (beta theta), entry by entry for arrays
+    alpha and beta of one shape.
     """
-    if not (alpha > 0.0 and beta > 0.0):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    if not (np.all(alpha > 0.0) and np.all(beta > 0.0)):
         raise ValueError(f"requires positive alpha, beta; got {alpha}, {beta}")
     if not (0.0 < theta < 1.0):
         raise ValueError(f"requires theta in (0, 1), got {theta}")
-    value = math.exp(-theta * math.log(theta) - (1.0 - theta) * math.log(1.0 - theta)
-                     + theta * math.log(alpha) + (1.0 - theta) * math.log(beta))
+    value = np.exp(-theta * math.log(theta) - (1.0 - theta) * math.log(1.0 - theta)
+                   + theta * np.log(alpha) + (1.0 - theta) * np.log(beta))
     tau_star = alpha * (1.0 - theta) / (beta * theta)
     return TauMinimum(value=value, tau_star=tau_star)
 

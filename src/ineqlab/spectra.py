@@ -198,8 +198,8 @@ def riesz_mean_from_counts(T, V, gamma: float, *, spectrum=None) -> float:
 
     The counting function is piecewise constant, so the integral is
     evaluated exactly panel by panel between adjacent eigenvalue
-    magnitudes, with the count taken at each panel midpoint through the
-    independent counting path.
+    magnitudes.  The count at each panel midpoint reads the same
+    eigenvalues, all panels in one binary search of the sorted spectrum.
     """
     if not gamma > 0.0:
         raise ValueError(f"moment representation requires gamma > 0, got {gamma}")
@@ -208,13 +208,13 @@ def riesz_mean_from_counts(T, V, gamma: float, *, spectrum=None) -> float:
     if mags.size == 0:
         return 0.0
     breaks = np.concatenate(([0.0], mags))
-    scale = float(np.max(np.abs(eigs)))
+    lows, highs = breaks[:-1], breaks[1:]
+    # N(-mid) = #{e < -mid}: the left insertion point of -mid
+    counts = np.searchsorted(np.sort(eigs), -(0.5 * (lows + highs)), side="left")
     total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
+    for lo, hi, n_mid in zip(lows, highs, counts.tolist()):
         if hi <= lo:
             continue
-        mid = 0.5 * (lo + hi)
-        n_mid = count_from_eigenvalues(eigs, mid, scale=scale).n
         total += n_mid * (hi**gamma - lo**gamma)
     return float(total)
 

@@ -18,7 +18,8 @@ from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
 from ineqlab import cli, functional, spectra
 from ineqlab.functional import aizenman_lieb_unminimized
 from ineqlab.lattice import exponents_from_gamma_kappa
-from ineqlab.operators import KineticOperator, build_magnetic_laplacian, uniform_flux_phases
+from ineqlab.operators import (KineticOperator, build_hardy_operator, build_magnetic_laplacian,
+                               fractional_laplacian, uniform_flux_phases)
 
 mpmath.mp.dps = 30
 
@@ -278,31 +279,31 @@ def test_interp_matches_benchmark_reference(sid):
     assert ic.value == pytest.approx(want["S_interp"], rel=1e-10)
 
 
-@pytest.mark.parametrize("restarts, shift, samples", [(16, 0.0, 2000), (8, 1.5, 0)],
+@pytest.mark.parametrize("restarts, shift", [(16, 0.0), (8, 1.5)],
                          ids=["default", "first-tau-solve"])
-def test_sobolev_given_seeded_starts_is_the_default_call(restarts, shift, samples):
-    # passing the seeded block itself changes nothing, so the first solve of
-    # the tau step, which gets no starts, is the solve it was before
-    T = build_laplacian(make_lattice(d=1, extents=32)).shifted(shift)
+def test_sobolev_given_seeded_starts_is_the_default_call(restarts, shift):
+    # the fixed point from the seeded block at one shift, solved in the
+    # eigenbasis of T, is the default call on T + shift: bit for bit at
+    # shift 0, where the S path adds +0.0, and to rounding otherwise, where
+    # w + shift stands for the eigenvalues of the shifted form
+    T = build_laplacian(make_lattice(d=1, extents=32))
     q = 6.0
-    S, trace = sobolev_constant(T, q, restarts=restarts, certificate_samples=samples)
-    S_b, trace_b = sobolev_constant(T, q, starts=_starts(T.n, restarts),
-                                    certificate_samples=samples)
-    assert S_b == S
-    assert np.array_equal(trace_b.minimizer, trace.minimizer)
-    assert trace_b.iterations == trace.iterations
-    assert trace_b.restarts == trace.restarts == restarts + 1
-    assert (trace_b.residual, trace_b.certificate_slack) == (trace.residual,
-                                                             trace.certificate_slack)
-    assert np.array_equal(trace_b.polished, trace.polished)
-    assert trace.polished.shape == (restarts + 1, T.n)
-
-
-def test_sobolev_rejects_malformed_starts():
-    T = build_laplacian(make_lattice(d=1, extents=8))
-    for starts in (np.ones(8), np.ones((3, 7)), np.ones((0, 8))):
-        with pytest.raises(ValueError, match="starts"):
-            sobolev_constant(T, 4.0, starts=starts)
+    S, trace = sobolev_constant(T.shifted(shift) if shift else T, q,
+                                restarts=restarts, certificate_samples=0)
+    U0 = _starts(T.n, restarts)
+    t, P, res, rounds = functional._polish(
+        T, q, U0 / functional._norm_q(U0, T.measure, q)[:, None], tau=shift)
+    i = int(np.argmin(t))
+    assert trace.restarts == restarts + 1
+    if shift:
+        assert t[i] == pytest.approx(S, rel=1e-12)
+        # the two routes may settle on u and -u
+        u = P[i] * np.sign(P[i] @ trace.minimizer)
+        np.testing.assert_allclose(u, trace.minimizer, rtol=0, atol=1e-8)
+    else:
+        assert t[i] == S and np.array_equal(P[i], trace.minimizer)
+        assert int(rounds.sum()) == trace.iterations
+        assert res[i] / max(1.0, abs(S)) == trace.residual
 
 
 def _counting_products(monkeypatch):
@@ -382,65 +383,113 @@ def _counting_solves(monkeypatch):
 
 @pytest.mark.parametrize("lat, gamma, kappa", INTERP_CASES)
 def test_interp_tau_step_solve_count(monkeypatch, lat, gamma, kappa):
+    # the tau step runs inside the fixed point in the cached eigenbasis of
+    # T: no Sobolev solve of T + tau and no eigensystem beyond T's own
     T = build_laplacian(make_lattice(**lat))
+    T.eigensystem()
     e = exponents_from_gamma_kappa(gamma, kappa)
-    calls = _counting_solves(monkeypatch)
+    solves = _counting_solves(monkeypatch)
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     ic = sobolev_interp_constant(T, e.q, e.theta)
-    assert 1 <= len(calls) <= 20
+    assert not solves and not eighs
     assert ic.rel_gap <= 1e-6
 
 
+def _recorded_polish(monkeypatch):
+    seen = []
+    polish = functional._polish
+
+    def recorded(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        seen.append((kwargs, out))
+        return out
+
+    monkeypatch.setattr(functional, "_polish", recorded)
+    return seen
+
+
 def test_interp_tau_step_stops_at_cap(monkeypatch):
-    # a tau step that never settles is cut after TAU_STEPS solves
+    # a tau step that never settles is cut after 500 rounds of every row
     T = build_laplacian(make_lattice(d=1, extents=6))
-    calls = _counting_solves(monkeypatch)
+    seen = _recorded_polish(monkeypatch)
     taus = itertools.cycle([1.0, 2.0])
     monkeypatch.setattr(functional, "tau_min_value",
-                        lambda a, b, th: functional.TauMinimum(1.0, next(taus)))
+                        lambda a, b, th: functional.TauMinimum(a, np.full_like(a, next(taus))))
     sobolev_interp_constant(T, 4.0, 0.5, restarts=1)
-    assert len(calls) == functional.TAU_STEPS
+    [(kwargs, (_, _, _, rounds))] = seen
+    assert kwargs["theta"] == 0.5
+    assert rounds.tolist() == [500, 500]
 
 
-@pytest.mark.parametrize("lat, gamma, kappa, cold_products",
-                         [(*case, cold) for case, cold in zip(INTERP_CASES, [4296, 2853])])
-def test_interp_warm_start_cuts_form_products(monkeypatch, lat, gamma, kappa,
-                                              cold_products):
-    # every tau solve after the first starts from the polished block of the
-    # one before; started cold from the seeded block each time, the loop and
-    # its direct cross-check make cold_products form products here
+@pytest.mark.parametrize("lat, gamma, kappa, parent_products",
+                         [(*case, n) for case, n in zip(INTERP_CASES, [1837, 1272])])
+def test_interp_joint_route_cuts_form_products(monkeypatch, lat, gamma, kappa,
+                                               parent_products):
+    # parent_products is what one Sobolev solve of T + tau per tau step,
+    # plus the direct cross-check, takes here
     T = build_laplacian(make_lattice(**lat))
     e = exponents_from_gamma_kappa(gamma, kappa)
     calls = _counting_products(monkeypatch)
     ic = sobolev_interp_constant(T, e.q, e.theta)
     assert ic.rel_gap <= 1e-6
-    assert 1 <= len(calls) <= cold_products * 3 // 5
+    assert 1 <= len(calls) <= parent_products * 2 // 5
 
 
-def test_interp_warm_start_hands_on_every_polished_row(monkeypatch):
-    # each tau solve keeps its multi-start search: it starts from all rows
-    # of the previous solve's polished block, not from its best row alone
+def test_interp_joint_value_non_increasing_in_round_cap():
+    # the guarded solve lowers J(u, tau) = tau^(theta-1) (t[u] + tau ||u||^2)
+    # at a fixed tau and the tau step minimizes it over tau, so each row's J
+    # at its best tau never rises from one round cap to the next
     T = build_laplacian(make_lattice(d=1, extents=16))
-    seen = []
-    solve = functional.sobolev_constant
+    q, theta = 4.0, 0.5
+    m = T.measure
+    U0 = _starts(T.n, 3)
+    U0 = U0 / functional._norm_q(U0, m, q)[:, None]
 
-    def recorded(*args, **kwargs):
-        S, trace = solve(*args, **kwargs)
-        seen.append((kwargs.get("starts"), trace.polished))
-        return S, trace
+    def joint(U):
+        t = functional._rowdot(U, T.form_product(U))
+        n2 = functional._rowdot(U, m * U)
+        tau = tau_min_value(t, n2, theta).tau_star
+        return tau ** (theta - 1.0) * (t + tau * n2)
 
-    monkeypatch.setattr(functional, "sobolev_constant", recorded)
-    sobolev_interp_constant(T, 4.0, 0.5, restarts=3)
-    assert len(seen) >= 2 and seen[0][0] is None
-    for (_, polished), (starts, _) in zip(seen, seen[1:]):
-        assert starts.shape == (4, T.n)
-        assert np.array_equal(starts, polished)
+    tau0 = tau_min_value(functional._rowdot(U0, T.form_product(U0)),
+                         functional._rowdot(U0, m * U0), theta).tau_star
+    J = [joint(functional._polish(T, q, U0, tau=tau0, theta=theta, max_iter=r)[1])
+         for r in range(40)]
+    assert np.array_equal(J[0], joint(U0))
+    for a, b in zip(J, J[1:]):
+        assert np.all(b <= a * (1.0 + 1e-13))
+    assert np.all(J[-1] < 0.9 * J[0])
 
 
-@pytest.mark.parametrize("lat, gamma, kappa", INTERP_CASES)
+# the tau-grid cases: the two bundled Laplacians, then two dense forms
+GRID_CASES = INTERP_CASES + [(dict(d=1, extents=64, family="fractional", s=0.5), 1.0, 1.5),
+                             (dict(d=2, extents=(9, 9), exclusions=[(4, 4)],
+                                   family="hardy", s=0.5), 1.0, 2.0)]
+
+
+def _grid_operator(lat):
+    lat = dict(lat)
+    family, s = lat.pop("family", "laplacian"), lat.pop("s", None)
+    space = make_lattice(**lat)
+    if family == "fractional":
+        return fractional_laplacian(space, s)
+    if family == "hardy":
+        return build_hardy_operator(space, s)
+    return build_laplacian(space)
+
+
+@pytest.mark.parametrize("lat, gamma, kappa", GRID_CASES)
 def test_interp_tau_step_beats_global_tau_grid(lat, gamma, kappa):
-    # the alternation keeps the global-in-tau guarantee of a log sweep
-    # over [1e-4, 1e4] lambda_max
-    T = build_laplacian(make_lattice(**lat))
+    # the joint (u, tau) fixed point keeps the global-in-tau guarantee of a
+    # log sweep over [1e-4, 1e4] lambda_max
+    T = _grid_operator(lat)
     e = exponents_from_gamma_kappa(gamma, kappa)
     ic = sobolev_interp_constant(T, e.q, e.theta)
     coef = e.theta**e.theta * (1.0 - e.theta) ** (1.0 - e.theta)
@@ -474,8 +523,16 @@ def test_tau_min_closed_form():
         f = lambda t: alpha * t ** (theta - 1.0) + beta * t**theta
         assert f(tm.tau_star) <= f(tm.tau_star * 1.001)
         assert f(tm.tau_star) <= f(tm.tau_star * 0.999)
+    # arrays give the scalar results entry by entry
+    alpha, beta = rng.uniform(0.1, 10.0, 5), rng.uniform(0.1, 10.0, 5)
+    tm = tau_min_value(alpha, beta, 0.3)
+    for a, b, v, t in zip(alpha, beta, tm.value, tm.tau_star):
+        one = tau_min_value(float(a), float(b), 0.3)
+        assert (one.value, one.tau_star) == (v, t)
     with pytest.raises(ValueError):
         tau_min_value(0.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        tau_min_value(np.array([1.0, 0.0]), np.ones(2), 0.5)
     with pytest.raises(ValueError):
         tau_min_value(1.0, 1.0, 1.0)
 

@@ -200,6 +200,33 @@ def test_riesz_mean_from_counts_identity():
         assert layered == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
 
+def _riesz_per_panel(eigs, gamma):
+    # the moment representation with one strict count per panel midpoint
+    mags = np.sort(-eigs[eigs < 0.0])
+    if mags.size == 0:
+        return 0.0
+    breaks = np.concatenate(([0.0], mags))
+    total = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        if hi <= lo:
+            continue
+        total += count_from_eigenvalues(eigs, 0.5 * (lo + hi)).n * (hi**gamma - lo**gamma)
+    return float(total)
+
+
+def test_riesz_mean_from_counts_matches_per_panel_counts_bitwise():
+    # repeated eigenvalues (empty panels) and zeros included
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        eigs = np.round(rng.normal(-0.5, 2.0, n), int(rng.integers(0, 3)))
+        eigs[rng.integers(0, n, n // 4)] = 0.0
+        eigs = rng.permutation(eigs)
+        gamma = float(rng.uniform(0.2, 3.0))
+        got = riesz_mean_from_counts(None, None, gamma, spectrum=lambda: eigs)
+        assert got == _riesz_per_panel(eigs, gamma)
+
+
 def test_liyau_upsilon_spectrum_reciprocal():
     _, op = single_site(t0=2.0, m0=1.0)
     up = liyau_upsilon(op, np.array([4.0]))
