@@ -246,11 +246,11 @@ def cmd_sweep(args) -> int:
             space, T, _, V0 = _sweep_instance(inst)
             kappa = float(inst.get("kappa", 1.5))
             from .lattice import integral
-            for c in values:
-                V = float(c) * V0
-                cnt = spectra.count_below(T, V, 0.0).n
+            cs = np.array([float(c) for c in values])
+            Vs = cs[:, None] * V0
+            for c, V, counted in zip(cs.tolist(), Vs, spectra.count_below(T, Vs, 0.0)):
                 iv = integral(V, kappa, space, measure=T.measure)
-                rows.append([float(c), cnt, iv, (cnt / iv if iv > 0 else 0.0)])
+                rows.append([c, counted.n, iv, (counted.n / iv if iv > 0 else 0.0)])
     elif axis == "flux":
         header = ["flux", "count_magnetic", "count_nonmagnetic"]
         rows = []

@@ -8,9 +8,13 @@ scenario's checks share one T - V spectrum per potential draw
 form (``KineticOperator.bandwidth``), is taken by Sylvester's law of
 inertia from a block LDL^H factorization of T - V + tau, in O(n m^2)
 work for blocks of m sites; it returns the dense count unchanged and
-hands every tie or doubtful pivot to it.  All other eigenproblems use
-full dense decompositions; the intended scale is a few thousand sites at
-most.
+hands every tie or doubtful pivot to it.  ``count_below`` counts a k x n
+stack of potentials on one operator in one such pass, with one stacked
+``eigh`` per block for all rows and O(k m^2) memory per block; a row
+whose pivot budget is spent or whose two shifted counts differ falls back
+to the dense count alone, and every row's count is bit for bit the one it
+gets alone.  All other eigenproblems use full dense decompositions; the
+intended scale is a few thousand sites at most.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ class CountResult(NamedTuple):
 def schrodinger_eigenvalues(T, V) -> np.ndarray:
     """Spectrum of T - V (V acting by multiplication)."""
     V = as_potential(T.space, V)
-    B = T.sym() - np.diag(V)
-    return np.linalg.eigvalsh(B)
+    return np.linalg.eigvalsh(_minus_diag(T.sym(), V[None])[0])
 
 
 def shared_spectrum(T, V) -> Callable[[], np.ndarray]:
@@ -82,10 +85,11 @@ def count_from_eigenvalues(eigs: np.ndarray, tau: float, *, scale=None) -> Count
 
 
 def _band_blocks(T, V):
-    """Diagonal blocks of B = T.sym() - diag(V) and the blocks below them, for
+    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them and the
+    k x m slices of the k x n potential stack V on each block, for
     consecutive m-site blocks with m = max(bandwidth, INERTIA_BLOCK), so that
-    B is block tridiagonal; None when the form is dense or has fewer than
-    INERTIA_MIN_BLOCKS blocks."""
+    every B - diag(V_j) is block tridiagonal; all three are views.  None when
+    the form is dense or has fewer than INERTIA_MIN_BLOCKS blocks."""
     b = T.bandwidth
     if b is None:
         return None
@@ -94,89 +98,125 @@ def _band_blocks(T, V):
         return None
     B = T.sym()
     starts = range(0, T.n, m)
-    diag = [B[i:i + m, i:i + m] - np.diag(V[i:i + m]) for i in starts]
+    diag = [B[i:i + m, i:i + m] for i in starts]
     sub = [B[i:i + m, i - m:i] for i in starts[1:]]
-    return diag, sub
+    pots = [V[:, i:i + m] for i in starts]
+    return diag, sub, pots
 
 
-def _inertia_counts(diag, sub, sigmas, tol: float):
-    """Eigenvalues below -sigma of the block-tridiagonal B, one count per sigma,
-    or None once a pivot block's rounding bound exceeds tol.
+def _minus_diag(D, v) -> np.ndarray:
+    """The stack D - diag(v_j), one m x m matrix per row v_j of the k x m v."""
+    out = np.repeat(D[None], len(v), axis=0)
+    out.reshape(len(v), D.size)[:, ::D.shape[0] + 1] -= v
+    return out
+
+
+def _inertia_counts(diag, sub, pots, shifts, tol):
+    """Eigenvalues below -sigma of each block-tridiagonal B - diag(V_j), for
+    the k x 2 array ``shifts`` of sigmas per member j: the indices of the
+    members counted to the end and their counts, an array of two per
+    member.  A member drops out once one of its pivot blocks' rounding
+    bound exceeds tol[j].
 
     By Haynsworth's inertia additivity the count is the number of negative
     eigenvalues summed over the Schur complements
-    S_k = B_kk + sigma - C_k S_(k-1)^-1 C_k^H of the block LDL^H
-    factorization of B + sigma, with S^-1 taken from ``eigh`` of each S.
-    All shifts advance together, one stacked ``eigh`` per block.  The bound
-    m eps (||C_(k+1)||_inf^2 / min|w(S_k)| + max|w(S_k)|) sizes the rounding
-    that S_k passes on to the next pivot.
+    S_k = B_kk - diag(V_j) + sigma - C_k S_(k-1)^-1 C_k^H of the block LDL^H
+    factorization of B - diag(V_j) + sigma, with S^-1 taken from ``eigh`` of
+    each S.  All members and shifts advance together: each block step builds
+    the 2k pivots and makes one stacked ``eigh`` call, and each pivot goes
+    through the same LAPACK and BLAS calls as it would alone.  The bound
+    m eps (||C_(k+1)||_inf^2 / min|w(S_k)| + max|w(S_k)|), over both shifts
+    of a member, sizes the rounding that S_k passes on to the next pivot.
     """
     eps = np.finfo(np.float64).eps
-    shifts = np.asarray(sigmas, dtype=np.float64)[:, None, None]
-    neg = np.zeros(len(sigmas), dtype=np.int64)
+    live = np.arange(len(shifts))     # members still counted, in stack order
+    vrows = np.repeat(live, 2)        # the potential of each pivot in the stack
+    neg = np.zeros((len(shifts), 2), dtype=np.int64)
+    sigma = shifts.reshape(-1, 1, 1)
     update = 0.0
-    for k, D in enumerate(diag):
-        m = D.shape[0]
-        w, Q = np.linalg.eigh(D + shifts * np.eye(m) - update)
-        neg += np.count_nonzero(w < 0.0, axis=1)
-        C = sub[k] if k < len(sub) else None
-        c_norm = 0.0 if C is None else float(np.max(np.sum(np.abs(C), axis=1)))
-        w_abs = np.abs(w)
-        w_min = float(np.min(w_abs))
-        if w_min == 0.0 or m * eps * (c_norm**2 / w_min + float(np.max(w_abs))) > tol:
-            return None
-        if C is not None:
-            G = C @ Q
-            update = (G / w[:, None, :]) @ np.swapaxes(G.conj(), -1, -2)
-    return neg
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero w_min fails below
+        for step, (D, v) in enumerate(zip(diag, pots)):
+            m = D.shape[0]
+            P = _minus_diag(D, v[vrows])
+            w, Q = np.linalg.eigh(P + sigma * np.eye(m) - update)
+            neg += (w < 0.0).sum(axis=1).reshape(-1, 2)
+            C = sub[step] if step < len(sub) else None
+            c_norm = 0.0 if C is None else float(np.max(np.sum(np.abs(C), axis=1)))
+            w_abs = np.abs(w).reshape(-1, 2 * m)
+            w_min = w_abs.min(axis=1)
+            bound = m * eps * (c_norm**2 / w_min + w_abs.max(axis=1))
+            ok = (w_min != 0.0) & ~(bound > tol)
+            if not ok.all():
+                live, neg, tol = live[ok], neg[ok], tol[ok]
+                if live.size == 0:
+                    break
+                keep = np.repeat(ok, 2)
+                vrows, w, Q, sigma = vrows[keep], w[keep], Q[keep], sigma[keep]
+            if C is not None:
+                G = C @ Q
+                update = (G / w[:, None, :]) @ np.swapaxes(G.conj(), -1, -2)
+    return live, neg
 
 
-def _inertia_count(T, V, tau: float) -> CountResult | None:
-    """N(-tau, T - V) by inertia, or None where only the dense route can answer.
+def _inertia_count(T, V, tau: float) -> list | None:
+    """N(-tau, T - V_j) by inertia for each row V_j of the k x n stack V: one
+    CountResult per member, or None for a member only the dense route can
+    answer, or None when the form takes no inertia route at all.
 
-    With s = ||T.sym() - diag V||_inf >= max|eig| and delta = TIE_REL * s, it
-    counts at -tau - 2 delta and -tau + 2 delta with a rounding budget of
-    delta / 2 per pivot.  Equal counts leave no eigenvalue within
-    1.5 delta of -tau, a window that holds the dense tie window
-    (TIE_REL * max|eig|) and the dense solver's own rounding, so the
-    count is the dense count and there is no tie.  Different counts or a
-    spent budget return None.
+    With s_j = ||T.sym() - diag V_j||_inf >= max|eig| and
+    delta_j = TIE_REL * s_j, it counts at -tau - 2 delta_j and
+    -tau + 2 delta_j with a rounding budget of delta_j / 2 per pivot.  Equal
+    counts leave no eigenvalue within 1.5 delta_j of -tau, a window that
+    holds the dense tie window (TIE_REL * max|eig|) and the dense solver's
+    own rounding, so the count is the dense count and there is no tie.
+    Different counts or a spent budget give None for that member alone.
     """
     blocks = _band_blocks(T, V)
     if blocks is None:
         return None
-    diag, sub = blocks
-    rows = [np.sum(np.abs(D), axis=1) for D in diag]
+    diag, sub, pots = blocks
+    rows = [np.abs(_minus_diag(D, v)).sum(axis=2) for D, v in zip(diag, pots)]
     for k, C in enumerate(sub):
         a = np.abs(C)
         rows[k + 1] += np.sum(a, axis=1)
         rows[k] += np.sum(a, axis=0)  # the block above the diagonal is C^H
-    delta = TIE_REL * max(float(np.max(r)) for r in rows)
-    counts = _inertia_counts(diag, sub, (tau + 2.0 * delta, tau - 2.0 * delta),
-                             0.5 * delta)
-    if counts is None or counts[0] != counts[1]:
-        return None
-    return CountResult(int(counts[0]), None)
+    delta = TIE_REL * np.concatenate(rows, axis=1).max(axis=1)
+    shifts = np.stack((tau + 2.0 * delta, tau - 2.0 * delta), axis=1)
+    live, neg = _inertia_counts(diag, sub, pots, shifts, 0.5 * delta)
+    out = [None] * len(V)
+    for j, (lo, hi) in zip(live.tolist(), neg.tolist()):
+        if lo == hi:
+            out[j] = CountResult(lo, None)
+    return out
 
 
-def count_below(T, V, tau: float, *, spectrum=None) -> CountResult:
+def count_below(T, V, tau: float, *, spectrum=None) -> CountResult | list:
     """N(-tau, T - V): number of eigenvalues strictly below -tau.
 
-    ``spectrum`` (from ``shared_spectrum(T, V)``) supplies the eigenvalues
-    of T - V.  Without it, banded forms are counted by inertia
-    (``_inertia_count``) and the dense spectrum is computed here only when
-    that cannot decide; either way the result is that of the dense
+    ``V`` is one potential, or a k x n stack of potentials on the same
+    operator; a stack returns a list of k CountResults, the result of each
+    row counted alone.  ``spectrum`` (from ``shared_spectrum(T, V)``)
+    supplies the eigenvalues of T - V for a single potential.  Without it,
+    banded forms count every row in one inertia pass (``_inertia_count``),
+    and the dense spectrum of a row is computed here only when that pass
+    cannot decide the row; either way each result is that of the dense
     spectrum.  ``riesz_mean`` and ``riesz_mean_from_counts`` take the same
     keyword but always need the eigenvalues.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if spectrum is None:
-        V = as_potential(T.space, V)
-        counted = _inertia_count(T, V, tau)
-        if counted is not None:
-            return counted
-    return count_from_eigenvalues(_eigenvalues(T, V, spectrum), tau)
+    stacked = np.ndim(V) == 2
+    if spectrum is not None:
+        if stacked:
+            raise ValueError("a stack of potentials takes no spectrum")
+        return count_from_eigenvalues(spectrum(), tau)
+    rows = V if stacked else [V]
+    Vs = np.array([as_potential(T.space, v) for v in rows]).reshape(-1, T.n)
+    counted = _inertia_count(T, Vs, tau) or [None] * len(Vs)
+    out = [c if c is not None
+           else count_from_eigenvalues(schrodinger_eigenvalues(T, v), tau)
+           for c, v in zip(counted, Vs)]
+    return out if stacked else out[0]
 
 
 def riesz_mean(T, V, gamma: float, *, spectrum=None) -> float:

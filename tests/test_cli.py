@@ -287,6 +287,44 @@ def test_sweep_coupling_axis(tmp_path, capsys):
         assert float(r["integral"]) == pytest.approx(iv, rel=1e-10)
 
 
+def test_sweep_coupling_axis_counts_all_couplings_in_one_pass(tmp_path, monkeypatch,
+                                                              capsys):
+    side = 16                          # 256 sites: 8 inertia blocks of 32
+    rng = np.random.default_rng(3)
+    V0 = np.abs(rng.normal(0.0, 1.5, side * side))
+    values = np.geomspace(0.05, 5.0, 12).tolist()
+    inst = {"lattice": {"d": 2, "extents": [side, side], "h": 1.0, "bc": "dirichlet"},
+            "operator": {"family": "laplacian"},
+            "potential": {"values": V0.tolist()}, "kappa": 1.5}
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    out = tmp_path / "coupling.csv"
+    assert cli.main(["sweep", "--config",
+                     _write_config(tmp_path, _sweep_config("coupling", values, inst)),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert calls == [(2 * len(values), 32, 32)] * 8
+
+    # the per-coupling loop, one count_below call per coupling
+    T = build_laplacian(make_lattice(2, [side, side]))
+    rows = []
+    for c in values:
+        V = float(c) * V0
+        cnt = spectra.count_below(T, V, 0.0).n
+        iv = integral(V, 1.5, T.space, measure=T.measure)
+        rows.append([float(c), cnt, iv, (cnt / iv if iv > 0 else 0.0)])
+    want = tmp_path / "loop.csv"
+    cli._write_csv(str(want), ["c", "count", "integral", "ratio"], rows)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_sweep_flux_axis(tmp_path, capsys):
     inst = {
         "lattice": {"d": 2, "extents": [3, 3], "h": 1.0, "bc": "dirichlet"},

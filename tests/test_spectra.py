@@ -76,7 +76,7 @@ def test_inertia_count_matches_dense_spectrum(T, V):
     rng = np.random.default_rng(17)
     taus = [0.0] + list(rng.uniform(0.0, float(np.max(V)), 12))
     for tau in taus:
-        assert spectra._inertia_count(T, V, tau) is not None, tau
+        assert spectra._inertia_count(T, V[None], tau)[0] is not None, tau
         assert count_below(T, V, tau) == _dense_count(T, V, tau), tau
 
 
@@ -86,7 +86,7 @@ def test_inertia_count_exact_tie_returns_dense_result():
     V = np.full(T.n, lam)          # T - V has an eigenvalue at 0 up to rounding
     want = _dense_count(T, V, 0.0)
     assert want.tie is not None
-    assert spectra._inertia_count(T, V, 0.0) is None
+    assert spectra._inertia_count(T, V[None], 0.0) == [None]
     assert count_below(T, V, 0.0) == want
 
 
@@ -100,7 +100,7 @@ def test_inertia_count_singular_pivot_falls_back():
     # B_11 - V + tau at 0, so the shifted pivots sit 2 delta from singular
     w1 = np.linalg.eigvalsh(T.sym()[:m, :m])
     V[:m] = w1[3] + tau
-    assert spectra._inertia_count(T, V, tau) is None
+    assert spectra._inertia_count(T, V[None], tau) == [None]
     assert count_below(T, V, tau) == _dense_count(T, V, tau)
 
 
@@ -115,8 +115,65 @@ def test_inertia_route_skips_periodic_dense_and_small_forms():
     rng = np.random.default_rng(9)
     for T in forms:
         V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
-        assert spectra._band_blocks(T, V) is None
+        assert spectra._band_blocks(T, V[None]) is None
         assert count_below(T, V, 0.1) == _dense_count(T, V, 0.1)
+
+
+def _stack_form(family, size):
+    """A banded form with 7 to 10 inertia blocks."""
+    if family == "1d":
+        return build_laplacian(make_lattice(d=1, extents=7 * size))
+    if family == "3d":
+        return build_laplacian(make_lattice(d=3, extents=7))
+    sp = make_lattice(d=2, extents=15 + size % 4)
+    if family == "magnetic":
+        return build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.7))
+    return build_laplacian(sp)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["1d", "2d", "3d", "magnetic"]), size=st.integers(32, 46),
+       seed=st.integers(0, 2**16), n_random=st.integers(1, 4),
+       tie_at=st.integers(0, 4), pivot_at=st.integers(0, 5),
+       tau=st.sampled_from([0.0, 0.25, 1.0]))
+def test_stacked_count_equals_single_and_dense_counts(family, size, seed, n_random,
+                                                      tie_at, pivot_at, tau):
+    """A stack of potentials counts as its rows counted alone and as the dense
+    eigvalsh count off ties; a row with an exact tie and a row with a
+    singular first pivot fall back alone while the other rows keep their
+    inertia counts."""
+    T = _stack_form(family, size)
+    m = max(T.bandwidth, spectra.INERTIA_BLOCK)
+    assert T.n >= spectra.INERTIA_MIN_BLOCKS * m
+    rng = np.random.default_rng(seed)
+    members = [np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+               for _ in range(n_random)]
+    # T - V has the eigenvalue lambda_j - lambda_j - tau = -tau up to rounding
+    tie = np.full(T.n, float(T.eigenvalues()[T.n // 5]) + tau)
+    # B_11 - V + tau has an eigenvalue at 0, so the shifted pivots of this
+    # row sit 2 delta from singular
+    singular = np.abs(rng.normal(0.0, 1.0, T.n))
+    singular[:m] = np.linalg.eigvalsh(T.sym()[:m, :m])[3] + tau
+    members.insert(min(tie_at, len(members)), tie)
+    members.insert(min(pivot_at, len(members)), singular)
+    Vs = np.array(members)
+    fallback = [v is tie or v is singular for v in members]
+
+    inertia = spectra._inertia_count(T, Vs, tau)
+    assert [c is None for c in inertia] == fallback
+    stacked = count_below(T, Vs, tau)
+    assert stacked == [count_below(T, v, tau) for v in Vs]
+    for v, got in zip(members, stacked):
+        assert got == _dense_count(T, v, tau)
+        assert (got.tie is not None) == (v is tie)
+
+
+def test_stacked_count_rejects_a_shared_spectrum():
+    T = build_laplacian(make_lattice(d=1, extents=20))
+    V = np.ones((2, T.n))
+    with pytest.raises(ValueError, match="stack"):
+        count_below(T, V, 0.0, spectrum=spectra.shared_spectrum(T, V[0]))
+    assert count_below(T, V[:0], 0.0) == []
 
 
 def test_coupling_sweep_runs_no_full_size_eigvalsh(tmp_path, monkeypatch, capsys):
