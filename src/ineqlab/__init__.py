@@ -11,12 +11,12 @@ bounds, and the algebraic identities that drive the proofs.
 from .lattice import (ExponentSet, LatticeSpace, exponents_from_gamma_kappa,
                       exponents_from_q_theta, inner, integral, lp_norm,
                       make_lattice)
-from .operators import (KineticOperator, MagneticKineticOperator,
-                        beurling_deny_check, build_hardy_operator,
-                        build_laplacian, build_magnetic_laplacian,
-                        build_periodic_schrodinger, diamagnetic_form_pair,
-                        fractional_laplacian, random_phases, ring_flux_phases,
-                        uniform_flux_phases, weighted_transform)
+from .operators import (KineticOperator, beurling_deny_check,
+                        build_hardy_operator, build_laplacian,
+                        build_magnetic_laplacian, build_periodic_schrodinger,
+                        diamagnetic_form_pair, fractional_laplacian,
+                        random_phases, ring_flux_phases, uniform_flux_phases,
+                        weighted_transform)
 from .spectra import (birman_schwinger, birman_schwinger_check, count_below,
                       count_from_eigenvalues, heat_kernel, heat_norms,
                       hinge_profile, liyau_upsilon, riesz_mean,

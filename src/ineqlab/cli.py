@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from . import functional, operators, spectra, verify
-from .lattice import exponents_from_gamma_kappa, make_lattice
+from .lattice import exponents_from_gamma_kappa, integral
 
 BUNDLED_CONFIGS = {
     "paper-suite": "paper_suite.json",
@@ -157,12 +157,12 @@ def _csv_rows(results: list) -> list:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    verify.validate_config(config)
-    scenarios = config.get("scenarios", [])
+    scenarios = verify.validate_config(_load_config(args.config))["scenarios"]
     if args.seed is not None:
+        if args.seed < 0:
+            raise verify.ConfigError("--seed: must be an integer >= 0")
         for sc in scenarios:
-            if "potential" in sc and "seed" in sc["potential"]:
+            if sc["potential"]["seed"] is not None:
                 sc["potential"]["seed"] = args.seed
     jobs = args.jobs
     if jobs is None:
@@ -206,73 +206,57 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_instance(inst: dict):
-    lat = inst["lattice"]
-    space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
-                         bc=lat.get("bc", "dirichlet"),
-                         exclusions=[tuple(x) for x in lat.get("exclusions", [])])
-    T, T_A, _, _ = verify._build_operator(space, inst.get("operator", {"family": "laplacian"}))
-    pot = inst.get("potential", {})
-    if "values" in pot:
-        V = np.asarray(pot["values"], dtype=np.float64)
-    else:
-        rng = np.random.default_rng([int(pot.get("seed", 0)), 0, 0])
-        V = np.abs(rng.normal(0.0, float(pot.get("sigma", 1.0)) * T.spectral_scale(),
-                              size=space.n))
-    return space, T, T_A, V
+    """Space, operator and potential of a normalized sweep instance: built as
+    a scenario's are, with a random potential as its single draw."""
+    space, T, _, _, _ = verify._build_instance(inst)
+    pot = inst["potential"]
+    (_, V), = verify._draw_potentials(T, dict(pot, sigmas=[pot["sigma"]], draws=1),
+                                      positive_floor=False)
+    return space, T, V
+
+
+SWEEP_HEADERS = {
+    "trotter_n": ["n", "estimate", "exact", "bound", "rel_error", "n_panels", "tail_ok"],
+    "coupling": ["c", "count", "integral", "ratio"],
+    "flux": ["flux", "count_magnetic", "count_nonmagnetic"],
+    "tau": ["tau", "count"],
+}
+
+
+def _sweep_rows(axis: str, values: list, inst: dict) -> list:
+    """One CSV row per swept value on a normalized sweep instance."""
+    space, T, V = _sweep_instance(inst)
+    rows = []
+    if axis == "trotter_n":
+        profile = spectra.hinge_profile(inst["profile"]["a"])
+        for n in values:
+            t = spectra.trotter_trace(T, V, profile, n)
+            rows.append([n, t.estimate, t.exact, t.bound, t.rel_error, t.n_panels, t.tail_ok])
+    elif axis == "coupling":
+        Vs = np.array(values)[:, None] * V
+        for c, Vc, counted in zip(values, Vs, spectra.count_below(T, Vs, 0.0)):
+            iv = integral(Vc, inst["kappa"], space, measure=T.measure)
+            rows.append([c, counted.n, iv, (counted.n / iv if iv > 0 else 0.0)])
+    elif axis == "flux":
+        base_count = spectra.count_below(T, V, 0.0).n
+        for phi in values:
+            phases = operators.uniform_flux_phases(space, phi)
+            T_A = operators.build_magnetic_laplacian(space, phases)
+            rows.append([phi, spectra.count_below(T_A, V, 0.0).n, base_count])
+    else:  # tau
+        eigs = spectra.schrodinger_eigenvalues(T, V)
+        scale = float(np.max(np.abs(eigs)))
+        for tau in values:
+            rows.append([tau, spectra.count_from_eigenvalues(eigs, tau, scale=scale).n])
+    return rows
 
 
 def cmd_sweep(args) -> int:
     sweep = verify.validate_sweep(_load_config(args.config))
-    axis = sweep["axis"]
-    values = sweep.get("values", [])
-    inst = sweep.get("instance", {})
+    axis, values = sweep["axis"], sweep["values"]
+    rows = _sweep_rows(axis, values, sweep["instance"]) if values else []
     out_path = args.out or "sweep.csv"
-
-    if axis == "trotter_n":
-        header = ["n", "estimate", "exact", "bound", "rel_error", "n_panels", "tail_ok"]
-        rows = []
-        if values:
-            space, T, _, V = _sweep_instance(inst)
-            prof_cfg = inst.get("profile", {"kind": "hinge", "a": 1.0})
-            profile = spectra.hinge_profile(float(prof_cfg.get("a", 1.0)))
-            for n in values:
-                t = spectra.trotter_trace(T, V, profile, int(n))
-                rows.append([int(n), t.estimate, t.exact, t.bound, t.rel_error,
-                             t.n_panels, t.tail_ok])
-    elif axis == "coupling":
-        header = ["c", "count", "integral", "ratio"]
-        rows = []
-        if values:
-            space, T, _, V0 = _sweep_instance(inst)
-            kappa = float(inst.get("kappa", 1.5))
-            from .lattice import integral
-            cs = np.array([float(c) for c in values])
-            Vs = cs[:, None] * V0
-            for c, V, counted in zip(cs.tolist(), Vs, spectra.count_below(T, Vs, 0.0)):
-                iv = integral(V, kappa, space, measure=T.measure)
-                rows.append([c, counted.n, iv, (counted.n / iv if iv > 0 else 0.0)])
-    elif axis == "flux":
-        header = ["flux", "count_magnetic", "count_nonmagnetic"]
-        rows = []
-        if values:
-            space, T, _, V = _sweep_instance(inst)
-            base_count = spectra.count_below(T, V, 0.0).n
-            for phi in values:
-                phases = operators.uniform_flux_phases(space, float(phi))
-                T_A = operators.build_magnetic_laplacian(space, phases)
-                rows.append([float(phi), spectra.count_below(T_A, V, 0.0).n, base_count])
-    else:  # tau
-        header = ["tau", "count"]
-        rows = []
-        if values:
-            space, T, _, V = _sweep_instance(inst)
-            eigs = spectra.schrodinger_eigenvalues(T, V)
-            scale = float(np.max(np.abs(eigs)))
-            for tau in values:
-                c = spectra.count_from_eigenvalues(eigs, float(tau), scale=scale)
-                rows.append([float(tau), c.n])
-
-    _write_csv(out_path, header, rows)
+    _write_csv(out_path, SWEEP_HEADERS[axis], rows)
     print(f"wrote {out_path}")
     return 0
 

@@ -243,6 +243,20 @@ def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
     return t, U, res, rounds
 
 
+def _probe_blocks(T, n_samples: int, seed: int):
+    """Random probes in blocks of up to 500, each with its form values t[u]:
+    the rows of standard normal draws, with every second block replaced by
+    its absolute values, so that signed and positive probes alternate."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, n_samples, 500):
+        b = min(500, n_samples - done)
+        # probe j is column j of an n x b draw
+        U = np.ascontiguousarray(rng.standard_normal((T.n, b)).T)
+        if (done // 500) % 2:
+            U = np.abs(U)
+        yield U, _rowdot(U, T.form_product(U))
+
+
 def _seeded_starts(n: int, restarts: int, seed: int) -> np.ndarray:
     """``restarts`` seeded standard normal rows plus one positive row."""
     return np.array([np.random.default_rng(seed + k).standard_normal(n)
@@ -256,7 +270,8 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
     Returns (S, trace).  S is an upper bound on the infimum; the trace
     carries the minimizer, the fixed-point rounds summed over the starts
     (``trace.iterations``), the first-order residual, the certificate
-    slack min(R(u) - S) over fresh random probes.  The starts are
+    slack min(R(u) - S) over fresh random probes, signed and positive
+    (``_probe_blocks``, as ``nash_check`` draws them).  The starts are
     ``restarts`` seeded random rows plus one positive row.
     Operators with nontrivial kernel return S = 0 immediately (the
     infimum vanishes on kernel vectors) with trace.vacuous set.
@@ -265,9 +280,8 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
         raise ValueError(f"requires q > 2, got {q}")
     if not T.is_real:
         raise ValueError("Sobolev minimization handles real symmetric forms only")
-    w, Q = T.eigensystem()
-    scale = T.spectral_scale()
-    if w[0] <= 1e-12 * scale:
+    if not T.is_positive_definite():
+        _, Q = T.eigensystem()
         kern = Q[:, 0] / np.sqrt(T.measure)
         kern = kern / _norm_q(kern, T.measure, q)
         return 0.0, MinimizationTrace(value=0.0, minimizer=kern, restarts=0,
@@ -282,23 +296,14 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0,
 
     slack = None
     if certificate_samples > 0:
-        rng = np.random.default_rng(1000003)
         worst = np.inf
         worst_u = None
-        done = 0
-        while done < certificate_samples:
-            b = min(500, certificate_samples - done)
-            # probe j is column j of an n x b draw
-            U = np.ascontiguousarray(rng.standard_normal((n, b)).T)
-            if done % 2:
-                U = np.abs(U)
-            tvals = _rowdot(U, T.form_product(U))
+        for U, tvals in _probe_blocks(T, certificate_samples, 1000003):
             ratios = tvals / np.sum(m * np.abs(U) ** q, axis=1) ** (2.0 / q)
             j = int(np.argmin(ratios))
             if ratios[j] < worst:
                 worst = float(ratios[j])
                 worst_u = U[j].copy()
-            done += b
         if worst < best_t - 1e-9 * max(1.0, best_t):
             # a probe beat the optimizer; polish it and adopt the better value
             t_w, U_w, res_w, _ = _polish(T, q, (worst_u / _norm_q(worst_u, m, q))[None, :])
@@ -406,9 +411,7 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
         raise ValueError(f"requires theta in (0, 1), got {theta}")
     if not q > 2.0:
         raise ValueError(f"requires q > 2, got {q}")
-    w = T.eigenvalues()
-    scale = T.spectral_scale()
-    if w[0] <= 1e-12 * scale:
+    if not T.is_positive_definite():
         return InterpConstant(value=0.0, tau_star=0.0, direct_value=None,
                               rel_gap=None, vacuous=True)
     m = T.measure
@@ -474,26 +477,17 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
         raise ValueError(f"requires S >= 0, got {S}")
     if S == 0.0:
         return NashReport(min_slack_rel=math.inf, passed=True, n_samples=0, vacuous=True)
-    m, n = T.measure, T.n
+    m = T.measure
     p = q / (2.0 * (q - 1.0))
     e1 = (q - 2.0) / (q - 1.0)
-    rng = np.random.default_rng(seed)
     worst = np.inf
-    done = 0
-    while done < n_samples:
-        b = min(500, n_samples - done)
-        # sample j is column j of an n x b draw
-        U = np.ascontiguousarray(rng.standard_normal((n, b)).T)
-        if (done // 500) % 2:
-            U = np.abs(U)
-        tvals = _rowdot(U, T.form_product(U))
+    for U, tvals in _probe_blocks(T, n_samples, seed):
         n1 = np.sum(m * np.abs(U), axis=1)
         n2sq = np.sum(m * U * U, axis=1)
         lhs = np.maximum(tvals, 0.0) ** p * n1**e1
         rhs = S**p * n2sq
         slack = (lhs - rhs) / np.maximum(rhs, 1e-300)
         worst = min(worst, float(np.min(slack)))
-        done += b
     return NashReport(min_slack_rel=worst, passed=worst >= -1e-10, n_samples=n_samples)
 
 

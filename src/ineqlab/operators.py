@@ -203,14 +203,6 @@ class KineticOperator:
                                name=self.name, meta=dict(self.meta))
 
 
-class MagneticKineticOperator(KineticOperator):
-    """Hermitian kinetic operator with unit-modulus phases on edges."""
-
-    def __init__(self, space, form, *, phases, measure=None, name="", meta=None):
-        super().__init__(space, form, measure=measure, name=name, meta=meta)
-        self.phases = np.asarray(phases, dtype=np.float64)
-
-
 def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
     """Form matrix with optional complex factor exp(i*theta) per oriented edge."""
     n = space.n
@@ -276,7 +268,7 @@ def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:
     return out
 
 
-def build_magnetic_laplacian(space: LatticeSpace, phases) -> MagneticKineticOperator:
+def build_magnetic_laplacian(space: LatticeSpace, phases) -> KineticOperator:
     """Laplacian with unit-modulus hopping factors exp(i*theta) per oriented edge.
 
     phases[k] is the phase along the stored orientation of edge k; the
@@ -292,10 +284,7 @@ def build_magnetic_laplacian(space: LatticeSpace, phases) -> MagneticKineticOper
         A = _assemble_laplacian(space).astype(np.complex128)
     else:
         A = _assemble_laplacian(space, np.exp(1j * phases))
-    return MagneticKineticOperator(
-        space, A, phases=phases, name="magnetic-laplacian",
-        meta={"family": "magnetic"},
-    )
+    return KineticOperator(space, A, name="magnetic-laplacian", meta={"family": "magnetic"})
 
 
 def uniform_flux_phases(space: LatticeSpace, flux: float) -> np.ndarray:
@@ -536,7 +525,7 @@ def beurling_deny_check(T: KineticOperator, omega=None) -> BeurlingDenyReport:
     )
 
 
-def diamagnetic_form_pair(T: KineticOperator, T_A: MagneticKineticOperator, u, v) -> tuple[float, float]:
+def diamagnetic_form_pair(T: KineticOperator, T_A: KineticOperator, u, v) -> tuple[float, float]:
     """Left and right side of the form inequality t[v, |u|] <= Re t_A[v sgn u, u].
 
     sgn u = u/|u| with the convention sgn 0 = 0.

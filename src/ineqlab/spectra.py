@@ -270,11 +270,8 @@ class BirmanSchwingerOperator:
     def count_above_one(self) -> CountResult:
         """Strict count of eigenvalues above 1, with the tie guard."""
         b = self.eigenvalues
-        scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-        n = int(np.count_nonzero(b > 1.0))
-        dist = float(np.min(np.abs(b - 1.0))) if b.size else np.inf
-        tie = dist if dist <= TIE_REL * scale else None
-        return CountResult(n, tie)
+        return count_from_eigenvalues(
+            1.0 - b, 0.0, scale=max(1.0, float(np.max(np.abs(b))) if b.size else 1.0))
 
 
 def birman_schwinger(T, V, tau: float = 0.0) -> BirmanSchwingerOperator:

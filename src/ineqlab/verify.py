@@ -52,15 +52,6 @@ HEAT_NASH_NEEDS = CheckNeeds(("kappa",), constant="S")
 
 THEOREM_TAGS = tuple(CHECK_NEEDS)
 
-# exponent field -> (rule, message); gamma >= 0 with kappa > 1 gives the
-# gamma + kappa > 1 the weak bounds need
-_EXPONENT_RULES = {
-    "kappa": (lambda x: x > 1, "must be > 1 for counting/moment/heat checks"),
-    "gamma": (lambda x: x >= 0, "must be >= 0"),
-    "gamma_tilde": (lambda x: x > 0, "must be > 0"),
-}
-
-
 class ConfigError(ValueError):
     """Scenario configuration rejected at validation, with a field path."""
 
@@ -387,6 +378,14 @@ def verify_gsr_identity(bundle, *, scenario_id: str = "", n_samples: int = 100,
 
 # ---------------------------------------------------------------------------
 # scenario configs
+#
+# The validators are the one place that knows the config schema.  Each
+# returns a normalized copy: every default filled in, every value checked
+# and cast, every unknown key rejected with its field path.  The runners
+# read only that copy.  A JSON null stands for the default, so a
+# normalized copy validates to itself.
+
+_REQUIRED = object()   # default of a field that has none
 
 
 def _expect(cond: bool, where: str, msg: str):
@@ -400,13 +399,167 @@ def _is_a(x, types) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number (an integer too large for a float is not)."""
+    if not _is_a(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _field(x, where: str, ok, msg: str, default):
+    """x when ok(x) holds, the default when x is None (absent)."""
+    if x is None:
+        _expect(default is not _REQUIRED, where, msg)
+        return default
+    _expect(ok(x), where, msg)
+    return x
+
+
+def _integer(x, where: str, least: int, default=_REQUIRED):
+    return _field(x, where, lambda v: _is_a(v, int) and v >= least,
+                  f"must be an integer >= {least}", default)
+
+
+def _number(x, where: str, rule, msg: str, default=_REQUIRED):
+    v = _field(x, where, lambda v: _is_number(v) and rule(v), msg, default)
+    return v if v is None else float(v)
+
+
+def _numbers(x, where: str, rule, msg: str, default=_REQUIRED, length=None):
+    """A nonempty list (of ``length`` entries, when given) of numbers passing rule."""
+    def ok(v):
+        return (isinstance(v, list) and len(v) > 0 and length in (None, len(v))
+                and all(_is_number(e) and rule(e) for e in v))
+
+    v = _field(x, where, ok, msg, default)
+    return v if v is None else [float(e) for e in v]
+
+
+def _block(x, where: str, keys, *, required: bool = False) -> dict:
+    """A config object whose keys all lie in ``keys``; None (absent) reads as {}."""
+    if x is None and not required:
+        return {}
+    _expect(isinstance(x, dict), where, "must be an object")
+    for k in x:
+        _expect(k in keys, f"{where}.{k}", f"unknown key; expected one of {sorted(keys)}")
+    return x
+
+
+_BCS = ("dirichlet", "periodic")
+_PHASES = ("flux", "ring", "random")
+_OPERATOR_KEYS = {"laplacian": (), "fractional": ("s",), "hardy": ("s",),
+                  "magnetic": ("phases", "flux", "seed"), "periodic": ("W",)}
+
+
+def _parse_lattice(x, where: str) -> dict:
+    lat = _block(x, where, ("d", "extents", "h", "bc", "exclusions"), required=True)
+    d = _integer(lat.get("d"), f"{where}.d", 1)
+    extents = lat.get("extents")
+    _expect(isinstance(extents, list) and len(extents) == d
+            and all(_is_a(e, int) and e >= 1 for e in extents),
+            f"{where}.extents", "must be a list of d integers >= 1")
+    excl = _field(lat.get("exclusions"), f"{where}.exclusions",
+                  lambda v: isinstance(v, list) and all(
+                      isinstance(c, list) and len(c) == d
+                      and all(_is_a(i, int) and 0 <= i < e for i, e in zip(c, extents))
+                      for c in v),
+                  "each exclusion must be a d-tuple of site coordinates inside the extents",
+                  [])
+    out = {"d": d, "extents": list(extents),
+           "h": _number(lat.get("h"), f"{where}.h", lambda v: v > 0, "must be > 0", 1.0),
+           "bc": _field(lat.get("bc"), f"{where}.bc", lambda v: v in _BCS,
+                        f"must be one of {_BCS}", "dirichlet"),
+           # each excluded site once, in order
+           "exclusions": [list(c) for c in dict.fromkeys(tuple(c) for c in excl)]}
+    _expect(_n_sites(out) >= 1, f"{where}.exclusions", "must leave at least one site")
+    return out
+
+
+def _n_sites(lat: dict) -> int:
+    return math.prod(lat["extents"]) - len(lat["exclusions"])
+
+
+def _site_values(x, where: str, lat: dict):
+    """Explicit potential values, one finite number >= 0 per site, or None."""
+    n = _n_sites(lat)
+    return _numbers(x, where, lambda v: v >= 0,
+                    f"must be a list of {n} finite numbers >= 0, one per site",
+                    None, length=n)
+
+
+def _parse_operator(x, lat: dict, where: str) -> dict:
+    _expect(x is None or isinstance(x, dict), where, "must be an object")
+    fam = _field((x or {}).get("family"), f"{where}.family",
+                 lambda v: v in OPERATOR_FAMILIES, f"must be one of {OPERATOR_FAMILIES}",
+                 "laplacian")
+    op = _block(x, where, ("family",) + _OPERATOR_KEYS[fam])
+    out = {"family": fam}
+    if fam in ("fractional", "hardy"):
+        out["s"] = _number(op.get("s"), f"{where}.s", lambda s: 0 < s <= 1,
+                           "must satisfy 0 < s <= 1")
+    if fam == "hardy":
+        _expect(lat["d"] > 2.0 * out["s"], f"{where}.s", "must satisfy 2s < d")
+        _expect(len(lat["exclusions"]) == 1, f"{where}.family",
+                "hardy needs exactly one excluded site, the origin")
+    if fam == "magnetic":
+        kind = _field(op.get("phases"), f"{where}.phases", lambda v: v in _PHASES,
+                      f"must be one of {_PHASES}", "flux")
+        out["phases"] = kind
+        out["flux"] = _number(op.get("flux"), f"{where}.flux", lambda v: True,
+                              "must be a number", None if kind == "random" else _REQUIRED)
+        out["seed"] = _integer(op.get("seed"), f"{where}.seed", 0,
+                               _REQUIRED if kind == "random" else None)
+        if kind == "flux":
+            _expect(lat["d"] == 2, f"{where}.phases", "flux phases need a d = 2 lattice")
+        if kind == "ring":
+            _expect(lat["d"] == 1 and lat["bc"] == "periodic", f"{where}.phases",
+                    "ring phases need a 1-d periodic lattice")
+    if fam == "periodic":
+        _expect(lat["bc"] == "periodic", f"{where}.family",
+                "periodic Schroedinger requires periodic bc")
+        W = op.get("W")
+        if isinstance(W, dict):
+            W = _block(W, f"{where}.W", ("kind", "amplitude", "harmonic"))
+            out["W"] = {
+                "kind": _field(W.get("kind"), f"{where}.W.kind", lambda v: v == "cosine",
+                               "must be 'cosine'", "cosine"),
+                "amplitude": _number(W.get("amplitude"), f"{where}.W.amplitude",
+                                     lambda v: True, "must be a number", 1.0),
+                "harmonic": _number(W.get("harmonic"), f"{where}.W.harmonic",
+                                    lambda v: True, "must be a number", 1.0)}
+        else:
+            n = _n_sites(lat)
+            out["W"] = _numbers(W, f"{where}.W", lambda v: True,
+                                f"must be a list of {n} numbers, one per site, "
+                                "or a {kind: cosine, ...} recipe", length=n)
+    return out
+
+
+# exponent field -> (rule, message); gamma >= 0 with kappa > 1 gives the
+# gamma + kappa > 1 the weak bounds need
+_EXPONENT_RULES = {
+    "kappa": (lambda x: x > 1, "must be > 1 for counting/moment/heat checks"),
+    "gamma": (lambda x: x >= 0, "must be >= 0"),
+    "gamma_tilde": (lambda x: x > 0, "must be > 0"),
+}
+
+_SCENARIO_KEYS = ("id", "lattice", "operator", "exponents", "potential", "checks",
+                  "grids", "heat_nash", "sobolev", "seed")
+_POSITIVE = "must be a nonempty list of numbers > 0"
+
+
 def validate_config(config: dict) -> dict:
-    """Schema-check a suite config; returns it unchanged on success."""
+    """Schema-check a suite config; returns its normalized copy."""
     _expect(isinstance(config, dict), "config", "must be a JSON object")
-    _expect(config.get("schema") == 1, "config.schema", "must be 1")
-    scenarios = config.get("scenarios", [])
-    _expect(isinstance(scenarios, list), "config.scenarios", "must be a list")
-    seen = set()
+    _block(config, "config", ("schema", "scenarios"))
+    _expect(_is_a(config.get("schema"), int) and config["schema"] == 1,
+            "config.schema", "must be 1")
+    scenarios = _field(config.get("scenarios"), "config.scenarios",
+                       lambda v: isinstance(v, list), "must be a list", [])
+    seen, out = set(), []
     for idx, sc in enumerate(scenarios):
         where = f"config.scenarios[{idx}]"
         _expect(isinstance(sc, dict), where, "must be an object")
@@ -414,211 +567,227 @@ def validate_config(config: dict) -> dict:
         _expect(isinstance(sid, str) and sid, f"{where}.id", "must be a nonempty string")
         _expect(sid not in seen, f"{where}.id", f"duplicate scenario id {sid!r}")
         seen.add(sid)
-        validate_scenario(sc, where=f"scenario {sid!r}")
-    return config
+        out.append(validate_scenario(sc))
+    return {"schema": 1, "scenarios": out}
 
 
-def validate_scenario(sc: dict, *, where: str = "scenario") -> dict:
-    lat = sc.get("lattice")
-    _expect(isinstance(lat, dict), f"{where}.lattice", "must be an object")
-    for block in ("operator", "exponents", "potential", "grids", "sobolev"):
-        _expect(isinstance(sc.get(block, {}), dict), f"{where}.{block}", "must be an object")
-    d = lat.get("d")
-    extents = lat.get("extents")
-    _expect(_is_a(d, int) and d >= 1, f"{where}.lattice.d", "must be an integer >= 1")
-    _expect(isinstance(extents, list) and len(extents) == d
-            and all(_is_a(e, int) and e >= 1 for e in extents),
-            f"{where}.lattice.extents", "must be a list of d integers >= 1")
-    _expect(lat.get("bc", "dirichlet") in ("dirichlet", "periodic"),
-            f"{where}.lattice.bc", "must be 'dirichlet' or 'periodic'")
-    h = lat.get("h", 1.0)
-    _expect(_is_a(h, (int, float)) and h > 0, f"{where}.lattice.h", "must be > 0")
-    excluded = set()
-    for x in lat.get("exclusions", []):
-        _expect(isinstance(x, list) and len(x) == d
-                and all(_is_a(c, int) and 0 <= c < e for c, e in zip(x, extents)),
-                f"{where}.lattice.exclusions",
-                "each exclusion must be a d-tuple of site coordinates inside the extents")
-        excluded.add(tuple(x))
+def validate_scenario(sc: dict) -> dict:
+    """Schema-check one scenario; returns its normalized copy.  Errors name
+    the field as ``scenario '<id>'.<path>``."""
+    _expect(isinstance(sc, dict), "scenario", "must be an object")
+    sid = sc.get("id")
+    _expect(isinstance(sid, str) and sid, "scenario.id", "must be a nonempty string")
+    where = f"scenario {sid!r}"
+    _block(sc, where, _SCENARIO_KEYS)
+    lat = _parse_lattice(sc.get("lattice"), f"{where}.lattice")
+    op = _parse_operator(sc.get("operator"), lat, f"{where}.operator")
+    fam = op["family"]
 
-    op = sc.get("operator", {"family": "laplacian"})
-    fam = op.get("family")
-    _expect(fam in OPERATOR_FAMILIES, f"{where}.operator.family",
-            f"must be one of {OPERATOR_FAMILIES}")
-    if fam == "fractional" or fam == "hardy":
-        s = op.get("s")
-        _expect(_is_a(s, (int, float)) and 0 < s <= 1, f"{where}.operator.s",
-                "must satisfy 0 < s <= 1")
-    if fam == "magnetic":
-        kind = op.get("phases", "flux")
-        _expect(kind in ("flux", "ring", "random"), f"{where}.operator.phases",
-                "must be 'flux', 'ring', or 'random'")
-        if kind == "flux":
-            _expect(_is_a(op.get("flux"), (int, float)),
-                    f"{where}.operator.flux", "must be a number")
-        if kind == "random":
-            _expect(_is_a(op.get("seed"), int),
-                    f"{where}.operator.seed", "random phases require an integer seed")
-    if fam == "periodic":
-        _expect(lat.get("bc") == "periodic", f"{where}.operator.family",
-                "periodic Schroedinger requires periodic bc")
-        W = op.get("W")
-        _expect(isinstance(W, (list, dict)), f"{where}.operator.W",
-                "must be an explicit list or a {kind: cosine, ...} recipe")
-
-    checks = sc.get("checks", [])
-    _expect(isinstance(checks, list), f"{where}.checks", "must be a list")
+    checks = _field(sc.get("checks"), f"{where}.checks",
+                    lambda v: isinstance(v, list), "must be a list", [])
     for c in checks:
-        _expect(c in CHECK_NEEDS, f"{where}.checks", f"unknown check {c!r}")
+        _expect(isinstance(c, str) and c in CHECK_NEEDS, f"{where}.checks",
+                f"unknown check {c!r}")
         required = CHECK_NEEDS[c].family
         _expect(required is None or fam == required, f"{where}.checks",
                 f"check {c!r} requires operator family {required!r}, got {fam!r}")
 
-    exps = sc.get("exponents", {})
-    needs = _scenario_needs(sc)
-    for name, (rule, msg) in _EXPONENT_RULES.items():
-        if any(name in nd.exponents for nd in needs):
-            x = exps.get(name)
-            _expect(_is_a(x, (int, float)) and rule(x),
-                    f"{where}.exponents.{name}", msg)
+    hn = sc.get("heat_nash")
+    _expect(hn is None or isinstance(hn, (bool, dict)), f"{where}.heat_nash",
+            "must be an object or a boolean")
+    heat_nash = None
+    if hn is True or isinstance(hn, dict):
+        hn = _block({} if hn is True else hn, f"{where}.heat_nash",
+                    ("grid_points", "nash_samples"))
+        heat_nash = {
+            "grid_points": _integer(hn.get("grid_points"), f"{where}.heat_nash.grid_points",
+                                    1, 60),
+            "nash_samples": _integer(hn.get("nash_samples"),
+                                     f"{where}.heat_nash.nash_samples", 1, 10_000)}
+    needs = _scenario_needs({"checks": checks, "heat_nash": heat_nash})
+
+    exps = _block(sc.get("exponents"), f"{where}.exponents", _EXPONENT_RULES)
+    exponents = {
+        name: _number(exps.get(name), f"{where}.exponents.{name}", rule, msg,
+                      _REQUIRED if any(name in nd.exponents for nd in needs) else None)
+        for name, (rule, msg) in _EXPONENT_RULES.items()}
     if "LTmoment" in checks:
-        _expect(exps["gamma_tilde"] > exps["gamma"], f"{where}.exponents.gamma_tilde",
-                "must exceed gamma")
+        _expect(exponents["gamma_tilde"] > exponents["gamma"],
+                f"{where}.exponents.gamma_tilde", "must exceed gamma")
 
-    pot = sc.get("potential", {})
-    needs_draws = any(nd.per_draw for nd in needs)
-    if needs_draws and "values" not in pot and "adversarial" not in pot:
-        _expect(_is_a(pot.get("seed"), int), f"{where}.potential.seed",
+    pw = f"{where}.potential"
+    pot = _block(sc.get("potential"), pw, ("values", "seed", "sigmas", "draws", "adversarial"))
+    potential = {
+        "values": _site_values(pot.get("values"), f"{pw}.values", lat),
+        "seed": _integer(pot.get("seed"), f"{pw}.seed", 0, None),
+        "sigmas": _numbers(pot.get("sigmas"), f"{pw}.sigmas", lambda s: s > 0, _POSITIVE,
+                           [0.1, 1.0, 10.0]),
+        "draws": _integer(pot.get("draws"), f"{pw}.draws", 1, 2),
+        "adversarial": _numbers(pot.get("adversarial"), f"{pw}.adversarial",
+                                lambda c: c > 0, _POSITIVE, None)}
+    if (any(nd.per_draw for nd in needs) and potential["values"] is None
+            and potential["adversarial"] is None):
+        _expect(potential["seed"] is not None, f"{pw}.seed",
                 "random potentials require an explicit integer seed")
-        sig = pot.get("sigmas", [0.1, 1.0, 10.0])
-        _expect(isinstance(sig, list)
-                and all(_is_a(s, (int, float)) and s > 0 for s in sig),
-                f"{where}.potential.sigmas", "must be positive numbers")
-    if "values" in pot:
-        n_sites = math.prod(extents) - len(excluded)
-        vals = pot["values"]
-        _expect(isinstance(vals, list) and len(vals) == n_sites
-                and all(_is_a(v, (int, float)) and math.isfinite(v) and v >= 0
-                        for v in vals),
-                f"{where}.potential.values",
-                f"must be a list of {n_sites} finite numbers >= 0, one per site")
-    draws = pot.get("draws", 2)
-    _expect(_is_a(draws, int) and draws >= 1, f"{where}.potential.draws",
-            "must be an integer >= 1")
 
-    _expect(_is_a(sc.get("seed", 0), int), f"{where}.seed", "must be an integer")
-    for name, least in (("restarts", 0), ("sweep_restarts", 1)):
-        x = sc.get("sobolev", {}).get(name, least)
-        _expect(_is_a(x, int) and x >= least, f"{where}.sobolev.{name}",
-                f"must be an integer >= {least}")
-    return sc
+    gw = f"{where}.grids"
+    grids = _block(sc.get("grids"), gw, ("tau", "s", "t"))
+    tau = grids.get("tau")
+    if isinstance(tau, list):
+        tau = _numbers(tau, f"{gw}.tau", lambda t: t > 0, _POSITIVE)
+    else:
+        _expect(tau is None or isinstance(tau, dict), f"{gw}.tau",
+                "must be a nonempty list of numbers > 0 or an object")
+        tau = _block(tau, f"{gw}.tau", ("points", "lo_rel", "hi_rel"))
+        tau = {"points": _integer(tau.get("points"), f"{gw}.tau.points", 1, 20),
+               "lo_rel": _number(tau.get("lo_rel"), f"{gw}.tau.lo_rel", lambda v: v > 0,
+                                 "must be > 0", 1e-2),
+               "hi_rel": _number(tau.get("hi_rel"), f"{gw}.tau.hi_rel", lambda v: v > 0,
+                                 "must be > 0", 1e1)}
+
+    sob = _block(sc.get("sobolev"), f"{where}.sobolev", ("restarts", "sweep_restarts"))
+    return {
+        "id": sid, "lattice": lat, "operator": op, "exponents": exponents,
+        "potential": potential, "checks": list(checks),
+        "grids": {"tau": tau,
+                  "s": _numbers(grids.get("s"), f"{gw}.s", lambda s: s > 0, _POSITIVE,
+                                [0.05, 0.25, 1.0, 5.0]),
+                  "t": _numbers(grids.get("t"), f"{gw}.t", lambda t: t > 0, _POSITIVE,
+                                [0.1, 1.0, 10.0])},
+        "heat_nash": heat_nash,
+        "sobolev": {"restarts": _integer(sob.get("restarts"), f"{where}.sobolev.restarts",
+                                         0, 16),
+                    "sweep_restarts": _integer(sob.get("sweep_restarts"),
+                                               f"{where}.sobolev.sweep_restarts", 1, 8)},
+        "seed": _integer(sc.get("seed"), f"{where}.seed", 0, None),
+    }
 
 
 SWEEP_AXES = ("trotter_n", "coupling", "flux", "tau")
 
 
 def validate_sweep(config: dict) -> dict:
-    """Schema-check a sweep config; returns its ``sweep`` block."""
-    _expect(isinstance(config, dict) and config.get("schema") == 1,
-            "config.schema", "must be 1")
-    sweep = config.get("sweep")
-    _expect(isinstance(sweep, dict), "config.sweep", "must be an object")
+    """Schema-check a sweep config; returns its normalized ``sweep`` block."""
+    _expect(isinstance(config, dict) and _is_a(config.get("schema"), int)
+            and config["schema"] == 1, "config.schema", "must be 1")
+    _block(config, "config", ("schema", "sweep"))
+    _expect(isinstance(config.get("sweep"), dict), "config.sweep", "must be an object")
+    sweep = _block(config["sweep"], "sweep", ("axis", "values", "instance"))
     axis = sweep.get("axis")
     _expect(axis in SWEEP_AXES, "sweep.axis", f"unknown axis {axis!r}")
-    values = sweep.get("values", [])
-    _expect(isinstance(values, list)
-            and all(_is_a(v, (int, float)) and math.isfinite(v) for v in values),
-            "sweep.values", "must be a list of finite numbers")
+    values = _field(sweep.get("values"), "sweep.values",
+                    lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+                    "must be a list of finite numbers", [])
     if axis == "trotter_n":
         _expect(all(v >= 1 and v == int(v) for v in values), "sweep.values",
                 "Trotter orders must be integers >= 1")
+        values = [int(v) for v in values]
+    else:
+        values = [float(v) for v in values]
     if axis in ("coupling", "tau"):
         _expect(all(v >= 0 for v in values), "sweep.values", f"{axis} values must be >= 0")
-    inst = sweep.get("instance", {})
-    _expect(isinstance(inst, dict), "sweep.instance", "must be an object")
-    if values:
-        validate_scenario(inst, where="sweep.instance")
-        if axis == "flux":
-            _expect(inst["lattice"]["d"] == 2, "sweep.instance.lattice.d",
-                    "a flux sweep needs a d = 2 lattice")
-    return sweep
+
+    where = "sweep.instance"
+    inst = _block(sweep.get("instance"), where,
+                  ("lattice", "operator", "potential", "profile", "kappa"), required=True)
+    lat = _parse_lattice(inst.get("lattice"), f"{where}.lattice")
+    if axis == "flux":
+        _expect(lat["d"] == 2, f"{where}.lattice.d", "a flux sweep needs a d = 2 lattice")
+    pot = _block(inst.get("potential"), f"{where}.potential", ("values", "seed", "sigma"))
+    prof = _block(inst.get("profile"), f"{where}.profile", ("kind", "a"))
+    instance = {
+        "lattice": lat,
+        "operator": _parse_operator(inst.get("operator"), lat, f"{where}.operator"),
+        "potential": {
+            "values": _site_values(pot.get("values"), f"{where}.potential.values", lat),
+            "seed": _integer(pot.get("seed"), f"{where}.potential.seed", 0, 0),
+            "sigma": _number(pot.get("sigma"), f"{where}.potential.sigma", lambda s: s > 0,
+                             "must be > 0", 1.0)},
+        "profile": {
+            "kind": _field(prof.get("kind"), f"{where}.profile.kind",
+                           lambda v: v == "hinge", "must be 'hinge'", "hinge"),
+            "a": _number(prof.get("a"), f"{where}.profile.a", lambda a: a > 0,
+                         "must be > 0", 1.0)},
+        "kappa": _number(inst.get("kappa"), f"{where}.kappa", *_EXPONENT_RULES["kappa"],
+                         default=1.5),
+    }
+    return {"axis": axis, "values": values, "instance": instance}
 
 
 def _scenario_needs(sc: dict) -> list:
     """The needs of each listed check, plus those of the heat/Nash block."""
-    needs = [CHECK_NEEDS[c] for c in sc.get("checks", [])]
-    if sc.get("heat_nash"):
+    needs = [CHECK_NEEDS[c] for c in sc["checks"]]
+    if sc["heat_nash"] is not None:
         needs.append(HEAT_NASH_NEEDS)
     return needs
 
 
-def _build_operator(space, op_cfg: dict):
-    """Returns (T, T_magnetic_or_None, bundle_or_None, op_extras)."""
-    fam = op_cfg.get("family", "laplacian")
+def _build_instance(sc: dict):
+    """(space, T, T_magnetic_or_None, bundle_or_None, op_extras) of a
+    normalized scenario or sweep instance."""
+    lat = sc["lattice"]
+    space = make_lattice(lat["d"], lat["extents"], h=lat["h"], bc=lat["bc"],
+                         exclusions=lat["exclusions"])
+    return (space, *_build_operator(space, sc["operator"]))
+
+
+def _build_operator(space, op: dict):
+    """Returns (T, T_magnetic_or_None, bundle_or_None, op_extras) for a
+    normalized operator block."""
+    fam = op["family"]
     extras: dict = {"family": fam}
     if fam == "laplacian":
         return operators.build_laplacian(space), None, None, extras
     if fam == "fractional":
-        return operators.fractional_laplacian(space, float(op_cfg["s"])), None, None, extras
+        return operators.fractional_laplacian(space, op["s"]), None, None, extras
     if fam == "magnetic":
         base = operators.build_laplacian(space)
-        kind = op_cfg.get("phases", "flux")
-        if kind == "flux":
-            phases = operators.uniform_flux_phases(space, float(op_cfg["flux"]))
-            extras["flux"] = float(op_cfg["flux"])
-        elif kind == "ring":
-            phases = operators.ring_flux_phases(space, float(op_cfg["flux"]))
-            extras["flux"] = float(op_cfg["flux"])
+        if op["phases"] == "random":
+            phases = operators.random_phases(space, op["seed"])
+            extras["phase_seed"] = op["seed"]
         else:
-            phases = operators.random_phases(space, int(op_cfg["seed"]))
-            extras["phase_seed"] = int(op_cfg["seed"])
+            phases = (operators.uniform_flux_phases if op["phases"] == "flux"
+                      else operators.ring_flux_phases)(space, op["flux"])
+            extras["flux"] = op["flux"]
         return base, operators.build_magnetic_laplacian(space, phases), None, extras
     if fam == "periodic":
-        W = op_cfg["W"]
+        W = op["W"]
         if isinstance(W, dict):
-            n = space.n
-            x = np.arange(n)
-            W = (float(W.get("amplitude", 1.0))
-                 * np.cos(2.0 * math.pi * float(W.get("harmonic", 1)) * x / n))
-        W = np.asarray(W, dtype=np.float64)
-        bundle = operators.build_periodic_schrodinger(space, W)
+            x = np.arange(space.n)
+            W = W["amplitude"] * np.cos(2.0 * math.pi * W["harmonic"] * x / space.n)
+        bundle = operators.build_periodic_schrodinger(space, np.asarray(W, dtype=np.float64))
         extras["ground_energy"] = bundle.energy
         return bundle.shifted, None, bundle, extras
-    if fam == "hardy":
-        T = operators.build_hardy_operator(space, float(op_cfg["s"]))
-        extras["hardy_shift"] = T.meta.get("hardy_shift")
-        extras["lambda_min_unshifted"] = T.meta.get("lambda_min")
-        return T, None, None, extras
-    raise ConfigError(f"operator.family: unknown family {fam!r}")
+    T = operators.build_hardy_operator(space, op["s"])
+    extras["hardy_shift"] = T.meta.get("hardy_shift")
+    extras["lambda_min_unshifted"] = T.meta.get("lambda_min")
+    return T, None, None, extras
 
 
-def _draw_potentials(space, scale: float, pot_cfg: dict, *, positive_floor: bool):
-    """Deterministic |Normal(0, sigma*scale)| draws, optionally floored away from 0."""
-    if "values" in pot_cfg:
-        V = np.asarray(pot_cfg["values"], dtype=np.float64)
-        return [("explicit", V)]
-    seed = int(pot_cfg["seed"])
-    sigmas = [float(s) for s in pot_cfg.get("sigmas", [0.1, 1.0, 10.0])]
-    draws = int(pot_cfg.get("draws", 2))
+def _draw_potentials(T, pot: dict, *, positive_floor: bool):
+    """The explicit potential, or deterministic |Normal(0, sigma * scale)|
+    draws (optionally floored away from 0) for a normalized potential block;
+    none when it gives neither values nor a seed."""
+    if pot["values"] is not None:
+        return [("explicit", np.asarray(pot["values"], dtype=np.float64))]
+    if pot["seed"] is None:
+        return []
+    scale = T.spectral_scale()
     out = []
-    for si, sigma in enumerate(sigmas):
-        for j in range(draws):
-            rng = np.random.default_rng([seed, si, j])
-            V = np.abs(rng.normal(0.0, sigma * scale, size=space.n))
+    for si, sigma in enumerate(pot["sigmas"]):
+        for j in range(pot["draws"]):
+            rng = np.random.default_rng([pot["seed"], si, j])
+            V = np.abs(rng.normal(0.0, sigma * scale, size=T.n))
             if positive_floor:
                 V = V + 0.01 * sigma * scale
             out.append((f"sigma={sigma:g}/draw={j}", V))
     return out
 
 
-def _tau_grid(grid_cfg, scale: float):
-    if isinstance(grid_cfg, list):
-        return [float(t) for t in grid_cfg]
-    cfg = grid_cfg or {}
-    points = int(cfg.get("points", 20))
-    lo = float(cfg.get("lo_rel", 1e-2)) * scale
-    hi = float(cfg.get("hi_rel", 1e1)) * scale
-    return list(np.geomspace(lo, hi, points))
+def _tau_grid(grid, scale: float):
+    if isinstance(grid, list):
+        return grid
+    return list(np.geomspace(grid["lo_rel"] * scale, grid["hi_rel"] * scale, grid["points"]))
 
 
 @dataclass
@@ -649,16 +818,12 @@ class ScenarioResult:
 
 
 def run_scenario(sc: dict) -> ScenarioResult:
-    """Execute one validated scenario; deterministic given the config."""
-    validate_scenario(sc, where=f"scenario {sc.get('id', '?')!r}")
+    """Execute one scenario from its normalized copy (``validate_scenario``,
+    which normalized copies pass unchanged); deterministic given the config."""
+    sc = validate_scenario(sc)
     sid = sc["id"]
-    lat = sc["lattice"]
-    space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
-                         bc=lat.get("bc", "dirichlet"),
-                         exclusions=[tuple(x) for x in lat.get("exclusions", [])])
-    T, T_A, bundle, op_extras = _build_operator(space, sc.get("operator", {"family": "laplacian"}))
-    checks = list(sc.get("checks", []))
-    exps = sc.get("exponents", {})
+    space, T, T_A, bundle, op_extras = _build_instance(sc)
+    checks = sc["checks"]
     scale = T.spectral_scale()
     bd = operators.beurling_deny_check(
         T, omega=(bundle.omega if bundle is not None else None))
@@ -675,15 +840,12 @@ def run_scenario(sc: dict) -> ScenarioResult:
     reports: list[VerificationReport] = []
     extras: dict = {"operator": op_extras, "n_sites": space.n}
 
-    kappa = float(exps["kappa"]) if "kappa" in exps else None
-    gamma = float(exps["gamma"]) if "gamma" in exps else None
-    gamma_tilde = float(exps["gamma_tilde"]) if "gamma_tilde" in exps else None
+    kappa, gamma, gamma_tilde = (sc["exponents"][k] for k in ("kappa", "gamma", "gamma_tilde"))
 
     needs = _scenario_needs(sc)
     if any(nd.constant == "S" for nd in needs):
         q = exponents_from_gamma_kappa(0.0, kappa).q
-        restarts = int(sc.get("sobolev", {}).get("restarts", 16))
-        S, S_trace = functional.sobolev_constant(T, q, restarts=restarts)
+        S, S_trace = functional.sobolev_constant(T, q, restarts=sc["sobolev"]["restarts"])
         constants.S = S
         constants.provenance["S"] = "minimized"
         extras["sobolev"] = {"residual": S_trace.residual,
@@ -697,21 +859,17 @@ def run_scenario(sc: dict) -> ScenarioResult:
     if any(nd.constant == "S_interp" for nd in needs):
         e = exponents_from_gamma_kappa(gamma, kappa)
         interp = functional.sobolev_interp_constant(
-            T, e.q, e.theta,
-            restarts=int(sc.get("sobolev", {}).get("sweep_restarts", 8)))
+            T, e.q, e.theta, restarts=sc["sobolev"]["sweep_restarts"])
         constants.S_interp = interp.value
         constants.provenance["S_interp"] = "minimized (tau step)"
         extras["interp"] = {"tau_star": interp.tau_star,
                             "direct_value": interp.direct_value,
                             "rel_gap": interp.rel_gap, "vacuous": interp.vacuous}
 
-    pot_cfg = sc.get("potential", {})
+    pot = sc["potential"]
+    grids = sc["grids"]
     per_draw = [c for c in checks if CHECK_NEEDS[c].per_draw]
-    draws = []
-    if per_draw and ("values" in pot_cfg or "seed" in pot_cfg):
-        draws = _draw_potentials(space, scale, pot_cfg,
-                                 positive_floor=bool(pot_cfg.get("floor", False))
-                                 or "liyauTrace" in checks)
+    draws = _draw_potentials(T, pot, positive_floor="liyauTrace" in checks) if per_draw else []
 
     for label, V in draws:
         spectrum = spectra.shared_spectrum(T, V)
@@ -720,7 +878,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
                 r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd,
                                spectrum=spectrum)
             elif check == "weakLT":
-                grid = _tau_grid(sc.get("grids", {}).get("tau"), scale)
+                grid = _tau_grid(grids["tau"], scale)
                 r = verify_weak_lt(T, V, gamma, kappa, grid, constants.S_interp,
                                    scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "LTmoment":
@@ -737,19 +895,18 @@ def run_scenario(sc: dict) -> ScenarioResult:
                 r = verify_magnetic_clr(T_A, V, kappa, constants.S,
                                         scenario_id=sid, bd=bd, T=T, spectrum=spectrum)
             else:  # liyauTrace
-                grid = sc.get("grids", {}).get("s", [0.05, 0.25, 1.0, 5.0])
-                r = verify_liyau_trace(T, V, constants.S, kappa, grid,
+                r = verify_liyau_trace(T, V, constants.S, kappa, grids["s"],
                                        scenario_id=sid, bd=bd)
             r.extras["potential"] = label
             reports.append(r)
 
     # adversarial coupling sweep: V = c * S * |minimizer|^(q-2) keeps the
     # empirical ratio N / int V^kappa pinned to the bracket ends
-    if "CLR" in checks and "adversarial" in pot_cfg and constants.S > 0.0:
+    if "CLR" in checks and pot["adversarial"] is not None and constants.S > 0.0:
         q = exponents_from_gamma_kappa(0.0, kappa).q
         u_hat = np.abs(S_trace.minimizer)
         best_ratio = 0.0
-        for c in [float(c) for c in pot_cfg["adversarial"]]:
+        for c in pot["adversarial"]:
             V = c * constants.S * u_hat ** (q - 2.0)
             r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd)
             r.extras["potential"] = f"adversarial c={c:.9g}"
@@ -757,21 +914,19 @@ def run_scenario(sc: dict) -> ScenarioResult:
             reports.append(r)
         extras["adversarial_best_ratio"] = best_ratio
 
+    # without a scenario seed each sampled check keeps its own default seed
+    seed = {} if sc["seed"] is None else {"seed": sc["seed"]}
     if "diamagnetic" in checks:
-        grid = sc.get("grids", {}).get("t", [0.1, 1.0, 10.0])
-        reports.append(verify_diamagnetic(T, T_A, grid, scenario_id=sid,
-                                          seed=int(sc.get("seed", 20240815))))
+        reports.append(verify_diamagnetic(T, T_A, grids["t"], scenario_id=sid, **seed))
 
     if "gsrIdentity" in checks:
-        reports.append(verify_gsr_identity(bundle, scenario_id=sid,
-                                           seed=int(sc.get("seed", 77001))))
+        reports.append(verify_gsr_identity(bundle, scenario_id=sid, **seed))
 
-    hn = sc.get("heat_nash")
-    if hn:
+    hn = sc["heat_nash"]
+    if hn is not None:
         if constants.S > 0.0:
-            hb = functional.heat_bound_check(
-                T, kappa, constants.S,
-                grid_points=int(hn.get("grid_points", 60)) if isinstance(hn, dict) else 60)
+            hb = functional.heat_bound_check(T, kappa, constants.S,
+                                             grid_points=hn["grid_points"])
             constants.K_measured = hb.K_measured
             constants.K_bound = hb.K_bound
             constants.provenance["K"] = "measured"
@@ -782,8 +937,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
             constants.provenance["L_lieb"] = "measured K" \
                 if hb.K_measured < hb.K_bound else "bound K"
             q = exponents_from_gamma_kappa(0.0, kappa).q
-            samples = int(hn.get("nash_samples", 10_000)) if isinstance(hn, dict) else 10_000
-            nr = functional.nash_check(T, q, constants.S, n_samples=samples)
+            nr = functional.nash_check(T, q, constants.S, n_samples=hn["nash_samples"])
             extras["heat_nash"] = {
                 "passed_1inf": hb.passed_1inf, "passed_12": hb.passed_12,
                 "K12_measured": hb.K12_measured, "K12_bound": hb.K12_bound,

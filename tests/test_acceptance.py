@@ -192,16 +192,10 @@ def test_criterion_6_heat_chain_on_suite_operators(suite_run, suite_config):
         S = res["constants"]["S"]
         if S is None or not S > 0.0:
             continue
-        sc = by_id[res["scenario_id"]]
-        lat = sc["lattice"]
-        space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
-                             bc=lat.get("bc", "dirichlet"),
-                             exclusions=[tuple(x) for x in lat.get("exclusions", [])])
-        T, _, _, _ = verify._build_operator(space,
-                                            sc.get("operator", {"family": "laplacian"}))
-        kappa = float(sc["exponents"]["kappa"])
-        hn = sc.get("heat_nash")
-        gp = int(hn.get("grid_points", 60)) if isinstance(hn, dict) else 60
+        sc = verify.validate_scenario(by_id[res["scenario_id"]])
+        _, T, _, _, _ = verify._build_instance(sc)
+        kappa = sc["exponents"]["kappa"]
+        gp = sc["heat_nash"]["grid_points"] if sc["heat_nash"] else 60
         hb = functional.heat_bound_check(T, kappa, S, grid_points=gp)
         assert hb.K_measured <= (kappa / S) ** kappa * (1.0 + 1e-8), res["scenario_id"]
         assert hb.passed_1inf, res["scenario_id"]

@@ -4,12 +4,17 @@ Everything goes through cli.main() so exit codes, stdout tables, and
 on-disk artifacts are exercised exactly as a shell user sees them.
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import cli, functional, spectra, verify
 from ineqlab.lattice import integral, make_lattice
@@ -164,6 +169,10 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err
 
+    assert cli.main(["verify", "--config", _write_config(tmp_path, TINY_CONFIG, "ok.json"),
+                     "--seed", "-1"]) == 2
+    assert "--seed: must be an integer >= 0" in capsys.readouterr().err
+
     bad = dict(TINY_CONFIG, schema=2)
     assert cli.main(["verify", "--config", _write_config(tmp_path, bad, "bad1.json"),
                      "--out", str(tmp_path / "o1")]) == 2
@@ -206,12 +215,34 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"potential": {"values": [True] * 8}}, "potential.values"),
             ({"sobolev": {"restarts": True}}, "sobolev.restarts"),
             ({"seed": True}, "seed"),
-            ({"seed": "x"}, "seed")]):
+            ({"seed": "x"}, "seed"),
+            # fields that are read: each checked, even when no check reads it
+            ({"grids": {"tau": {"points": 0}}}, "grids.tau.points"),
+            ({"grids": {"tau": {"points": "x"}}}, "grids.tau.points"),
+            ({"grids": {"tau": {"lo_rel": "a"}}}, "grids.tau.lo_rel"),
+            ({"grids": {"tau": [-1, 1]}}, "grids.tau"),
+            ({"grids": {"s": ["a"]}}, "grids.s"),
+            ({"grids": {"s": [-1]}}, "grids.s"),
+            ({"heat_nash": {"nash_samples": -5}}, "heat_nash.nash_samples"),
+            ({"heat_nash": {"grid_points": "x"}}, "heat_nash.grid_points"),
+            ({"heat_nash": {"grid_points": 0}}, "heat_nash.grid_points"),
+            ({"potential": {"seed": 5, "adversarial": ["a"]}}, "potential.adversarial"),
+            ({"potential": {"seed": 5, "adversarial": [-1]}}, "potential.adversarial"),
+            # kinds that do not exist and keys that are not in the schema
+            ({"lattice": {"d": 1, "extents": [8], "bc": "periodic"}, "checks": [],
+              "operator": {"family": "periodic", "W": {"kind": "sine"}}}, "operator.W.kind"),
+            ({"potential": {"seed": 5, "sigma": [1.0]}}, "potential.sigma"),
+            ({"potential": {"seed": 5, "floor": True}}, "potential.floor"),
+            ({"checks": ["CLR"], "note": "x"}, "note")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
+        out = tmp_path / f"o{3 + i}"
         assert cli.main(["verify", "--config", _write_config(tmp_path, bad, f"bad{3 + i}.json"),
-                         "--out", str(tmp_path / f"o{3 + i}")]) == 2
-        assert f"scenario 'tiny-a'.{field}:" in capsys.readouterr().err
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"scenario 'tiny-a'.{field}:" in captured.err
+        # rejected before any scenario runs
+        assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +420,16 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     ("trotter_n", [True], None, "sweep.values"),
     ("coupling", [1.0], dict(SWEEP_INSTANCE, potential={"values": [True] * 9}),
      "sweep.instance.potential.values"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, potential={"seed": 3.7}),
+     "sweep.instance.potential.seed"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, potential={"sigma": "x"}),
+     "sweep.instance.potential.sigma"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, kappa="x"), "sweep.instance.kappa"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, kappa=-1), "sweep.instance.kappa"),
+    ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"a": 0}), "sweep.instance.profile.a"),
+    ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"kind": "box"}),
+     "sweep.instance.profile.kind"),
+    ("tau", [1.0], dict(SWEEP_INSTANCE, checks=["CLR"]), "sweep.instance.checks"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)
@@ -397,6 +438,129 @@ def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, 
                      "--out", str(out)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: a bundled config with one field broken
+
+# field -> values that break its rule wherever the field stands
+SCENARIO_BAD = {
+    "lattice": ["x", 3, []],
+    "lattice.d": [0, -1, 1.5, "x", True],
+    "lattice.extents": [8, "x", [0], [[1]]],
+    "lattice.h": [0, -1.0, "x", True, [1.0]],
+    "lattice.bc": ["torus", 1],
+    "lattice.exclusions": ["x", [[-1]], [[99, 99, 99]]],
+    "operator": ["laplacian", [], 3],
+    "operator.family": ["airy", 1, ["laplacian"]],
+    "operator.s": [0, 1.5, "x"],
+    "operator.phases": ["spiral", 1],
+    "operator.flux": ["x", True],
+    "operator.seed": [-1, 2.5, "x"],
+    "operator.W": ["x", 1, [1.0]],
+    "operator.W.kind": ["sine", 1],
+    "operator.W.amplitude": ["x", [1.0]],
+    "operator.W.harmonic": ["x", True],
+    "exponents": ["x", []],
+    "exponents.kappa": [1, 0.5, "x", True],
+    "exponents.gamma": [-1, "x"],
+    "exponents.gamma_tilde": [0, -2.0, "x"],
+    "potential": ["x", [1]],
+    "potential.values": ["x", [-1.0], [True]],
+    "potential.seed": [-1, 3.7, "x", True],
+    "potential.sigmas": [[], ["a"], [-1], [0], "x"],
+    "potential.draws": [0, -5, 1.5, "x"],
+    "potential.adversarial": [[], ["a"], [-1], "x"],
+    "checks": ["CLR", [1], ["noSuchTag"]],
+    "grids": ["x", []],
+    "grids.tau": [[], [-1, 1], "x", 0],
+    "grids.tau.points": [0, -1, 1.5, "x"],
+    "grids.tau.lo_rel": [0, -1, "a"],
+    "grids.tau.hi_rel": [0, "a"],
+    "grids.s": [[], ["a"], [-1], "x"],
+    "grids.t": [[], [0], "x"],
+    "heat_nash": ["x", 1, []],
+    "heat_nash.grid_points": [0, 1.5, "x"],
+    "heat_nash.nash_samples": [-5, 0, "x"],
+    "sobolev": ["x", []],
+    "sobolev.restarts": [-1, 1.5, "x", True],
+    "sobolev.sweep_restarts": [0, "x"],
+    "seed": [-1, 3.7, "x", True],
+}
+SWEEP_BAD = {
+    "sweep.axis": ["bogus", 1],
+    "sweep.values": ["x", [0], [True], [1.5]],
+    "sweep.instance": ["x", []],
+    "sweep.instance.potential.values": ["x", [1.0]],
+    "sweep.instance.potential.seed": [-1, 3.7],
+    "sweep.instance.potential.sigma": ["x", 0],
+    "sweep.instance.profile": ["x"],
+    "sweep.instance.profile.kind": ["box", 1],
+    "sweep.instance.profile.a": [0, "x"],
+    "sweep.instance.kappa": ["x", -1, 1],
+    **{f"sweep.instance.{k}": v for k, v in SCENARIO_BAD.items()
+       if k.split(".")[0] in ("lattice", "operator")},
+}
+SCENARIO_BLOCKS = ("", "lattice", "operator", "operator.W", "exponents", "potential", "grids",
+                   "grids.tau", "heat_nash")
+SWEEP_BLOCKS = ("sweep", "sweep.instance", "sweep.instance.lattice", "sweep.instance.operator",
+                "sweep.instance.potential", "sweep.instance.profile")
+KNOWN_KEYS = ({k.split(".")[-1] for k in {**SCENARIO_BAD, **SWEEP_BAD}}
+              | {"id", "schema", "scenarios", "sweep"})
+
+
+def _at(obj, path):
+    """The object at a dotted path, or None."""
+    for key in filter(None, path.split(".")):
+        obj = obj.get(key) if isinstance(obj, dict) else None
+    return obj
+
+
+@st.composite
+def broken_configs(draw):
+    """A bundled scenario (as a one-scenario suite) or the bundled sweep with
+    one field set to a wrong type or an out-of-range value, or with an
+    unknown key; returns the config and the field path the error names."""
+    if draw(st.booleans()):
+        sc = copy.deepcopy(draw(st.sampled_from(cli._load_config("paper-suite")["scenarios"])))
+        cfg, root, prefix = {"schema": 1, "scenarios": [sc]}, sc, f"scenario {sc['id']!r}."
+        table, blocks = SCENARIO_BAD, SCENARIO_BLOCKS
+    else:
+        cfg = cli._load_config("trotter-sweep")
+        root, prefix, table, blocks = cfg, "", SWEEP_BAD, SWEEP_BLOCKS
+    if draw(st.booleans()):
+        block = draw(st.sampled_from([b for b in blocks if isinstance(_at(root, b), dict)]))
+        key = draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+                   .filter(lambda k: k not in KNOWN_KEYS))
+        _at(root, block)[key] = 1
+        return cfg, f"{prefix}{block}.{key}" if block else f"{prefix}{key}"
+    # a missing scenario block reads as {}, so it may be made; deeper parents must exist
+    fields = [f for f in table if isinstance(_at(root, f.rpartition(".")[0]), dict)
+              or (root is not cfg and f.count(".") == 1 and _at(root, f.split(".")[0]) is None)]
+    field = draw(st.sampled_from(fields))
+    parent, _, leaf = field.rpartition(".")
+    if parent and _at(root, parent) is None:
+        root[parent] = {}
+    _at(root, parent)[leaf] = draw(st.sampled_from(table[field]))
+    return cfg, prefix + field
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=broken_configs())
+def test_broken_config_field_exits_2_with_its_path(case):
+    cfg, field = case
+    command = "verify" if "scenarios" in cfg else "sweep"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        assert not os.path.exists(os.path.join(tmp, "out"))
+    assert rc == 2, err.getvalue()
+    assert f"config error: {field}:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bundled_configs_resolve():

@@ -56,6 +56,26 @@ def test_sobolev_reference_values():
         assert trace.certificate_slack >= -1e-9
 
 
+def test_sobolev_certificate_probes_signed_and_positive_blocks(monkeypatch):
+    # the certificate draws its probes as nash_check does: blocks of 500 with
+    # every second block positive, and its slack is the least probe ratio less S
+    T = build_laplacian(make_lattice(d=2, extents=(8, 8)))
+    product = T.form_product
+    blocks = []
+
+    def recording(U):
+        blocks.append(np.array(U))
+        return product(U)
+
+    monkeypatch.setattr(T, "form_product", recording)
+    S, trace = sobolev_constant(T, 4.0)
+    probes = [U for U in blocks if U.ndim == 2 and U.shape[0] == 500]
+    assert [bool(np.all(U >= 0.0)) for U in probes] == [False, True, False, True]
+    least = min(float(np.min(np.sum(U * product(U), axis=1)
+                             / np.sum(T.measure * U**4, axis=1) ** 0.5)) for U in probes)
+    assert trace.certificate_slack == pytest.approx(least - S, rel=1e-12)
+
+
 def test_sobolev_scaling_homogeneity():
     T = build_laplacian(make_lattice(d=1, extents=16))
     S1, _ = sobolev_constant(T, 4.0)

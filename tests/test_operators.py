@@ -330,12 +330,8 @@ def sampled_beurling_deny(T, omega=None, *, n_samples=100, seed=20240801):
 
 
 def _bundled_forms():
-    for sc in cli._load_config("paper-suite")["scenarios"]:
-        lat = sc["lattice"]
-        space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
-                             bc=lat.get("bc", "dirichlet"),
-                             exclusions=[tuple(x) for x in lat.get("exclusions", [])])
-        T, _, bundle, _ = verify._build_operator(space, sc.get("operator", {}))
+    for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
+        _, T, _, bundle, _ = verify._build_instance(sc)
         yield sc["id"], T, (bundle.omega if bundle is not None else None)
 
 
@@ -416,12 +412,8 @@ def test_bundled_suite_forms_route_by_size():
     # take the row route
     from ineqlab import cli, verify
 
-    for sc in cli._load_config("paper-suite")["scenarios"]:
-        lat = sc["lattice"]
-        space = make_lattice(lat["d"], lat["extents"], h=lat.get("h", 1.0),
-                             bc=lat.get("bc", "dirichlet"),
-                             exclusions=[tuple(x) for x in lat.get("exclusions", [])])
-        T, T_A, bundle, _ = verify._build_operator(space, sc["operator"])
+    for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
+        space, T, T_A, bundle, _ = verify._build_instance(sc)
         ops = [T, T_A, bundle.shifted if bundle is not None else None]
         for op in filter(None, ops):
             assert (op._rows is not None) == (space.n >= 1024), sc["id"]

@@ -352,6 +352,29 @@ def test_validate_config_roundtrip():
     assert validate_config(copy.deepcopy(cfg))["scenarios"][0]["id"] == "unit-mini"
 
 
+def test_validate_scenario_fills_every_default():
+    sc = validate_scenario({"id": "bare", "lattice": {"d": 1, "extents": [4]}})
+    assert sc == {
+        "id": "bare",
+        "lattice": {"d": 1, "extents": [4], "h": 1.0, "bc": "dirichlet", "exclusions": []},
+        "operator": {"family": "laplacian"},
+        "exponents": {"kappa": None, "gamma": None, "gamma_tilde": None},
+        "potential": {"values": None, "seed": None, "sigmas": [0.1, 1.0, 10.0], "draws": 2,
+                      "adversarial": None},
+        "checks": [],
+        "grids": {"tau": {"points": 20, "lo_rel": 0.01, "hi_rel": 10.0},
+                  "s": [0.05, 0.25, 1.0, 5.0], "t": [0.1, 1.0, 10.0]},
+        "heat_nash": None,
+        "sobolev": {"restarts": 16, "sweep_restarts": 8},
+        "seed": None,
+    }
+    # a normalized copy validates to itself, and true turns heat_nash on
+    assert validate_scenario(copy.deepcopy(sc)) == sc
+    on = validate_scenario(dict(sc, heat_nash=True, exponents={"kappa": 2}))
+    assert on["heat_nash"] == {"grid_points": 60, "nash_samples": 10_000}
+    assert on["exponents"]["kappa"] == 2.0 and isinstance(on["exponents"]["kappa"], float)
+
+
 def test_validate_config_rejects_bad_schema_and_duplicates():
     with pytest.raises(ConfigError):
         validate_config({"schema": 2, "scenarios": []})
