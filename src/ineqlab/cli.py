@@ -22,7 +22,6 @@ import json.encoder
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -168,6 +167,10 @@ def cmd_verify(args) -> int:
     if jobs is None:
         jobs = int(os.environ.get("INEQLAB_JOBS", "1"))
     if jobs > 1 and len(scenarios) > 1:
+        # imported here: the process pool pulls in multiprocessing, socket
+        # and subprocess, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(verify.run_scenario_jsonable, scenarios))
     else:

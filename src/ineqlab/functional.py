@@ -24,9 +24,11 @@ every row carries its own shift tau, the solve divides by w + tau in the
 cached eigenbasis of A, and after each accepted round tau moves to its
 closed-form best value for the row's new point.  At tau = 0 with no tau
 step this is the Sobolev path, bit for bit.  The cold cross-check of the
-interpolation constant (``_interp_direct``) instead runs a Euclidean
-Barzilai-Borwein descent (``_bb_descent``), so that it shares no
-minimizer with the route it checks.
+interpolation constant (``_interp_direct``) instead minimizes the
+interpolated quotient directly by Barzilai-Borwein steps along the
+A^{-1}-preconditioned gradient (``_bb_descent``), from its own starts and
+with no shift tau, so that it shares no minimizer with the route it
+checks.
 """
 
 from __future__ import annotations
@@ -96,19 +98,51 @@ def _value_grad(U: np.ndarray, T, q: float, tau=0.0):
     return t, G
 
 
-def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
-    """Barzilai-Borwein descent with an Armijo backtracking safeguard on the
-    manifold ||u||_q = 1, run on every row of the k x n block U0 at once;
-    ``vg(U)`` returns the objective of each row (shape k) and the gradients
-    (k x n).
+def _interp_value_grad(U: np.ndarray, T, q: float, theta: float):
+    # per row: J(u) = t[u]^theta ||u||^(2(1-theta)), the gradient of
+    # J(u)/||u||_q^2 on the manifold ||u||_q = 1, and t[u]
+    m = T.measure
+    AU = T.form_product(U)
+    t = _rowdot(U, AU)[:, None]
+    n2 = np.sum(m * U * U, axis=1)[:, None]
+    J = t**theta * n2 ** (1.0 - theta)
+    G = J * (2.0 * theta * AU / t + 2.0 * (1.0 - theta) * m * U / n2
+             - 2.0 * m * np.abs(U) ** (q - 1.0) * np.sign(U))
+    return J[:, 0], G, t[:, 0]
+
+
+def _solve_rows(T, G: np.ndarray) -> np.ndarray:
+    """A^{-1} g for every row g of G, from the cached eigenbasis of T.
+
+    Each row takes its own matrix-vector products (a stacked matmul, as
+    the dense route of ``form_product``), so a row's result never depends
+    on the rows beside it.
+    """
+    w, Q = T.eigensystem()
+    rs = 1.0 / np.sqrt(T.measure)
+    X = np.matmul((rs * G)[:, None, :], Q)[:, 0, :] / w
+    return rs * np.matmul(X[:, None, :], Q.T)[:, 0, :]
+
+
+def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
+    """Barzilai-Borwein descent preconditioned by A^{-1}, with an Armijo
+    backtracking safeguard, of J(u)/||u||_q^2 on the manifold ||u||_q = 1
+    (``_interp_value_grad``), run on every row of the k x n block U0 at once.
 
     Returns (best values, their points, iterations), one entry per row.
     """
-    # A row exits on a small gradient or when relative value improvements
-    # stall, since the quotient Hessian is too ill-conditioned for gradient
-    # descent to reach tight first-order tolerances directly; it also exits
-    # at the numerical floor of its line search (60 halvings) or after
-    # max_iter iterations.
+    # Each row steps along D = A^{-1} G, the gradient in the metric of the
+    # form (the "Sobolev gradient").  In that metric the Hessian of the
+    # quotient no longer carries the condition number lambda_max/lambda_min
+    # of A, so a row settles in tens of iterations, not thousands.  The
+    # Armijo test reads G . D and the BB step (s . y)/(y . A^{-1} y) is
+    # taken in the same metric.  The first trial step t[u]/(2 theta J(u))
+    # makes the first trial the inverse-power step of the start.  Values
+    # only ever come from the form: the preconditioner picks directions.
+    #
+    # A row exits on a small gradient, when relative value improvements
+    # stall, at the rounding floor (60 trials in a row, accepted or not,
+    # that do not lower its value) or after max_iter iterations.
     #
     # Each round evaluates one trial point of every live row.  A row whose
     # trial passes the Armijo test moves there and proposes its next BB
@@ -116,48 +150,55 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
     # next round.  So the rows need not be in the same iteration, every row
     # takes exactly the steps and evaluations it would take alone, and a
     # row that exits leaves the block.
+    m = T.measure
     k = U0.shape[0]
     U = U0 / _norm_q(U0, m, q)[:, None]
-    t, G = vg(U)
+    t, G, tf = _interp_value_grad(U, T, q, theta)
     best_t, best_U = t.copy(), U.copy()
     iters = np.zeros(k, dtype=np.int64)
     if max_iter < 1:
         return best_t, best_U, iters
+    D = _solve_rows(T, G)
     live = np.arange(k)             # row of U0 held by each live row
     it = np.zeros(k, dtype=np.int64)
     last_improve = np.zeros(k, dtype=np.int64)
-    halvings = np.zeros(k, dtype=np.int64)
-    step = np.full(k, step0)        # BB step of the current iteration
+    flat = np.zeros(k, dtype=np.int64)
+    step0 = tf / (2.0 * theta * t)
+    step = step0.copy()             # BB step of the current iteration
     st = step.copy()                # step of the current trial
-    prev_U, prev_G = U.copy(), G.copy()
-    gn2 = _rowdot(G, G)
-    done = np.sqrt(gn2) <= tol * np.maximum(1.0, np.abs(t))
+    prev_U, prev_G, prev_D = U.copy(), G.copy(), D.copy()
+    gd = _rowdot(G, D)
+    done = np.sqrt(_rowdot(G, G)) <= tol * np.maximum(1.0, np.abs(t))
     iters[done] = 1
     while True:
         if done.any():
             keep = ~done
-            live, U, t, G, gn2, prev_U, prev_G, step, st, it, last_improve, halvings = (
-                x[keep] for x in (live, U, t, G, gn2, prev_U, prev_G, step, st, it,
-                                  last_improve, halvings))
+            (live, U, t, G, D, gd, prev_U, prev_G, prev_D, step0, step, st, it,
+             last_improve, flat) = (
+                x[keep] for x in (live, U, t, G, D, gd, prev_U, prev_G, prev_D, step0,
+                                  step, st, it, last_improve, flat))
         if not live.size:
             break
-        Un = U - st[:, None] * G
+        Un = U - st[:, None] * D
         nq = _norm_q(Un, m, q)
         ok = nq > 0.0
         if ok.all():
             Un /= nq[:, None]
-            tn, Gn = vg(Un)
+            tn, Gn, _ = _interp_value_grad(Un, T, q, theta)
         else:                       # a zero trial point is not evaluated
             tn, Gn = np.full(live.size, np.nan), np.zeros_like(G)
             Un[ok] /= nq[ok, None]
-            tn[ok], Gn[ok] = vg(Un[ok])
-        acc = tn <= t - 1e-4 * st * gn2
-        halvings = np.where(acc, 0, halvings + 1)
+            tn[ok], Gn[ok], _ = _interp_value_grad(Un[ok], T, q, theta)
+        acc = tn <= t - 1e-4 * st * gd
+        flat = np.where(tn < t, 0, flat + 1)
         moved = acc[:, None]
         np.copyto(prev_U, U, where=moved)
         np.copyto(prev_G, G, where=moved)
+        np.copyto(prev_D, D, where=moved)
         np.copyto(U, Un, where=moved)
         np.copyto(G, Gn, where=moved)
+        if acc.any():
+            D[acc] = _solve_rows(T, G[acc])
         t = np.where(acc, tn, t)
         bt = best_t[live]
         better = t < bt
@@ -167,19 +208,22 @@ def _bb_descent(vg, U0, m, q, *, step0, max_iter, tol, stall_window):
         best_U[live[better]] = U[better]
         stall = acc & (it - last_improve > stall_window)
         it += acc
-        gn2 = _rowdot(G, G)
+        gd = _rowdot(G, D)
         cap = acc & (it >= max_iter)
-        conv = acc & (np.sqrt(gn2) <= tol * np.maximum(1.0, np.abs(t)))
-        done = (halvings >= 60) | stall | cap | conv
+        conv = acc & (np.sqrt(_rowdot(G, G)) <= tol * np.maximum(1.0, np.abs(t)))
+        done = (flat >= 60) | stall | cap | conv
         # a row's count includes the iteration it exits in: a stall or
-        # max_iter exits in the iteration just taken, the line-search floor
-        # and a small gradient in the one after it
+        # max_iter exits in the iteration just taken, the rounding floor
+        # after a failed trial in the current one, and the rounding floor
+        # after an accepted trial and a small gradient in the one after it
         iters[live[done]] = (it + 1 - (stall | cap))[done]
         dU = U - prev_U
         dG = G - prev_G
-        denom = _rowdot(dU, dG)
-        bb = _rowdot(dU, dU) / np.where(denom > 0.0, denom, 1.0)
-        step = np.where(acc, np.where(denom > 0.0,
+        sy = _rowdot(dU, dG)
+        yd = _rowdot(dG, D - prev_D)
+        pos = (sy > 0.0) & (yd > 0.0)
+        bb = sy / np.where(pos, yd, 1.0)
+        step = np.where(acc, np.where(pos,
                                       np.minimum(np.maximum(bb, 1e-12 * step0), 1e12 * step0),
                                       np.minimum(step * 2.0, 1e12 * step0)),
                         step)
@@ -362,28 +406,18 @@ class InterpConstant:
 
 
 def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
-    """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2.
+    """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2
+    by the descent preconditioned by A^{-1} (``_bb_descent``).
 
-    It starts cold from its own seeded block, never from a minimizer of the
-    tau step, so that it stays an independent cross-check of that route.
+    It starts cold from its own seeded block, never from a minimizer or a
+    shift of the tau route, so that it stays an independent cross-check of
+    that route: the preconditioner only picks its directions, and every
+    value it compares comes from the form.
     """
-    m, n = T.measure, T.n
-    w = T.eigenvalues()
-    step0 = 1.0 / max(float(w[-1]), 1e-300)
-
-    def vg(U):
-        AU = T.form_product(U)
-        t = _rowdot(U, AU)[:, None]
-        n2 = np.sum(m * U * U, axis=1)[:, None]
-        J = t**theta * n2 ** (1.0 - theta)
-        G = J * (2.0 * theta * AU / t + 2.0 * (1.0 - theta) * m * U / n2
-                 - 2.0 * m * np.abs(U) ** (q - 1.0) * np.sign(U))
-        return J[:, 0], G
-
-    U0 = np.array([np.random.default_rng(seed + 7000 + k).standard_normal(n)
-                   for k in range(restarts)]).reshape(restarts, n)
-    J, _, _ = _bb_descent(vg, U0, m, q, step0=step0, max_iter=max_iter,
-                          tol=1e-8, stall_window=150)
+    U0 = np.array([np.random.default_rng(seed + 7000 + k).standard_normal(T.n)
+                   for k in range(restarts)]).reshape(restarts, T.n)
+    J, _, _ = _bb_descent(T, q, theta, U0, max_iter=max_iter, tol=1e-8,
+                          stall_window=150)
     return float(np.min(J, initial=np.inf))
 
 

@@ -383,7 +383,9 @@ def verify_gsr_identity(bundle, *, scenario_id: str = "", n_samples: int = 100,
 # returns a normalized copy: every default filled in, every value checked
 # and cast, every unknown key rejected with its field path.  The runners
 # read only that copy.  A JSON null stands for the default, so a
-# normalized copy validates to itself.
+# normalized copy validates to itself.  Fields that nothing reads (the
+# random-draw fields beside explicit potential values) are rejected when
+# given and stay null.
 
 _REQUIRED = object()   # default of a field that has none
 
@@ -482,12 +484,19 @@ def _n_sites(lat: dict) -> int:
     return math.prod(lat["extents"]) - len(lat["exclusions"])
 
 
-def _site_values(x, where: str, lat: dict):
-    """Explicit potential values, one finite number >= 0 per site, or None."""
+def _potential_values(pot: dict, where: str, lat: dict, draw_keys):
+    """The explicit values of a raw potential block, one finite number >= 0
+    per site, or None.  Given values leave the random-draw fields
+    ``draw_keys`` unread, so each of those must then be absent or null."""
     n = _n_sites(lat)
-    return _numbers(x, where, lambda v: v >= 0,
-                    f"must be a list of {n} finite numbers >= 0, one per site",
-                    None, length=n)
+    values = _numbers(pot.get("values"), f"{where}.values", lambda v: v >= 0,
+                      f"must be a list of {n} finite numbers >= 0, one per site",
+                      None, length=n)
+    if values is not None:
+        for k in draw_keys:
+            _expect(pot.get(k) is None, f"{where}.{k}",
+                    "is never read beside explicit potential values; remove it")
+    return values
 
 
 def _parse_operator(x, lat: dict, where: str) -> dict:
@@ -617,12 +626,15 @@ def validate_scenario(sc: dict) -> dict:
 
     pw = f"{where}.potential"
     pot = _block(sc.get("potential"), pw, ("values", "seed", "sigmas", "draws", "adversarial"))
+    pot_values = _potential_values(pot, pw, lat, ("seed", "sigmas", "draws"))
+    # the draw fields that explicit values leave unread get no defaults
+    explicit = pot_values is not None
     potential = {
-        "values": _site_values(pot.get("values"), f"{pw}.values", lat),
+        "values": pot_values,
         "seed": _integer(pot.get("seed"), f"{pw}.seed", 0, None),
         "sigmas": _numbers(pot.get("sigmas"), f"{pw}.sigmas", lambda s: s > 0, _POSITIVE,
-                           [0.1, 1.0, 10.0]),
-        "draws": _integer(pot.get("draws"), f"{pw}.draws", 1, 2),
+                           None if explicit else [0.1, 1.0, 10.0]),
+        "draws": _integer(pot.get("draws"), f"{pw}.draws", 1, None if explicit else 2),
         "adversarial": _numbers(pot.get("adversarial"), f"{pw}.adversarial",
                                 lambda c: c > 0, _POSITIVE, None)}
     if (any(nd.per_draw for nd in needs) and potential["values"] is None
@@ -694,15 +706,18 @@ def validate_sweep(config: dict) -> dict:
     if axis == "flux":
         _expect(lat["d"] == 2, f"{where}.lattice.d", "a flux sweep needs a d = 2 lattice")
     pot = _block(inst.get("potential"), f"{where}.potential", ("values", "seed", "sigma"))
+    pot_values = _potential_values(pot, f"{where}.potential", lat, ("seed", "sigma"))
+    explicit = pot_values is not None
     prof = _block(inst.get("profile"), f"{where}.profile", ("kind", "a"))
     instance = {
         "lattice": lat,
         "operator": _parse_operator(inst.get("operator"), lat, f"{where}.operator"),
         "potential": {
-            "values": _site_values(pot.get("values"), f"{where}.potential.values", lat),
-            "seed": _integer(pot.get("seed"), f"{where}.potential.seed", 0, 0),
+            "values": pot_values,
+            "seed": _integer(pot.get("seed"), f"{where}.potential.seed", 0,
+                             None if explicit else 0),
             "sigma": _number(pot.get("sigma"), f"{where}.potential.sigma", lambda s: s > 0,
-                             "must be > 0", 1.0)},
+                             "must be > 0", None if explicit else 1.0)},
         "profile": {
             "kind": _field(prof.get("kind"), f"{where}.profile.kind",
                            lambda v: v == "hinge", "must be 'hinge'", "hinge"),

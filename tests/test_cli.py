@@ -228,6 +228,10 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"heat_nash": {"grid_points": 0}}, "heat_nash.grid_points"),
             ({"potential": {"seed": 5, "adversarial": ["a"]}}, "potential.adversarial"),
             ({"potential": {"seed": 5, "adversarial": [-1]}}, "potential.adversarial"),
+            # random-draw fields that explicit values leave unread
+            ({"potential": {"values": [1.0] * 8, "seed": 5}}, "potential.seed"),
+            ({"potential": {"values": [1.0] * 8, "sigmas": [1.0]}}, "potential.sigmas"),
+            ({"potential": {"values": [1.0] * 8, "draws": 1}}, "potential.draws"),
             # kinds that do not exist and keys that are not in the schema
             ({"lattice": {"d": 1, "extents": [8], "bc": "periodic"}, "checks": [],
               "operator": {"family": "periodic", "W": {"kind": "sine"}}}, "operator.W.kind"),
@@ -430,6 +434,12 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"kind": "box"}),
      "sweep.instance.profile.kind"),
     ("tau", [1.0], dict(SWEEP_INSTANCE, checks=["CLR"]), "sweep.instance.checks"),
+    # random-draw fields that explicit values leave unread
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, potential=dict(SWEEP_INSTANCE["potential"], seed=0)),
+     "sweep.instance.potential.seed"),
+    ("coupling", [1.0],
+     dict(SWEEP_INSTANCE, potential=dict(SWEEP_INSTANCE["potential"], sigma=1.0)),
+     "sweep.instance.potential.sigma"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)
@@ -689,6 +699,22 @@ def test_golden_residual_rows_sit_under_floor():
         assert RESIDUAL_FLOOR <= float(r[4]) / 400
 
 
+def _modules_after_cli_import(*prefixes):
+    # the loaded modules named by prefixes after a fresh `import ineqlab.cli`
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ineqlab.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """The package needs numpy alone; scipy stays a test-only oracle.
 
@@ -699,15 +725,10 @@ def test_cli_import_leaves_scipy_unloaded():
     suite scenarios from 101.0 to 118.5 MB, where the numpy row list
     lowered it to 93.9 MB.  Every run of the CLI would pay that cost.
     """
-    import subprocess
-    import sys
-    from pathlib import Path
+    assert _modules_after_cli_import("scipy") == "[]"
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, ineqlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `verify --jobs N` with N > 1 runs a process pool; importing it
+    # at module load pulls in multiprocessing, socket and subprocess
+    assert _modules_after_cli_import("concurrent.futures.process", "multiprocessing") == "[]"

@@ -145,89 +145,108 @@ def test_bb_descent_rows_are_independent(extents):
     # every row of a block takes the steps it would take alone
     T = build_laplacian(make_lattice(d=1, extents=extents))
     assert (T._rows is not None) == (extents == 256)
-    q = 6.0
+    q, theta = 6.0, 0.6
     U0 = _starts(T.n)
-    kw = dict(step0=1.0 / T.eigenvalues()[-1], max_iter=50_000, tol=1e-6,
-              stall_window=50)
-
-    def vg(U):
-        return functional._value_grad(U, T, q)
-
-    best, points, iters = functional._bb_descent(vg, U0, T.measure, q, **kw)
+    kw = dict(max_iter=50_000, tol=1e-6, stall_window=50)
+    best, points, iters = functional._bb_descent(T, q, theta, U0, **kw)
     assert best.shape == iters.shape == (17,) and points.shape == U0.shape
     assert np.all(iters >= 1)
     for r in range(17):
-        b1, _, i1 = functional._bb_descent(vg, U0[r:r + 1], T.measure, q, **kw)
+        b1, _, i1 = functional._bb_descent(T, q, theta, U0[r:r + 1], **kw)
         assert b1[0] == pytest.approx(best[r], rel=1e-12), r
         assert i1[0] == iters[r], r
 
 
-def _vector_descent(vg, u0, m, q, *, step0, max_iter, tol, stall_window):
-    # reference: the BB/Armijo loop over one start, one vector at a time
+def _vector_descent(T, q, theta, u0, *, max_iter, tol, stall_window):
+    # reference: the preconditioned BB/Armijo loop over one start, one
+    # vector at a time; also returns the exit it took
+    m = T.measure
+
     def norm_q(u):
         return float(functional._norm_q(u[None], m, q)[0])
 
+    def vg(u):
+        J, G, t = functional._interp_value_grad(u[None], T, q, theta)
+        return float(J[0]), G[0], float(t[0])
+
+    def precond(g):
+        return functional._solve_rows(T, g[None])[0]
+
     u = u0 / norm_q(u0)
-    t, g = vg(u)
+    t, g, tf = vg(u)
     best_t, best_u = t, u.copy()
-    prev_u = prev_g = None
-    step, last_improve, iters = step0, 0, 0
+    d = precond(g)
+    step = step0 = tf / (2.0 * theta * t)
+    prev_u = prev_g = prev_d = None
+    last_improve, iters, flat, exit = 0, 0, 0, "max_iter"
     for it in range(max_iter):
         iters = it + 1
-        gn2 = float(g @ g)
-        if math.sqrt(gn2) <= tol * max(1.0, abs(t)):
+        if math.sqrt(float(g @ g)) <= tol * max(1.0, abs(t)):
+            exit = "gradient"
+            break
+        if flat >= 60:
+            exit = "floor"
             break
         if prev_u is not None:
             du, dg = u - prev_u, g - prev_g
-            denom = float(du @ dg)
-            if denom > 0.0:
-                step = min(max(float(du @ du) / denom, 1e-12 * step0), 1e12 * step0)
+            sy, yd = float(du @ dg), float(dg @ (d - prev_d))
+            if sy > 0.0 and yd > 0.0:
+                step = min(max(sy / yd, 1e-12 * step0), 1e12 * step0)
             else:
                 step = min(step * 2.0, 1e12 * step0)
+        gd = float(g @ d)
         st, accepted = step, False
-        for _ in range(60):
-            un = u - st * g
+        # every trial that does not lower the value counts toward the
+        # rounding floor, an accepted one included
+        while flat < 60:
+            un = u - st * d
             nq = norm_q(un)
+            flat += 1
             if nq > 0.0:
                 un = un / nq
-                tn, gn = vg(un)
-                if tn <= t - 1e-4 * st * gn2:
+                tn, gn, _ = vg(un)
+                if tn < t:
+                    flat = 0
+                if tn <= t - 1e-4 * st * gd:
                     accepted = True
                     break
             st *= 0.5
         if not accepted:
+            exit = "floor"
             break
-        prev_u, prev_g = u, g
+        prev_u, prev_g, prev_d = u, g, d
         u, t, g = un, tn, gn
+        d = precond(g)
         if t < best_t:
             if t < best_t * (1.0 - 1e-3):
                 last_improve = it
             best_t, best_u = t, u.copy()
         if it - last_improve > stall_window:
+            exit = "stall"
             break
-    return best_t, best_u, iters
+    return best_t, best_u, iters, exit
 
 
-@pytest.mark.parametrize("max_iter, stall_window", [(50_000, 50), (37, 50), (50_000, 5)])
-def test_bb_descent_matches_vector_loop(max_iter, stall_window):
+@pytest.mark.parametrize("max_iter, stall_window, tol, exits", [
+    pytest.param(50_000, 50, 1e-6, {"gradient"}, id="50000-50"),
+    pytest.param(37, 50, 0.0, {"floor", "max_iter"}, id="37-50"),
+    pytest.param(50_000, 5, 1e-6, {"stall"}, id="50000-5"),
+])
+def test_bb_descent_matches_vector_loop(max_iter, stall_window, tol, exits):
     # same arithmetic, so every row equals the reference exactly, whichever
-    # exit it takes (gradient, stall, max_iter)
+    # exit it takes (gradient, rounding floor, max_iter, stall)
     T = build_laplacian(make_lattice(d=2, extents=(6, 6)))
-    q = 4.0
+    q, theta = 4.0, 0.5
     U0 = _starts(T.n)
-    kw = dict(step0=1.0 / T.eigenvalues()[-1], max_iter=max_iter, tol=1e-6,
-              stall_window=stall_window)
-    best, points, iters = functional._bb_descent(
-        lambda U: functional._value_grad(U, T, q), U0, T.measure, q, **kw)
-
-    def vg(u):
-        t, G = functional._value_grad(u[None], T, q)
-        return float(t[0]), G[0]
-
+    kw = dict(max_iter=max_iter, tol=tol, stall_window=stall_window)
+    best, points, iters = functional._bb_descent(T, q, theta, U0, **kw)
+    seen = set()
     for r in range(17):
-        t1, u1, i1 = _vector_descent(vg, U0[r], T.measure, q, **kw)
+        t1, u1, i1, exit = _vector_descent(T, q, theta, U0[r], **kw)
         assert (t1, i1) == (best[r], iters[r]), r
         assert np.array_equal(u1, points[r]), r
+        seen.add(exit)
+    assert seen == exits
 
 
 def test_polish_guard_reverts_only_the_rising_row():
@@ -460,6 +479,25 @@ def test_interp_joint_route_cuts_form_products(monkeypatch, lat, gamma, kappa,
     ic = sobolev_interp_constant(T, e.q, e.theta)
     assert ic.rel_gap <= 1e-6
     assert 1 <= len(calls) <= parent_products * 2 // 5
+
+
+@pytest.mark.parametrize("lat, gamma, kappa, parent_products",
+                         [(*case, n) for case, n in zip(INTERP_CASES, [608, 265])]
+                         + [(dict(d=1, extents=200), 1.0, 1.5, 2831)])
+def test_interp_direct_cuts_form_products(monkeypatch, lat, gamma, kappa, parent_products):
+    # parent_products is what the cold cross-check took when it descended
+    # along the Euclidean gradient with a first step of 1/lambda_max; on the
+    # 200-site Dirichlet path that descent also stalled 9.3e-7 above the
+    # tau route
+    T = build_laplacian(make_lattice(**lat))
+    T.eigensystem()
+    e = exponents_from_gamma_kappa(gamma, kappa)
+    calls = _counting_products(monkeypatch)
+    direct = functional._interp_direct(T, e.q, e.theta)
+    assert 1 <= len(calls) <= parent_products // 4
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    assert ic.direct_value == direct
+    assert ic.rel_gap <= 1e-12
 
 
 def test_interp_joint_value_non_increasing_in_round_cap():

@@ -168,6 +168,41 @@ def test_stacked_count_equals_single_and_dense_counts(family, size, seed, n_rand
         assert (got.tie is not None) == (v is tie)
 
 
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(route=st.sampled_from(["inertia", "dense"]), size=st.integers(32, 46),
+       seed=st.integers(0, 2**16), kind=st.sampled_from(["random", "tie"]),
+       quarters=st.lists(st.integers(0, 16), min_size=1, max_size=6),
+       tau=st.sampled_from([0.0, 0.25, 1.0]))
+def test_count_monotone_in_coupling_and_threshold(route, size, seed, kind, quarters, tau):
+    """N(-tau, T - cV) never falls as c >= 0 grows, for V >= 0, and never
+    rises as tau grows.  The couplings always include c = 1, where the "tie"
+    potential puts an eigenvalue of T - V at -tau up to rounding, and the
+    thresholds include the negative of an eigenvalue of T - V."""
+    if route == "inertia":      # banded, 7 to 10 inertia blocks
+        T = _stack_form("2d" if size % 2 else "1d", size)
+    else:
+        T = fractional_laplacian(make_lattice(d=1, extents=size), 0.5)
+    rng = np.random.default_rng(seed)
+    if kind == "tie":
+        V = np.full(T.n, float(T.eigenvalues()[T.n // 5]) + tau)
+    else:
+        V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    cs = sorted({0.0, 1.0, *(k / 4.0 for k in quarters)})
+    Vs = np.array(cs)[:, None] * V
+    assert (spectra._inertia_count(T, Vs, tau) is None) == (route == "dense")
+    counts = count_below(T, Vs, tau)
+    assert [c.n for c in counts] == sorted(c.n for c in counts), cs
+    if kind == "tie":
+        assert counts[cs.index(1.0)].tie is not None
+
+    eigs = schrodinger_eigenvalues(T, V)
+    ties = [-float(e) for e in eigs[eigs < 0.0][:3]]
+    taus = sorted({0.0, 0.25, 1.0, tau, *ties})
+    by_tau = [count_below(T, V, t) for t in taus]
+    assert [c.n for c in by_tau] == sorted((c.n for c in by_tau), reverse=True), taus
+    assert all(by_tau[taus.index(t)].tie is not None for t in ties)
+
+
 def test_stacked_count_rejects_a_shared_spectrum():
     T = build_laplacian(make_lattice(d=1, extents=20))
     V = np.ones((2, T.n))

@@ -21,7 +21,7 @@ from ineqlab import (beurling_deny_check, build_laplacian,
 from ineqlab.cli import _load_config
 from ineqlab.operators import KineticOperator
 from ineqlab.verify import (ConfigError, run_scenario_jsonable,
-                            validate_scenario)
+                            validate_scenario, validate_sweep)
 
 
 def path_op(n=16, **kw):
@@ -373,6 +373,23 @@ def test_validate_scenario_fills_every_default():
     on = validate_scenario(dict(sc, heat_nash=True, exponents={"kappa": 2}))
     assert on["heat_nash"] == {"grid_points": 60, "nash_samples": 10_000}
     assert on["exponents"]["kappa"] == 2.0 and isinstance(on["exponents"]["kappa"], float)
+
+
+def test_validate_explicit_values_leave_draw_fields_null():
+    # nothing reads the random-draw fields beside explicit values, so they
+    # get no defaults, nulls pass, and the normalized copies still validate
+    # to themselves
+    values = [0.5, 1.0, 2.0, 0.0]
+    sc = validate_scenario({"id": "vals", "lattice": {"d": 1, "extents": [4]},
+                            "potential": {"values": values, "seed": None, "draws": None}})
+    assert sc["potential"] == {"values": values, "seed": None, "sigmas": None,
+                               "draws": None, "adversarial": None}
+    assert validate_scenario(copy.deepcopy(sc)) == sc
+    sweep = validate_sweep({"schema": 1, "sweep": {
+        "axis": "coupling", "values": [1.0],
+        "instance": {"lattice": {"d": 1, "extents": [4]}, "potential": {"values": values}}}})
+    assert sweep["instance"]["potential"] == {"values": values, "seed": None, "sigma": None}
+    assert validate_sweep({"schema": 1, "sweep": copy.deepcopy(sweep)}) == sweep
 
 
 def test_validate_config_rejects_bad_schema_and_duplicates():
