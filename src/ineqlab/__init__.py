@@ -9,8 +9,7 @@ bounds, and the algebraic identities that drive the proofs.
 """
 
 from .lattice import (ExponentSet, LatticeSpace, exponents_from_gamma_kappa,
-                      exponents_from_q_theta, inner, integral, lp_norm,
-                      make_lattice)
+                      exponents_from_q_theta, integral, lp_norm, make_lattice)
 from .operators import (KineticOperator, beurling_deny_check,
                         build_hardy_operator, build_laplacian,
                         build_magnetic_laplacian, build_periodic_schrodinger,

@@ -5,7 +5,7 @@ transforms, semigroup bounds, beta-function factors) must not depend on
 an external library silently changing values, so everything here is
 self-contained double-precision code:
 
-* ``lgamma``/``gamma_fn`` -- Lanczos approximation (g = 7, 9 terms),
+* ``lgamma`` -- Lanczos approximation (g = 7, 9 terms),
   argument recurrence below 0.5.  Relative accuracy ~1e-14 for the
   positive real arguments used in this package.
 * ``exp_integral_e1`` -- power series for x < 1, modified-Lentz
@@ -54,11 +54,6 @@ def lgamma(x: float) -> float:
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    return math.exp(lgamma(x))
 
 
 def beta_fn(a: float, b: float) -> float:

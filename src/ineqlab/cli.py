@@ -95,9 +95,12 @@ def _parse_floats(text: str, n: int, flag: str) -> list:
     if len(parts) != n:
         raise verify.ConfigError(f"{flag} expects {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise verify.ConfigError(f"{flag}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise verify.ConfigError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def cmd_constants(args) -> int:
@@ -155,6 +158,21 @@ def _csv_rows(results: list) -> list:
     return rows
 
 
+def _jobs(args) -> int:
+    """The requested worker count: --jobs, else $INEQLAB_JOBS, else 1."""
+    if args.jobs is not None:
+        name, text = "--jobs", str(args.jobs)
+    else:
+        name, text = "INEQLAB_JOBS", os.environ.get("INEQLAB_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise verify.ConfigError(f"{name}: must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def cmd_verify(args) -> int:
     scenarios = verify.validate_config(_load_config(args.config))["scenarios"]
     if args.seed is not None:
@@ -163,15 +181,13 @@ def cmd_verify(args) -> int:
         for sc in scenarios:
             if sc["potential"]["seed"] is not None:
                 sc["potential"]["seed"] = args.seed
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("INEQLAB_JOBS", "1"))
-    if jobs > 1 and len(scenarios) > 1:
+    workers = min(_jobs(args), len(scenarios))
+    if workers > 1:
         # imported here: the process pool pulls in multiprocessing, socket
         # and subprocess, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(verify.run_scenario_jsonable, scenarios))
     else:
         results = [verify.run_scenario_jsonable(sc) for sc in scenarios]
@@ -286,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="config path or bundled name (paper-suite)")
     pv.add_argument("--out", metavar="DIR", help="output directory (default .)")
     pv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default $INEQLAB_JOBS or 1)")
+                    help="worker processes, at most one per scenario "
+                         "(default $INEQLAB_JOBS or 1)")
     pv.add_argument("--seed", type=int, default=None,
                     help="override every scenario's potential seed")
     pv.set_defaults(func=cmd_verify)

@@ -111,19 +111,6 @@ def _interp_value_grad(U: np.ndarray, T, q: float, theta: float):
     return J[:, 0], G, t[:, 0]
 
 
-def _solve_rows(T, G: np.ndarray) -> np.ndarray:
-    """A^{-1} g for every row g of G, from the cached eigenbasis of T.
-
-    Each row takes its own matrix-vector products (a stacked matmul, as
-    the dense route of ``form_product``), so a row's result never depends
-    on the rows beside it.
-    """
-    w, Q = T.eigensystem()
-    rs = 1.0 / np.sqrt(T.measure)
-    X = np.matmul((rs * G)[:, None, :], Q)[:, 0, :] / w
-    return rs * np.matmul(X[:, None, :], Q.T)[:, 0, :]
-
-
 def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
     """Barzilai-Borwein descent preconditioned by A^{-1}, with an Armijo
     backtracking safeguard, of J(u)/||u||_q^2 on the manifold ||u||_q = 1
@@ -158,7 +145,7 @@ def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
     iters = np.zeros(k, dtype=np.int64)
     if max_iter < 1:
         return best_t, best_U, iters
-    D = _solve_rows(T, G)
+    D = T.solve(G[:, None, :])[:, 0, :]
     live = np.arange(k)             # row of U0 held by each live row
     it = np.zeros(k, dtype=np.int64)
     last_improve = np.zeros(k, dtype=np.int64)
@@ -198,7 +185,7 @@ def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
         np.copyto(U, Un, where=moved)
         np.copyto(G, Gn, where=moved)
         if acc.any():
-            D[acc] = _solve_rows(T, G[acc])
+            D[acc] = T.solve(G[acc][:, None, :])[:, 0, :]
         t = np.where(acc, tn, t)
         bt = best_t[live]
         better = t < bt
@@ -234,8 +221,8 @@ def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
 def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
     """Fixed-point iteration u <- normalize((A + tau M)^{-1}(m |u|^(q-1) sgn u))
     on every row u of the k x n block U, for a positive definite T and a
-    shift tau >= 0, one for all rows or one per row.  The solve reads the
-    cached eigenbasis of T and divides by w + tau.
+    shift tau >= 0, one for all rows or one per row, solved by ``T.solve``
+    at each row's shift.
 
     Value-guarded per row: a row whose update would increase its quotient
     t[u] + tau ||u||^2 keeps its last point and stops, so a polished row is
@@ -249,14 +236,12 @@ def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
     one per row; a row's rounds count every solve it took, the rejected
     last one included.
     """
-    w, Q = T.eigensystem()
     m = T.measure
     U = np.array(U, dtype=np.float64)
     tau = np.full(U.shape[0], tau, dtype=np.float64)
     t, G = _value_grad(U, T, q, tau)
     res = np.sqrt(_rowdot(G, G))
     rounds = np.zeros(U.shape[0], dtype=np.int64)
-    rs = 1.0 / np.sqrt(m)
     live = np.flatnonzero(res > 1e-10 * np.maximum(1.0, np.abs(t)))
     for _ in range(max_iter):
         if not live.size:
@@ -264,8 +249,7 @@ def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
         rounds[live] += 1
         Ul, tl, sl = U[live], t[live], tau[live]
         B = m * np.abs(Ul) ** (q - 1.0) * np.sign(Ul)
-        # the eigenbasis solve of all rows, each at its own shift
-        X = rs * ((((rs * B) @ Q) / (w + sl[:, None])) @ Q.T)
+        X = T.solve(B, sl[:, None])     # all rows, each at its own shift
         nq = _norm_q(X, m, q)
         # a row stops when its update vanishes or would raise its value
         ok = nq > 0.0
@@ -414,8 +398,7 @@ def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
     that route: the preconditioner only picks its directions, and every
     value it compares comes from the form.
     """
-    U0 = np.array([np.random.default_rng(seed + 7000 + k).standard_normal(T.n)
-                   for k in range(restarts)]).reshape(restarts, T.n)
+    U0 = _seeded_starts(T.n, restarts, seed + 7000)[:-1]
     J, _, _ = _bb_descent(T, q, theta, U0, max_iter=max_iter, tol=1e-8,
                           stall_window=150)
     return float(np.min(J, initial=np.inf))
@@ -628,7 +611,8 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
     [1e-4, 30] and is extended geometrically past an end that holds the
     minimum until the minimum is interior.  Where the objective overflows
     (a^(1-kappa) near a = 0 at large kappa) the search reads it as +inf;
-    only a minimum that is not a finite positive double raises ValueError.
+    a minimum that is not a finite positive double, or a starting grid
+    with no finite value, raises ValueError.
     """
     if not kappa > 1.0:
         raise ValueError(f"requires kappa > 1, got {kappa}")
@@ -641,8 +625,16 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
         except ArithmeticError:     # overflow, or a nonpositive denominator
             return math.inf
 
+    def out_of_range(value):
+        return ValueError(f"the Lieb bound for kappa = {kappa} lies outside the "
+                          f"double range (computed {value})")
+
     grid = [float(a) for a in np.geomspace(1e-4, 30.0, 160)]
     vals = [f(a) for a in grid]
+    if not any(map(math.isfinite, vals)):
+        # K so large that the objective overflows everywhere: the bracket
+        # would only ever grow toward a = 0
+        raise out_of_range(min(vals))
     ratio = grid[1] / grid[0]
     i = int(np.argmin(vals))
     while i in (0, len(grid) - 1):
@@ -660,8 +652,7 @@ def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
     a_star, _ = _golden_log(f, a_lo, a_hi, iterations=40)
     value = f(a_star)
     if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"the Lieb bound for kappa = {kappa} lies outside the "
-                         f"double range (computed {value})")
+        raise out_of_range(value)
     return LiebBound(value=value, a_star=a_star, unimodal=unimodal)
 
 

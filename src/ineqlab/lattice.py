@@ -200,13 +200,6 @@ def integral(V, p, space: LatticeSpace, *, measure=None) -> float:
     return float(np.sum(m * V**p))
 
 
-def inner(u, v, space: LatticeSpace, *, measure=None):
-    """Measure inner product sum_x m_x conj(u_x) v_x."""
-    m = _measure_vector(space, measure)
-    val = np.sum(m * np.conj(u) * np.asarray(v))
-    return complex(val) if np.iscomplexobj(val) else float(val)
-
-
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -224,9 +217,6 @@ class ExponentSet:
     kappa: float
     q: float
     theta: float
-    gamma_tilde: float | None = None
-    d: int | None = None
-    s: float | None = None
 
     def __post_init__(self):
         g, k, q, th = self.gamma, self.kappa, self.q, self.theta
@@ -251,13 +241,9 @@ class ExponentSet:
                 raise ValueError(
                     f"inconsistent exponent set gamma={g}, kappa={k}, q={q}, theta={th}"
                 )
-        if self.gamma_tilde is not None and not self.gamma_tilde > g:
-            raise ValueError(
-                f"gamma_tilde must exceed gamma, got {self.gamma_tilde} <= {g}"
-            )
 
 
-def exponents_from_gamma_kappa(gamma, kappa, *, gamma_tilde=None, d=None, s=None) -> ExponentSet:
+def exponents_from_gamma_kappa(gamma, kappa) -> ExponentSet:
     gamma = float(gamma)
     kappa = float(kappa)
     if gamma < 0.0:
@@ -270,10 +256,10 @@ def exponents_from_gamma_kappa(gamma, kappa, *, gamma_tilde=None, d=None, s=None
         )
     q = 2.0 * (gamma + kappa) / (gamma + kappa - 1.0)
     theta = kappa / (gamma + kappa)
-    return ExponentSet(gamma, kappa, q, theta, gamma_tilde=gamma_tilde, d=d, s=s)
+    return ExponentSet(gamma, kappa, q, theta)
 
 
-def exponents_from_q_theta(q, theta, *, gamma_tilde=None, d=None, s=None) -> ExponentSet:
+def exponents_from_q_theta(q, theta) -> ExponentSet:
     q = float(q)
     theta = float(theta)
     if not q > 2.0:
@@ -282,4 +268,4 @@ def exponents_from_q_theta(q, theta, *, gamma_tilde=None, d=None, s=None) -> Exp
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     gamma = q * (1.0 - theta) / (q - 2.0)
     kappa = q * theta / (q - 2.0)
-    return ExponentSet(gamma, kappa, q, theta, gamma_tilde=gamma_tilde, d=d, s=s)
+    return ExponentSet(gamma, kappa, q, theta)

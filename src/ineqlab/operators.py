@@ -11,30 +11,34 @@ one h^(d-2) |u_x|^2 penalty per missing neighbor slot under Dirichlet
 boundary conditions.
 
 Forms are stored dense, and every product goes through
-KineticOperator.form_product: A @ u for a vector u, or for each row u of
-a block U whose rows are the vectors (shape b x n).  A row of a block is
-computed as the vector alone would be, so it never depends on the rows
-beside it.  On first use form_product looks at the form once: when its
-fullest row holds k nonzeros with k * ROW_ROUTE_FACTOR < n, it keeps a
-padded row list (per row, the column indices and values of its nonzeros,
-padded to k slots) and applies the form through it in O(k n) work per
-vector; otherwise it multiplies densely, one matrix-vector product per
-row.  The nearest-neighbour families (Laplacian,
-magnetic, periodic, shifted and weighted forms; k <= 2d + 1) take the
-row route on large lattices; fractional and inverse-square forms are
-full and stay dense at every size.  The row list also gives the form's
-bandwidth, which the inertia count in ``spectra`` reads.
+KineticOperator.form_product: A @ u for each row u of a block U whose
+rows are the vectors (shape b x n); a vector is the one-row block.  A
+row of a block never depends on the rows beside it.  On first use
+form_product looks at the form once: when its fullest row holds k
+nonzeros with k * ROW_ROUTE_FACTOR < n, it keeps a padded row list (per
+row, the column indices and values of its nonzeros, padded to k slots)
+and applies the form through it in O(k n) work per row; otherwise it
+multiplies densely, one matrix-vector product per row.  The
+nearest-neighbour families (Laplacian, magnetic, periodic, shifted and
+weighted forms; k <= 2d + 1) take the row route on large lattices;
+fractional and inverse-square forms are full and stay dense at every
+size.  The row list also gives the form's bandwidth, which the inertia
+count in ``spectra`` reads.
+
+KineticOperator.solve applies (A + shift M)^{-1} to rows from the cached
+eigenbasis of the symmetrized matrix; it is the one place that solves
+with a form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._specfun import hardy_constant
-from .lattice import LatticeSpace, as_potential, as_weight
+from .lattice import LatticeSpace, as_weight
 
 SYM_TOL = 1e-12
 
@@ -128,11 +132,8 @@ class KineticOperator:
         w = self.eigenvalues()
         return max(float(np.max(np.abs(w))), 1e-300)
 
-    def is_positive_semidefinite(self, tol_rel: float = 1e-10) -> bool:
-        return self.min_eigenvalue() >= -tol_rel * self.spectral_scale()
-
-    def is_positive_definite(self, tol_rel: float = 1e-12) -> bool:
-        return self.min_eigenvalue() > tol_rel * self.spectral_scale()
+    def is_positive_definite(self) -> bool:
+        return self.min_eigenvalue() > 1e-12 * self.spectral_scale()
 
     @cached_property
     def _rows(self):
@@ -150,24 +151,21 @@ class KineticOperator:
         return int(np.max(np.abs(cols - np.arange(self.n))))
 
     def form_product(self, U) -> np.ndarray:
-        """A @ u for a vector u of length n, or for every row u of a b x n
-        block (the rows of the result)."""
+        """A @ u for every row u of a b x n block (the rows of the result),
+        or for a vector u of length n as for the one-row block."""
         U = np.asarray(U)
+        if U.ndim == 1:
+            return self.form_product(U[None])[0]
         rows = self._rows
         if rows is None:
-            if U.ndim == 1:
-                return self.form @ U
             # one matrix-vector product per row, never a matrix-matrix
             # product: a BLAS GEMM rounds a row differently with the block's
             # height, so a row's result would depend on the rows beside it
             return np.matmul(U[:, None, :], self.form.T)[:, 0, :]
+        # one slot at a time, so temporaries stay of size b x n.  take()
+        # keeps the gathers (and so the result) row-major, where U[:, c]
+        # would not.
         cols, vals = rows
-        if U.ndim == 1:
-            # all k slots in one gather: the fewest numpy calls per descent step
-            return (vals * U[cols]).sum(axis=0)
-        # blocks: one slot at a time, so temporaries stay of size b x n; each
-        # row is summed in the same slot order as a vector.  take() keeps the
-        # gathers (and so the result) row-major, where U[:, c] would not.
         out = vals[0] * U.take(cols[0], axis=1)
         buf = np.empty_like(out)
         for c, v in zip(cols[1:], vals[1:]):
@@ -175,13 +173,23 @@ class KineticOperator:
             out += buf
         return out
 
+    def solve(self, B, shift=0.0) -> np.ndarray:
+        """(A + shift M)^{-1} b for every row b of B, from the cached
+        eigenbasis of T; the form must be real and T + shift positive
+        definite.
+
+        A k x n block takes one product pair for all its rows, with one
+        shift or a k x 1 column of shifts, one per row.  A k x 1 x n stack
+        takes one product per row, so each row's result is bit for bit its
+        one-row solve and never depends on the rows beside it.
+        """
+        w, Q = self.eigensystem()
+        rs = 1.0 / np.sqrt(self.measure)
+        return rs * np.matmul(np.matmul(rs * B, Q) / (w + shift), Q.T)
+
     def quad_form(self, u) -> float:
         u = np.asarray(u)
         return float(np.real(np.conj(u) @ self.form_product(u)))
-
-    def apply(self, u) -> np.ndarray:
-        """Operator action M^{-1} A u."""
-        return self.form_product(u) / self.measure
 
     def shifted(self, tau: float) -> "KineticOperator":
         """Operator T + tau (form A + tau * diag(m))."""
@@ -189,10 +197,8 @@ class KineticOperator:
         form = self.form.copy()
         idx = np.arange(self.n)
         form[idx, idx] += tau * self.measure
-        out = KineticOperator(self.space, form, measure=self.measure,
-                              name=self.name, meta=dict(self.meta))
-        out.meta["shift_applied"] = float(self.meta.get("shift_applied", 0.0)) + tau
-        return out
+        return KineticOperator(self.space, form, measure=self.measure,
+                               name=self.name, meta=dict(self.meta))
 
     def scaled(self, c: float) -> "KineticOperator":
         """Operator c*T (form c*A), c > 0."""

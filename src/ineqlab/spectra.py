@@ -300,10 +300,6 @@ class PrincipleCheck(NamedTuple):
     tie_direct: float | None
     tie_birman_schwinger: float | None
 
-    @property
-    def agrees(self) -> bool:
-        return self.n_direct == self.n_birman_schwinger
-
 
 def birman_schwinger_check(T, V, tau: float = 0.0) -> PrincipleCheck:
     """Compare N(-tau, T - V) against the count of sandwich eigenvalues above 1."""
@@ -408,9 +404,14 @@ def hinge_profile(a: float) -> ProfileFunction:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+# trotter_trace refuses an order n whose (n + 1)^(r - 1) visit-count states
+# for r distinct potential values exceed this budget
+TROTTER_MAX_STATES = 200_000
 
-def _panels(lo: float, hi: float, kinks, max_ratio: float = 2.0) -> list[tuple[float, float]]:
-    """Geometric subdivision of [lo, hi] refined at the supplied breakpoints."""
+
+def _panels(lo: float, hi: float, kinks) -> list[tuple[float, float]]:
+    """Geometric subdivision of [lo, hi], refined at the supplied breakpoints,
+    into panels of end ratio at most 2."""
     pts = {lo, hi}
     for k in kinks:
         if lo < k < hi:
@@ -419,7 +420,7 @@ def _panels(lo: float, hi: float, kinks, max_ratio: float = 2.0) -> list[tuple[f
     panels = []
     for a, b in zip(pts[:-1], pts[1:]):
         ratio = b / a
-        pieces = max(1, int(math.ceil(math.log(ratio) / math.log(max_ratio))))
+        pieces = max(1, int(math.ceil(math.log(ratio) / math.log(2.0))))
         grid = np.geomspace(a, b, pieces + 1)
         panels.extend(zip(grid[:-1], grid[1:]))
     return panels
@@ -484,8 +485,7 @@ def _cycle_sum(P: np.ndarray, classes: np.ndarray, n: int, n_classes: int) -> np
     return np.einsum("zz...->...", D)
 
 
-def trotter_trace(T, V, profile: ProfileFunction, n: int, *, s_span=None,
-                  max_states: int = 200_000) -> TrotterTrace:
+def trotter_trace(T, V, profile: ProfileFunction, n: int) -> TrotterTrace:
     """Cyclic-path estimate of Tr F(V^(1/2) T^(-1) V^(1/2)) at Trotter order n.
 
     The s-integral uses log-spaced composite Gauss-Legendre panels over
@@ -503,17 +503,14 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int, *, s_span=None,
 
     values, classes = np.unique(V, return_inverse=True)
     r = values.size
-    if r >= 2 and (n + 1) ** (r - 1) > max_states:
+    if r >= 2 and (n + 1) ** (r - 1) > TROTTER_MAX_STATES:
         raise ValueError(
             f"{r} distinct potential values at order n={n} exceeds the count-state budget"
         )
 
     kinks = [profile.a / v for v in values if v > 0.0]
     t0 = 1.0 / float(w[0])
-    if s_span is None:
-        lo, hi = 1e-4 * t0, 1e3 * t0
-    else:
-        lo, hi = float(s_span[0]), float(s_span[1])
+    lo, hi = 1e-4 * t0, 1e3 * t0
     if kinks:
         lo = min(lo, 0.5 * min(kinks))
         hi = max(hi, 4.0 * max(kinks))

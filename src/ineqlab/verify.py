@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functional, operators, spectra
-from .lattice import (as_potential, exponents_from_gamma_kappa,
-                      exponents_from_q_theta, integral, make_lattice)
+from .lattice import as_potential, exponents_from_gamma_kappa, integral, make_lattice
 
 MARGIN_REL = 1e-9
 
@@ -219,15 +218,15 @@ def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
 
 
 def verify_moment_identity(T, V, gamma_tilde: float, *, scenario_id: str = "",
-                           rel_tol: float = 1e-6, spectrum=None) -> VerificationReport:
+                           spectrum=None) -> VerificationReport:
     """Riesz mean vs its moment-representation recomputation; lhs is the
-    relative discrepancy, rhs the tolerance."""
+    relative discrepancy, rhs the tolerance 1e-6."""
     direct = spectra.riesz_mean(T, V, gamma_tilde, spectrum=spectrum)
     from_counts = spectra.riesz_mean_from_counts(T, V, gamma_tilde, spectrum=spectrum)
     rel = abs(direct - from_counts) / max(abs(direct), abs(from_counts), 1e-300)
     extras = {"riesz_direct": direct, "riesz_from_counts": from_counts,
               "gamma_tilde": gamma_tilde}
-    return make_report(scenario_id, "momentIdentity", rel, rel_tol,
+    return make_report(scenario_id, "momentIdentity", rel, 1e-6,
                        assumptions={"status": "passed"}, extras=extras)
 
 
@@ -342,10 +341,10 @@ def verify_liyau_trace(T, V, S: float, kappa: float, s_grid, *,
 
 
 def verify_gsr_identity(bundle, *, scenario_id: str = "", n_samples: int = 100,
-                        seed: int = 77001, rel_tol: float = 1e-10) -> VerificationReport:
+                        seed: int = 77001) -> VerificationReport:
     """Shifted-form identity t[u] - E ||u||^2 = sum_edges w omega_x omega_y |v_x - v_y|^2
     with v = u/omega, sampled on random complex u; lhs is the worst
-    relative residual, rhs the tolerance."""
+    relative residual, rhs the tolerance 1e-10."""
     space = bundle.space
     H = bundle.full_form
     E = bundle.energy
@@ -372,7 +371,7 @@ def verify_gsr_identity(bundle, *, scenario_id: str = "", n_samples: int = 100,
         worst = max(worst, abs(lhs_sum - rhs_sum) / scale)
     extras = {"n_samples": n_samples, "energy": E,
               "ground_residual": bundle.shifted.meta.get("ground_residual")}
-    return make_report(scenario_id, "gsrIdentity", worst, rel_tol,
+    return make_report(scenario_id, "gsrIdentity", worst, 1e-10,
                        assumptions={"status": "passed"}, extras=extras)
 
 

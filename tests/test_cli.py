@@ -10,7 +10,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +80,23 @@ def test_constants_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["constants", "--exponents", "a,b"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--al-factor", "1,2,inf"), ("--hardy", "0.5,inf"), ("--hardy", "nan,3"),
+    ("--lieb-bound", "inf,1.5"), ("--exponents", "1,-inf")])
+def test_constants_reject_non_finite_numbers(capsys, flag, value):
+    assert cli.main(["constants", flag, value]) == 2
+    assert f"config error: {flag} expects finite numbers" in capsys.readouterr().err
+
+
+def test_constants_lieb_bound_beyond_double_range_exits_2_promptly():
+    # every objective value on the starting grid overflows; the bracket must
+    # not grow toward a = 0 one grid ratio at a time
+    args, env = _cli_command(["constants", "--lieb-bound", "1e308,1.5"])
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "outside the double range" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +183,54 @@ def test_verify_seed_override_changes_draws(tmp_path, capsys):
     lhs_a = [r["lhs"] for res in a["results"] for r in res["reports"]]
     lhs_b = [r["lhs"] for res in b["results"] for r in res["reports"]]
     assert lhs_a != lhs_b
+
+
+def test_verify_caps_workers_at_one_per_scenario(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, maps in-process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg_path = _write_config(tmp_path, TINY_CONFIG)     # two scenarios
+    one_path = _write_config(tmp_path, dict(TINY_CONFIG, scenarios=TINY_CONFIG["scenarios"][:1]),
+                             "one.json")
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", cfg_path, "--out", out, "--jobs", "64"]) == 0
+    monkeypatch.setenv("INEQLAB_JOBS", "1000")
+    assert cli.main(["verify", "--config", cfg_path, "--out", out]) == 0
+    # one worker, asked for or left after the cap, runs serially
+    assert cli.main(["verify", "--config", one_path, "--out", out]) == 0
+    assert cli.main(["verify", "--config", cfg_path, "--out", out, "--jobs", "1"]) == 0
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("jobs, env, name", [
+    ("-3", None, "--jobs"), ("0", None, "--jobs"), (None, "x", "INEQLAB_JOBS"),
+    (None, "0", "INEQLAB_JOBS"), (None, "-2", "INEQLAB_JOBS"), (None, "2.5", "INEQLAB_JOBS")])
+def test_verify_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, jobs, env, name):
+    if env is None:
+        monkeypatch.delenv("INEQLAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("INEQLAB_JOBS", env)
+    out = tmp_path / "out"
+    argv = ["verify", "--config", _write_config(tmp_path, TINY_CONFIG), "--out", str(out)]
+    assert cli.main(argv + ([] if jobs is None else ["--jobs", jobs])) == 2
+    assert f"config error: {name}: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_invalid_configs_exit_2(tmp_path, capsys):
@@ -602,20 +670,20 @@ RESIDUAL_TAGS = frozenset({"momentIdentity", "gsrIdentity"})
 RESIDUAL_FLOOR = 1024 * float(np.finfo(np.float64).eps)
 
 
-def _structural_rows(payload):
+def _structural_rows(payload, digits=6):
     rows = []
     for res in payload["results"]:
         for r in res["reports"]:
             rows.append([r["scenario_id"], r["tag"], r["status"],
-                         format(float(r["lhs"]), ".6g"),
-                         format(float(r["rhs"]), ".6g")])
+                         format(float(r["lhs"]), f".{digits}g"),
+                         format(float(r["rhs"]), f".{digits}g")])
     return rows
 
 
 def _row_matches(row, golden_row):
-    """A structural row matches its golden row exactly, except that an
-    identity-residual lhs (and the golden's own) need only lie in
-    [0, RESIDUAL_FLOOR]."""
+    """A structural row matches its golden (or other run's) row exactly,
+    except that an identity-residual lhs (and the golden's own) need only
+    lie in [0, RESIDUAL_FLOOR]."""
     if row[1] not in RESIDUAL_TAGS:
         return row == golden_row
     return (row[:3] == golden_row[:3] and row[4] == golden_row[4]
@@ -699,17 +767,56 @@ def test_golden_residual_rows_sit_under_floor():
         assert RESIDUAL_FLOOR <= float(r[4]) / 400
 
 
+# the determinism contract, run on the two 1024-site scenarios and one small one
+CONTRACT_SCENARIOS = ("clr-1d-n32", "clr-1d-n1024", "periodic-1d-n1024")
+
+
+def test_determinism_contract_across_blas_threads(tmp_path, suite_config):
+    """For one build, report.json is fixed to the byte.  Across BLAS thread
+    counts the statuses and every non-residual row are fixed at 12 digits,
+    and every residual row lies in [0, RESIDUAL_FLOOR]."""
+    cfg = dict(suite_config, scenarios=[sc for sc in suite_config["scenarios"]
+                                        if sc["id"] in CONTRACT_SCENARIOS])
+    assert len(cfg["scenarios"]) == len(CONTRACT_SCENARIOS)
+    cfg_path = _write_config(tmp_path, cfg)
+    runs, payloads = {}, {}
+    try:
+        # three concurrent runs: two at one BLAS thread, one at two
+        for name, threads in (("a", 1), ("b", 1), ("c", 2)):
+            env = {k: str(threads) for k in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            args, env = _cli_command(["verify", "--config", cfg_path,
+                                      "--out", str(tmp_path / name), "--jobs", "1"], env)
+            runs[name] = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL,
+                                          stderr=subprocess.PIPE, text=True)
+        for name, proc in runs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            payloads[name] = (tmp_path / name / "report.json").read_bytes()
+    finally:
+        for proc in runs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert payloads["a"] == payloads["b"]
+    one, two = (_structural_rows(json.loads(payloads[k]), digits=12) for k in "ac")
+    assert _golden_mismatches(two, one) == []
+
+
+def _cli_command(argv, env_extra=None):
+    """(args, env) that run ``python -m ineqlab.cli argv`` in a fresh
+    interpreter on this checkout, with ``env_extra`` set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "ineqlab.cli", *argv], env
+
+
 def _modules_after_cli_import(*prefixes):
     # the loaded modules named by prefixes after a fresh `import ineqlab.cli`
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, ineqlab.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    _, env = _cli_command([])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()

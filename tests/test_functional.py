@@ -170,7 +170,7 @@ def _vector_descent(T, q, theta, u0, *, max_iter, tol, stall_window):
         return float(J[0]), G[0], float(t[0])
 
     def precond(g):
-        return functional._solve_rows(T, g[None])[0]
+        return T.solve(g[None])[0]
 
     u = u0 / norm_q(u0)
     t, g, tf = vg(u)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ineqlab import (ExponentSet, exponents_from_gamma_kappa,
                      exponents_from_q_theta, integral, lp_norm, make_lattice)
-from ineqlab.lattice import as_potential, as_weight, inner
+from ineqlab.lattice import as_potential, as_weight
 
 
 def test_path_counts():
@@ -121,17 +121,6 @@ def test_lp_norm_and_integral():
         lp_norm(np.full(sp.n, np.nan), 2, sp)
 
 
-def test_inner_product():
-    sp = make_lattice(d=1, extents=4, h=2.0)
-    u = np.array([1.0, 2.0, 0.0, -1.0])
-    v = np.array([1.0, 1.0, 1.0, 1.0])
-    assert inner(u, v, sp) == pytest.approx(2.0 * (1 + 2 + 0 - 1))
-    w = u + 1j * v
-    got = inner(w, u, sp)
-    assert isinstance(got, complex)
-    assert got == pytest.approx(2.0 * np.sum(np.conj(w) * u))
-
-
 def test_potential_and_weight_validation():
     sp = make_lattice(d=1, extents=3)
     with pytest.raises(ValueError):
@@ -181,5 +170,3 @@ def test_exponent_validation():
         exponents_from_q_theta(4.0, 1.5)
     with pytest.raises(ValueError):
         ExponentSet(gamma=1.0, kappa=1.5, q=4.0, theta=0.6)   # inconsistent
-    with pytest.raises(ValueError):
-        exponents_from_gamma_kappa(1.0, 1.5, gamma_tilde=0.5)
