@@ -60,6 +60,8 @@ def _fmt_table(v) -> str:
 
 
 def _fmt_csv(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -236,9 +238,9 @@ def _sweep_instance(inst: dict):
 
 SWEEP_HEADERS = {
     "trotter_n": ["n", "estimate", "exact", "bound", "rel_error", "n_panels", "tail_ok"],
-    "coupling": ["c", "count", "integral", "ratio"],
-    "flux": ["flux", "count_magnetic", "count_nonmagnetic"],
-    "tau": ["tau", "count"],
+    "coupling": ["c", "count", "integral", "ratio", "tie"],
+    "flux": ["flux", "count_magnetic", "count_nonmagnetic", "tie_magnetic", "tie_nonmagnetic"],
+    "tau": ["tau", "count", "tie"],
 }
 
 
@@ -252,21 +254,22 @@ def _sweep_rows(axis: str, values: list, inst: dict) -> list:
             t = spectra.trotter_trace(T, V, profile, n)
             rows.append([n, t.estimate, t.exact, t.bound, t.rel_error, t.n_panels, t.tail_ok])
     elif axis == "coupling":
-        Vs = np.array(values)[:, None] * V
-        for c, Vc, counted in zip(values, Vs, spectra.count_below(T, Vs, 0.0)):
-            iv = integral(Vc, inst["kappa"], space, measure=T.measure)
-            rows.append([c, counted.n, iv, (counted.n / iv if iv > 0 else 0.0)])
+        for c, counted in zip(values, spectra.count_couplings(T, V, values)):
+            iv = integral(c * V, inst["kappa"], space, measure=T.measure)
+            rows.append([c, counted.n, iv, (counted.n / iv if iv > 0 else 0.0), counted.tie])
     elif axis == "flux":
-        base_count = spectra.count_below(T, V, 0.0).n
+        base = spectra.count_below(T, V, 0.0)
         for phi in values:
             phases = operators.uniform_flux_phases(space, phi)
             T_A = operators.build_magnetic_laplacian(space, phases)
-            rows.append([phi, spectra.count_below(T_A, V, 0.0).n, base_count])
+            magnetic = spectra.count_below(T_A, V, 0.0)
+            rows.append([phi, magnetic.n, base.n, magnetic.tie, base.tie])
     else:  # tau
         eigs = spectra.schrodinger_eigenvalues(T, V)
         scale = float(np.max(np.abs(eigs)))
         for tau in values:
-            rows.append([tau, spectra.count_from_eigenvalues(eigs, tau, scale=scale).n])
+            counted = spectra.count_from_eigenvalues(eigs, tau, scale=scale)
+            rows.append([tau, counted.n, counted.tie])
     return rows
 
 

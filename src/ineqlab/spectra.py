@@ -13,7 +13,12 @@ stack of potentials on one operator in one such pass, with one stacked
 ``eigh`` per block for all rows and O(k m^2) memory per block; a row
 whose pivot budget is spent or whose two shifted counts differ falls back
 to the dense count alone, and every row's count is bit for bit the one it
-gets alone.  All other eigenproblems use full dense decompositions; the
+gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
+(``count_couplings``) is read from one spectrum instead: by Sylvester's
+law of inertia it is #{mu_j < c} over the eigenvalues mu of
+V^(-1/2) T V^(-1/2), and a coupling whose certificate fails
+goes to ``count_below``; short axes on banded forms keep the stacked
+inertia pass.  All other eigenproblems use full dense decompositions; the
 intended scale is a few thousand sites at most.
 """
 
@@ -84,17 +89,24 @@ def count_from_eigenvalues(eigs: np.ndarray, tau: float, *, scale=None) -> Count
     return CountResult(n, tie)
 
 
-def _band_blocks(T, V):
-    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them and the
-    k x m slices of the k x n potential stack V on each block, for
-    consecutive m-site blocks with m = max(bandwidth, INERTIA_BLOCK), so that
-    every B - diag(V_j) is block tridiagonal; all three are views.  None when
-    the form is dense or has fewer than INERTIA_MIN_BLOCKS blocks."""
+def _block_size(T) -> int | None:
+    """Sites per inertia block, m = max(bandwidth, INERTIA_BLOCK), or None
+    when the form is dense or has fewer than INERTIA_MIN_BLOCKS blocks."""
     b = T.bandwidth
     if b is None:
         return None
     m = max(b, INERTIA_BLOCK)
-    if T.n < INERTIA_MIN_BLOCKS * m:
+    return m if T.n >= INERTIA_MIN_BLOCKS * m else None
+
+
+def _band_blocks(T, V):
+    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them and the
+    k x m slices of the k x n potential stack V on each block, for
+    consecutive m-site blocks (``_block_size``), so that every
+    B - diag(V_j) is block tridiagonal; all three are views.  None when the
+    form takes no inertia route."""
+    m = _block_size(T)
+    if m is None:
         return None
     B = T.sym()
     starts = range(0, T.n, m)
@@ -217,6 +229,97 @@ def count_below(T, V, tau: float, *, spectrum=None) -> CountResult | list:
            else count_from_eigenvalues(schrodinger_eigenvalues(T, v), tau)
            for c, v in zip(counted, Vs)]
     return out if stacked else out[0]
+
+
+def _pencil_counts(T, V, couplings) -> list | None:
+    """N(0, T - cV) for each c in ``couplings`` from one spectrum: a
+    CountResult per coupling the certificate decides and None for the
+    others, or None for all when V has a zero entry or W is not finite.
+
+    With B = T.sym() and V > 0, B - cV = V^(1/2) (W - c) V^(1/2) for
+    W = V^(-1/2) B V^(-1/2), so by Sylvester's law of inertia
+    N(0, T - cV) = #{mu_j < c} over the eigenvalues mu of W, which
+    ``eigvalsh`` computes once.
+
+    Certificate.  Take eps the machine epsilon, n the number of sites,
+    g_c = min_j |mu_j - c| over the computed mu, s_c = ||B - cV||_inf,
+    rho_c = n eps s_c and rho_W = n eps ||W||_inf (rounding models of the
+    kind of ``_inertia_counts``' m eps bound: rho_W for forming W and for
+    ``eigvalsh``, rho_c for the dense ``eigvalsh`` of B - cV).
+    - The dense route reads B - fl(cV), and fl(c V_x) = c V_x (1 + d_x)
+      with |d_x| <= eps / 2.  So B - fl(cV) = V^(1/2) (W - c - cD)
+      V^(1/2) with ||cD|| <= c eps / 2, and the ascending eigenvalues
+      nu_j of W - c - cD lie within rho_W + c eps of the ascending
+      mu_j - c (Weyl): |nu_j| >= g_c - rho_W - c eps, and when that is
+      positive nu_j < 0 exactly when mu_j < c.
+    - By Ostrowski's theorem (Horn & Johnson, Matrix Analysis, Thm 4.5.9)
+      the j-th eigenvalue of B - fl(cV) is theta_j nu_j with theta_j in
+      [min V, max V]; it keeps the sign of nu_j and has modulus at least
+      min V (g_c - rho_W - c eps).
+    - The dense eigenvalues lam' lie within rho_c of the exact ones, and
+      max|lam'| <= s_c + rho_c.  So when
+          min V (g_c - rho_W - c eps) > TIE_REL s_c + 2 rho_c,
+      every |lam'| exceeds TIE_REL s_c + rho_c, which is at least
+      TIE_REL max|lam'| (TIE_REL < 1) with room for the rounding of s_c:
+      the dense route reports no tie, every lam' has the sign of the
+      exact one, and its count is #{mu_j < c}.  The inertia route returns
+      the dense result whenever it decides, so ``count_below`` gives
+      CountResult(#{mu_j < c}, None).
+    Any other coupling is left to ``count_below``.
+    """
+    if not np.all(V > 0.0):
+        return None
+    B = T.sym()
+    n = T.n
+    r = 1.0 / np.sqrt(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = B * r[:, None]
+        W *= r
+    if not np.all(np.isfinite(W)):
+        return None
+    eps = np.finfo(np.float64).eps
+    rho_w = n * eps * float(np.max(np.sum(np.abs(W), axis=1)))
+    mu = np.linalg.eigvalsh(W)
+    del W
+    d = B.diagonal().real
+    off = np.sum(np.abs(B), axis=1) - np.abs(d)
+    s = np.max(off + np.abs(d - couplings[:, None] * V), axis=1)
+    below = np.searchsorted(mu, couplings, side="left")   # #{mu_j < c}
+    gap = np.minimum(np.abs(couplings - mu[np.maximum(below - 1, 0)]),
+                     np.abs(mu[np.minimum(below, n - 1)] - couplings))
+    sure = np.min(V) * (gap - rho_w - eps * couplings) > TIE_REL * s + 2.0 * n * eps * s
+    return [CountResult(int(k), None) if ok else None
+            for k, ok in zip(below.tolist(), sure.tolist())]
+
+
+def count_couplings(T, V, couplings) -> list:
+    """N(0, T - cV) for each coupling c >= 0 in ``couplings``: one
+    CountResult per coupling, each equal to ``count_below(T, c * V, 0.0)``,
+    tie field included.
+
+    An axis of k >= 2 couplings takes one spectrum of the pencil
+    (``_pencil_counts``) when the form takes no inertia route, or when the
+    stacked inertia pass would make at least as many pivot ``eigh`` calls
+    (2k per block) as there are blocks: one n x n ``eigvalsh`` costs about
+    (n/m)^2 pivot calls of size m (146 ms against 32^2 x 0.14 ms at
+    n = 1024, m = 32, one OpenBLAS thread).  Every coupling the pencil's
+    certificate cannot decide, and every coupling of a shorter axis or of
+    a V with a zero entry or an overflowing W, is counted by one stacked
+    ``count_below`` call.
+    """
+    V = as_potential(T.space, V)
+    cs = np.asarray(couplings, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(cs) & (cs >= 0.0)):
+        raise ValueError(f"couplings must be finite and >= 0, got {cs}")
+    k, m = cs.size, _block_size(T)
+    out = [None] * k
+    if k >= 2 and (m is None or 2 * k >= -(-T.n // m)):
+        out = _pencil_counts(T, V, cs) or out
+    rest = [j for j, c in enumerate(out) if c is None]
+    if rest:
+        for j, counted in zip(rest, count_below(T, cs[rest, None] * V, 0.0)):
+            out[j] = counted
+    return out
 
 
 def riesz_mean(T, V, gamma: float, *, spectrum=None) -> float:

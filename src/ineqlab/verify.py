@@ -725,6 +725,11 @@ def validate_sweep(config: dict) -> dict:
         "kappa": _number(inst.get("kappa"), f"{where}.kappa", *_EXPONENT_RULES["kappa"],
                          default=1.5),
     }
+    if axis == "flux":
+        # the axis compares the Laplacian with its uniform-flux versions, so
+        # its base count must be of that Laplacian
+        _expect(instance["operator"]["family"] == "laplacian", f"{where}.operator.family",
+                "a flux sweep needs the 'laplacian' family")
     return {"axis": axis, "values": values, "instance": instance}
 
 

@@ -375,7 +375,8 @@ def test_sweep_coupling_axis(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     header, rows = _read_csv(out)
-    assert header == ["c", "count", "integral", "ratio"]
+    assert header == ["c", "count", "integral", "ratio", "tie"]
+    assert all(r["tie"] == "" for r in rows)
     counts = [int(r["count"]) for r in rows]
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
@@ -399,33 +400,58 @@ def test_sweep_coupling_axis_counts_all_couplings_in_one_pass(tmp_path, monkeypa
     inst = {"lattice": {"d": 2, "extents": [side, side], "h": 1.0, "bc": "dirichlet"},
             "operator": {"family": "laplacian"},
             "potential": {"values": V0.tolist()}, "kappa": 1.5}
-    eigh = np.linalg.eigh
     calls = []
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     out = tmp_path / "coupling.csv"
     assert cli.main(["sweep", "--config",
                      _write_config(tmp_path, _sweep_config("coupling", values, inst)),
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert calls == [(2 * len(values), 32, 32)] * 8
+    monkeypatch.undo()
+    # 24 pivot calls would fill the 8 blocks: one spectrum of the pencil
+    # counts the axis, and its certificate decides every coupling
+    assert calls == [("eigvalsh", (side * side, side * side))]
 
     # the per-coupling loop, one count_below call per coupling
     T = build_laplacian(make_lattice(2, [side, side]))
     rows = []
     for c in values:
         V = float(c) * V0
-        cnt = spectra.count_below(T, V, 0.0).n
+        counted = spectra.count_below(T, V, 0.0)
         iv = integral(V, 1.5, T.space, measure=T.measure)
-        rows.append([float(c), cnt, iv, (cnt / iv if iv > 0 else 0.0)])
+        rows.append([float(c), counted.n, iv, (counted.n / iv if iv > 0 else 0.0),
+                     counted.tie])
     want = tmp_path / "loop.csv"
-    cli._write_csv(str(want), ["c", "count", "integral", "ratio"], rows)
+    cli._write_csv(str(want), cli.SWEEP_HEADERS["coupling"], rows)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_sweep_reports_ties(tmp_path, capsys):
+    """On the periodic 8-ring with V = 0, 1, 0, 1, ... both couplings put an
+    eigenvalue of T - cV at 0 up to rounding (the constant at c = 0, the
+    alternating vector at c = 1).  The exact counts are 0 and 1, and the
+    rounded ones may read 1 and 2, so each row names its tie."""
+    inst = {"lattice": {"d": 1, "extents": [8], "bc": "periodic"},
+            "potential": {"values": [0.0, 1.0] * 4}}
+    out = tmp_path / "ring.csv"
+    assert cli.main(["sweep", "--config",
+                     _write_config(tmp_path, _sweep_config("coupling", [0.0, 1.0], inst)),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, rows = _read_csv(out)
+    assert [r["c"] for r in rows] == ["0", "1"]
+    for r in rows:
+        assert 0.0 <= float(r["tie"]) < 1e-12, r
 
 
 def test_sweep_flux_axis(tmp_path, capsys):
@@ -440,7 +466,9 @@ def test_sweep_flux_axis(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     header, rows = _read_csv(out)
-    assert header == ["flux", "count_magnetic", "count_nonmagnetic"]
+    assert header == ["flux", "count_magnetic", "count_nonmagnetic", "tie_magnetic",
+                      "tie_nonmagnetic"]
+    assert all(r["tie_magnetic"] == r["tie_nonmagnetic"] == "" for r in rows)
     base = {r["count_nonmagnetic"] for r in rows}
     assert len(base) == 1
     # zero flux is gauge-equivalent to the plain operator
@@ -457,7 +485,8 @@ def test_sweep_tau_axis(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     header, rows = _read_csv(out)
-    assert header == ["tau", "count"]
+    assert header == ["tau", "count", "tie"]
+    assert all(r["tie"] == "" for r in rows)
     counts = [int(r["count"]) for r in rows]
     assert counts == sorted(counts, reverse=True)
 
@@ -508,6 +537,9 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     ("coupling", [1.0],
      dict(SWEEP_INSTANCE, potential=dict(SWEEP_INSTANCE["potential"], sigma=1.0)),
      "sweep.instance.potential.sigma"),
+    # the flux axis builds the magnetic Laplacian, so its base must be the Laplacian
+    ("flux", [0.0], dict(SWEEP_INSTANCE, operator={"family": "fractional", "s": 0.5}),
+     "sweep.instance.operator.family"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)

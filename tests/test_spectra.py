@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
                      cli, count_below, count_from_eigenvalues,
-                     fractional_laplacian, heat_kernel, heat_norms, hinge_profile,
+                     fractional_laplacian, heat_kernel, heat_norms, hinge_profile, integral,
                      liyau_upsilon, make_lattice, riesz_mean,
                      riesz_mean_from_counts, schrodinger_eigenvalues, spectra,
                      trotter_trace, weighted_transform)
@@ -257,6 +257,121 @@ def test_stacked_count_rejects_a_shared_spectrum():
     with pytest.raises(ValueError, match="stack"):
         count_below(T, V, 0.0, spectrum=spectra.shared_spectrum(T, V[0]))
     assert count_below(T, V[:0], 0.0) == []
+
+
+def _pencil_form(family, size, seed):
+    """Forms for coupling axes: banded ones that take the inertia route with
+    7 to 11 blocks, and dense, complex and periodic ones that do not."""
+    if family in ("1d", "2d"):
+        return _stack_form(family, size)
+    if family == "exclusions":
+        return build_laplacian(make_lattice(d=2, extents=16,
+                                            exclusions=[(3, 4), (8, 8), (size % 16, 2)]))
+    if family == "fractional":
+        return fractional_laplacian(make_lattice(d=1, extents=size), 0.5)
+    if family == "magnetic":
+        sp = make_lattice(d=2, extents=(5, size // 6))
+        return build_magnetic_laplacian(sp, random_phases(sp, seed))
+    return build_laplacian(make_lattice(d=1, extents=size, bc="periodic"))  # kernel
+
+
+def _pencil_spectrum(T, V):
+    """Eigenvalues of V^(-1/2) T.sym() V^(-1/2)."""
+    r = 1.0 / np.sqrt(V)
+    return np.linalg.eigvalsh(r[:, None] * T.sym() * r[None, :])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["1d", "2d", "exclusions", "fractional", "magnetic",
+                               "periodic"]),
+       size=st.integers(32, 46), seed=st.integers(0, 2**16), n_random=st.integers(4, 8))
+def test_count_couplings_equals_count_below_per_coupling(family, size, seed, n_random):
+    """Each coupling of an axis counts as count_below(T, c V, 0), tie field
+    included.  The axis holds c = 0, a coupling exactly at an eigenvalue
+    mu_k of the pencil and one 1e-12 above it, which the certificate must
+    hand to count_below, and random couplings across the spectrum."""
+    T = _pencil_form(family, size, seed)
+    rng = np.random.default_rng(seed)
+    V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    mu = _pencil_spectrum(T, V)
+    k = int(rng.integers(T.n // 4, T.n))
+    ties = [float(mu[k]), float(mu[k]) * (1.0 + 1e-12)]
+    cs = [0.0, *ties, *rng.uniform(0.0, 1.2 * float(mu[T.n // 2]), n_random)]
+    rng.shuffle(cs)
+    want = [count_below(T, c * V, 0.0) for c in cs]
+
+    pencil = spectra._pencil_counts(T, V, np.array(cs))
+    assert pencil is not None
+    for c, got, exact in zip(cs, pencil, want):
+        assert got is None or got == exact, c
+        if c in ties:
+            assert got is None and exact.tie is not None, c
+    assert spectra.count_couplings(T, V, cs) == want
+
+
+def test_count_couplings_certificate_scales_by_min_V():
+    """An eigenvalue of T - cV is theta (mu_j - c) with theta as small as
+    min V.  With V over six decades, the top pencil eigenvalue sits on the
+    smallest V, and couplings 1e-4 off it give dense ties of about
+    V_min mu_max 1e-4, far below max V times the gap: the certificate must
+    refuse them, and it decides those 1e-3 off, where the ties are gone."""
+    T = build_laplacian(make_lattice(d=1, extents=40))
+    V = 10.0 ** np.random.default_rng(5).uniform(-6.0, 0.0, T.n)
+    top = float(_pencil_spectrum(T, V)[-1])
+    cs = np.array([top * (1.0 - 1e-4), top * (1.0 + 1e-4), top * (1.0 - 1e-3),
+                   top * (1.0 + 1e-3)])
+    want = [count_below(T, c * V, 0.0) for c in cs]
+    assert [w.tie is not None for w in want] == [True, True, False, False]
+    assert spectra._pencil_counts(T, V, cs) == [None, None, *want[2:]]
+    assert spectra.count_couplings(T, V, cs) == want
+
+
+@pytest.mark.parametrize("family", ["2d", "fractional"])
+@pytest.mark.parametrize("low", [0.0, 1e-310])
+def test_count_couplings_falls_back_without_a_finite_pencil(family, low):
+    """A zero entry of V leaves no congruence to W, and an entry of 1e-310
+    makes W overflow: the whole axis goes to count_below."""
+    T = _pencil_form(family, 40, 7)
+    rng = np.random.default_rng(11)
+    V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    V[T.n // 3] = low
+    cs = np.geomspace(0.05, 5.0, 12)
+    assert spectra._pencil_counts(T, V, cs) is None
+    assert spectra.count_couplings(T, V, cs) == [count_below(T, c * V, 0.0) for c in cs]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(d=st.sampled_from([1, 2]), size=st.integers(3, 260), seed=st.integers(0, 2**16),
+       kappa=st.floats(1.2, 3.0), n_random=st.integers(2, 8))
+def test_weighted_transform_preserves_counts_and_integral(d, size, seed, kappa, n_random):
+    """With T_w = weighted_transform(T, omega, kappa), N(0, T - cV) equals
+    N(0, T_w - c potential_map(V)) at every coupling where neither side
+    reports a tie, and int (cV)^kappa is preserved within rounding.  The
+    axis holds a coupling at an eigenvalue of the pencil, where ties may
+    occur; no coupling is dropped for being one.  Near kappa = 1 the
+    measure omega^(2 kappa/(kappa - 1)) spreads the spectrum of T_w past
+    1 / TIE_REL, so the relative tie guard may flag every weighted count;
+    from kappa = 1.5 on, each random coupling must be compared."""
+    T = build_laplacian(make_lattice(d=d, extents=size if d == 1 else 3 + size % 15))
+    rng = np.random.default_rng(seed)
+    omega = np.exp(0.5 * rng.standard_normal(T.n))
+    V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    wt = weighted_transform(T, omega, kappa)
+    Vw = wt.potential_map(V)
+    mu = _pencil_spectrum(T, V)
+    cs = [0.0, float(mu[int(rng.integers(T.n))]),
+          *rng.uniform(0.0, 1.2 * float(mu[T.n // 2]), n_random)]
+    compared = 0
+    for c, a, b in zip(cs, spectra.count_couplings(T, V, cs),
+                       spectra.count_couplings(wt.operator, Vw, cs)):
+        if a.tie is None and b.tie is None:
+            assert a.n == b.n, c
+            compared += 1
+        iv = integral(c * V, kappa, T.space, measure=T.measure)
+        iw = integral(c * Vw, kappa, T.space, measure=wt.measure)
+        assert iw == pytest.approx(iv, rel=1e-12, abs=0.0), c
+    if kappa >= 1.5:
+        assert compared >= n_random
 
 
 def test_coupling_sweep_runs_no_full_size_eigvalsh(tmp_path, monkeypatch, capsys):
