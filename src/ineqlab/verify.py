@@ -21,6 +21,11 @@ from .lattice import as_potential, exponents_from_gamma_kappa, integral, make_la
 
 MARGIN_REL = 1e-9
 
+# the s grid of the liyauTrace checks and the t grid of the diamagnetic
+# checks that run_scenario makes
+LIYAU_S_GRID = (0.05, 0.25, 1.0, 5.0)
+DIAMAGNETIC_T_GRID = (0.1, 1.0, 10.0)
+
 OPERATOR_FAMILIES = ("laplacian", "fractional", "magnetic", "periodic", "hardy")
 
 
@@ -160,15 +165,22 @@ def verify_clr(T, V, kappa: float, S: float, *, scenario_id: str = "",
                        applicable=bd is None or bd.passed)
 
 
-def verify_weak_lt(T, V, gamma: float, kappa: float, tau_grid, S_interp: float,
-                   *, scenario_id: str = "", bd=None, spectrum=None) -> VerificationReport:
-    """N(-tau, T - V) <= e^(g+k-1) (theta^-theta (1-theta)^(theta-1) S)^-(g+k) tau^-g int V^(g+k)
-    across a tau grid; the worst relative margin is reported."""
+def verify_weak_lt(T, V, gamma: float, kappa: float, S_interp: float, *,
+                   scenario_id: str = "", bd=None, spectrum=None) -> VerificationReport:
+    """sup_(tau > 0) tau^g N(-tau, T - V) <= L int V^(g+k), with the weak constant
+    L = e^(g+k-1) (theta^-theta (1-theta)^(theta-1) S_interp)^-(g+k).
+
+    The supremum is read exactly from the spectrum.  With a_1 >= a_2 >= ...
+    the magnitudes of the negative eigenvalues, N(-tau) = j for tau just
+    below a_j (all of a tied group counted), so the supremum is
+    max_j j a_j^g: the limit as tau rises to tau_star = a_(j*), recorded
+    in ``extras`` with count = j*.  It is 0 when no eigenvalue is negative.
+    For gamma > 0 it is continuous in the eigenvalues, so no tie can move
+    it; at gamma = 0 it is N(0, T - V), and a tie at threshold 0 is
+    reported as ``verify_clr`` reports it.
+    """
     exps = exponents_from_gamma_kappa(gamma, kappa)
     V = as_potential(T.space, V)
-    tau_grid = [float(t) for t in tau_grid]
-    if any(t <= 0.0 for t in tau_grid):
-        raise ValueError("tau grid must be strictly positive")
     assumptions = _assumption_block(bd, "minimized" if S_interp > 0 else "vacuous")
     if not S_interp > 0.0:
         return make_report(scenario_id, "weakLT", 0.0, 0.0, assumptions=assumptions,
@@ -176,21 +188,15 @@ def verify_weak_lt(T, V, gamma: float, kappa: float, tau_grid, S_interp: float,
     _, upper = functional.ltw_bounds_from_S(S_interp, gamma, kappa)
     intV = integral(V, gamma + kappa, T.space, measure=T.measure)
     eigs = spectra.schrodinger_eigenvalues(T, V) if spectrum is None else spectrum()
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 1.0
-    rows, ties = [], []
-    worst = None
-    for tau in tau_grid:
-        c = spectra.count_from_eigenvalues(eigs, tau, scale=scale)
-        rhs = upper * tau ** (-gamma) * intV
-        rel = (rhs - c.n) / max(abs(rhs), 1e-300)
-        rows.append({"tau": tau, "count": c.n, "rhs": rhs})
-        if c.tie is not None:
-            ties.append({"tau": tau, "distance": c.tie})
-        if worst is None or rel < worst[0]:
-            worst = (rel, float(c.n), rhs)
-    extras = {"per_tau": rows, "integral": intV, "S_interp": S_interp,
+    a = (-np.sort(eigs[eigs < 0.0])).tolist()
+    # the last maximizer closes its tied group of magnitudes
+    lhs, count = max(((j * x ** gamma, j) for j, x in enumerate(a, 1)), default=(0.0, 0))
+    tau_star = a[count - 1] if count else None
+    tie = spectra.count_from_eigenvalues(eigs, 0.0).tie if gamma == 0.0 else None
+    ties = [] if tie is None else [{"tau": 0.0, "distance": tie}]
+    extras = {"tau_star": tau_star, "count": count, "integral": intV, "S_interp": S_interp,
               "gamma": gamma, "kappa": kappa, "theta": exps.theta, "q": exps.q}
-    return make_report(scenario_id, "weakLT", worst[1], worst[2],
+    return make_report(scenario_id, "weakLT", lhs, upper * intV,
                        assumptions=assumptions, ties=ties, extras=extras,
                        applicable=bd is None or bd.passed)
 
@@ -273,20 +279,11 @@ def verify_diamagnetic(T, T_A, t_grid, *, scenario_id: str = "",
 
 
 def verify_magnetic_clr(T_A, V, kappa: float, S_nonmagnetic: float, *,
-                        scenario_id: str = "", bd=None,
-                        T=None, spectrum=None) -> VerificationReport:
-    """Counting bound for the magnetic operator with the non-magnetic constant.
-
-    T_A - V gets its own spectrum; ``spectrum`` is that of T - V, read only
-    for the non-magnetic count recorded when T is given.
-    """
-    report = verify_clr(T_A, V, kappa, S_nonmagnetic, scenario_id=scenario_id,
-                        bd=bd, tag="magneticCLR")
-    if T is not None and report.status != "vacuous":
-        c = spectra.count_below(T, V, 0.0, spectrum=spectrum)
-        # recorded for comparison only; no ordering is asserted
-        report.extras["count_nonmagnetic"] = c.n
-    return report
+                        scenario_id: str = "", bd=None) -> VerificationReport:
+    """Counting bound for the magnetic operator with the non-magnetic
+    constant; T_A - V gets its own spectrum."""
+    return verify_clr(T_A, V, kappa, S_nonmagnetic, scenario_id=scenario_id,
+                      bd=bd, tag="magneticCLR")
 
 
 def verify_liyau_trace(T, V, S: float, kappa: float, s_grid, *,
@@ -555,7 +552,7 @@ _EXPONENT_RULES = {
 }
 
 _SCENARIO_KEYS = ("id", "lattice", "operator", "exponents", "potential", "checks",
-                  "grids", "heat_nash", "sobolev", "seed")
+                  "heat_nash", "seed")
 _POSITIVE = "must be a nonempty list of numbers > 0"
 
 
@@ -641,35 +638,9 @@ def validate_scenario(sc: dict) -> dict:
         _expect(potential["seed"] is not None, f"{pw}.seed",
                 "random potentials require an explicit integer seed")
 
-    gw = f"{where}.grids"
-    grids = _block(sc.get("grids"), gw, ("tau", "s", "t"))
-    tau = grids.get("tau")
-    if isinstance(tau, list):
-        tau = _numbers(tau, f"{gw}.tau", lambda t: t > 0, _POSITIVE)
-    else:
-        _expect(tau is None or isinstance(tau, dict), f"{gw}.tau",
-                "must be a nonempty list of numbers > 0 or an object")
-        tau = _block(tau, f"{gw}.tau", ("points", "lo_rel", "hi_rel"))
-        tau = {"points": _integer(tau.get("points"), f"{gw}.tau.points", 1, 20),
-               "lo_rel": _number(tau.get("lo_rel"), f"{gw}.tau.lo_rel", lambda v: v > 0,
-                                 "must be > 0", 1e-2),
-               "hi_rel": _number(tau.get("hi_rel"), f"{gw}.tau.hi_rel", lambda v: v > 0,
-                                 "must be > 0", 1e1)}
-
-    sob = _block(sc.get("sobolev"), f"{where}.sobolev", ("restarts", "sweep_restarts"))
     return {
         "id": sid, "lattice": lat, "operator": op, "exponents": exponents,
-        "potential": potential, "checks": list(checks),
-        "grids": {"tau": tau,
-                  "s": _numbers(grids.get("s"), f"{gw}.s", lambda s: s > 0, _POSITIVE,
-                                [0.05, 0.25, 1.0, 5.0]),
-                  "t": _numbers(grids.get("t"), f"{gw}.t", lambda t: t > 0, _POSITIVE,
-                                [0.1, 1.0, 10.0])},
-        "heat_nash": heat_nash,
-        "sobolev": {"restarts": _integer(sob.get("restarts"), f"{where}.sobolev.restarts",
-                                         0, 16),
-                    "sweep_restarts": _integer(sob.get("sweep_restarts"),
-                                               f"{where}.sobolev.sweep_restarts", 1, 8)},
+        "potential": potential, "checks": list(checks), "heat_nash": heat_nash,
         "seed": _integer(sc.get("seed"), f"{where}.seed", 0, None),
     }
 
@@ -707,7 +678,7 @@ def validate_sweep(config: dict) -> dict:
     pot = _block(inst.get("potential"), f"{where}.potential", ("values", "seed", "sigma"))
     pot_values = _potential_values(pot, f"{where}.potential", lat, ("seed", "sigma"))
     explicit = pot_values is not None
-    prof = _block(inst.get("profile"), f"{where}.profile", ("kind", "a"))
+    prof = _block(inst.get("profile"), f"{where}.profile", ("a",))
     instance = {
         "lattice": lat,
         "operator": _parse_operator(inst.get("operator"), lat, f"{where}.operator"),
@@ -717,11 +688,8 @@ def validate_sweep(config: dict) -> dict:
                              None if explicit else 0),
             "sigma": _number(pot.get("sigma"), f"{where}.potential.sigma", lambda s: s > 0,
                              "must be > 0", None if explicit else 1.0)},
-        "profile": {
-            "kind": _field(prof.get("kind"), f"{where}.profile.kind",
-                           lambda v: v == "hinge", "must be 'hinge'", "hinge"),
-            "a": _number(prof.get("a"), f"{where}.profile.a", lambda a: a > 0,
-                         "must be > 0", 1.0)},
+        "profile": {"a": _number(prof.get("a"), f"{where}.profile.a", lambda a: a > 0,
+                                 "must be > 0", 1.0)},
         "kappa": _number(inst.get("kappa"), f"{where}.kappa", *_EXPONENT_RULES["kappa"],
                          default=1.5),
     }
@@ -803,12 +771,6 @@ def _draw_potentials(T, pot: dict, *, positive_floor: bool):
     return out
 
 
-def _tau_grid(grid, scale: float):
-    if isinstance(grid, list):
-        return grid
-    return list(np.geomspace(grid["lo_rel"] * scale, grid["hi_rel"] * scale, grid["points"]))
-
-
 @dataclass
 class ScenarioResult:
     scenario_id: str
@@ -843,7 +805,6 @@ def run_scenario(sc: dict) -> ScenarioResult:
     sid = sc["id"]
     space, T, T_A, bundle, op_extras = _build_instance(sc)
     checks = sc["checks"]
-    scale = T.spectral_scale()
     bd = operators.beurling_deny_check(
         T, omega=(bundle.omega if bundle is not None else None))
     assumptions = {
@@ -852,7 +813,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
             "is_real": bd.is_real, "offdiag_max": bd.offdiag_max,
             "cond2": bd.cond2_pass, "cond3": bd.cond3_pass,
         },
-        "spectral_scale": scale,
+        "spectral_scale": T.spectral_scale(),
     }
 
     constants = functional.ConstantsBundle()
@@ -864,7 +825,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
     needs = _scenario_needs(sc)
     if any(nd.constant == "S" for nd in needs):
         q = exponents_from_gamma_kappa(0.0, kappa).q
-        S, S_trace = functional.sobolev_constant(T, q, restarts=sc["sobolev"]["restarts"])
+        S, S_trace = functional.sobolev_constant(T, q)
         constants.S = S
         constants.provenance["S"] = "minimized"
         extras["sobolev"] = {"residual": S_trace.residual,
@@ -877,8 +838,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
 
     if any(nd.constant == "S_interp" for nd in needs):
         e = exponents_from_gamma_kappa(gamma, kappa)
-        interp = functional.sobolev_interp_constant(
-            T, e.q, e.theta, restarts=sc["sobolev"]["sweep_restarts"])
+        interp = functional.sobolev_interp_constant(T, e.q, e.theta)
         constants.S_interp = interp.value
         constants.provenance["S_interp"] = "minimized (tau step)"
         extras["interp"] = {"tau_star": interp.tau_star,
@@ -886,7 +846,6 @@ def run_scenario(sc: dict) -> ScenarioResult:
                             "rel_gap": interp.rel_gap, "vacuous": interp.vacuous}
 
     pot = sc["potential"]
-    grids = sc["grids"]
     per_draw = [c for c in checks if CHECK_NEEDS[c].per_draw]
     draws = _draw_potentials(T, pot, positive_floor="liyauTrace" in checks) if per_draw else []
 
@@ -897,8 +856,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
                 r = verify_clr(T, V, kappa, constants.S, scenario_id=sid, bd=bd,
                                spectrum=spectrum)
             elif check == "weakLT":
-                grid = _tau_grid(grids["tau"], scale)
-                r = verify_weak_lt(T, V, gamma, kappa, grid, constants.S_interp,
+                r = verify_weak_lt(T, V, gamma, kappa, constants.S_interp,
                                    scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "LTmoment":
                 L_weak = 0.0
@@ -911,10 +869,9 @@ def run_scenario(sc: dict) -> ScenarioResult:
                 r = verify_moment_identity(T, V, gamma_tilde, scenario_id=sid,
                                            spectrum=spectrum)
             elif check == "magneticCLR":
-                r = verify_magnetic_clr(T_A, V, kappa, constants.S,
-                                        scenario_id=sid, bd=bd, T=T, spectrum=spectrum)
+                r = verify_magnetic_clr(T_A, V, kappa, constants.S, scenario_id=sid, bd=bd)
             else:  # liyauTrace
-                r = verify_liyau_trace(T, V, constants.S, kappa, grids["s"],
+                r = verify_liyau_trace(T, V, constants.S, kappa, LIYAU_S_GRID,
                                        scenario_id=sid, bd=bd)
             r.extras["potential"] = label
             reports.append(r)
@@ -936,7 +893,8 @@ def run_scenario(sc: dict) -> ScenarioResult:
     # without a scenario seed each sampled check keeps its own default seed
     seed = {} if sc["seed"] is None else {"seed": sc["seed"]}
     if "diamagnetic" in checks:
-        reports.append(verify_diamagnetic(T, T_A, grids["t"], scenario_id=sid, **seed))
+        reports.append(verify_diamagnetic(T, T_A, DIAMAGNETIC_T_GRID, scenario_id=sid,
+                                          **seed))
 
     if "gsrIdentity" in checks:
         reports.append(verify_gsr_identity(bundle, scenario_id=sid, **seed))

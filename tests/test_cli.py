@@ -262,12 +262,7 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"operator": "laplacian"}, "operator"),
             ({"exponents": []}, "exponents"),
             ({"potential": []}, "potential"),
-            ({"grids": "x"}, "grids"),
             ({"potential": {"seed": 5, "sigmas": ["a"]}}, "potential.sigmas"),
-            ({"sobolev": []}, "sobolev"),
-            ({"sobolev": {"restarts": "x"}}, "sobolev.restarts"),
-            ({"sobolev": {"restarts": -1}}, "sobolev.restarts"),
-            ({"sobolev": {"sweep_restarts": 0}}, "sobolev.sweep_restarts"),
             ({"potential": {"seed": 5, "sigmas": [1.0], "draws": "x"}}, "potential.draws"),
             ({"potential": {"seed": 5, "sigmas": [1.0], "draws": 0}}, "potential.draws"),
             # one value per site: tiny-a has 8 sites
@@ -281,16 +276,9 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"potential": {"seed": 5, "sigmas": [True], "draws": 1}}, "potential.sigmas"),
             ({"potential": {"seed": 5, "sigmas": [1.0], "draws": True}}, "potential.draws"),
             ({"potential": {"values": [True] * 8}}, "potential.values"),
-            ({"sobolev": {"restarts": True}}, "sobolev.restarts"),
             ({"seed": True}, "seed"),
             ({"seed": "x"}, "seed"),
             # fields that are read: each checked, even when no check reads it
-            ({"grids": {"tau": {"points": 0}}}, "grids.tau.points"),
-            ({"grids": {"tau": {"points": "x"}}}, "grids.tau.points"),
-            ({"grids": {"tau": {"lo_rel": "a"}}}, "grids.tau.lo_rel"),
-            ({"grids": {"tau": [-1, 1]}}, "grids.tau"),
-            ({"grids": {"s": ["a"]}}, "grids.s"),
-            ({"grids": {"s": [-1]}}, "grids.s"),
             ({"heat_nash": {"nash_samples": -5}}, "heat_nash.nash_samples"),
             ({"heat_nash": {"grid_points": "x"}}, "heat_nash.grid_points"),
             ({"heat_nash": {"grid_points": 0}}, "heat_nash.grid_points"),
@@ -305,6 +293,12 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
               "operator": {"family": "periodic", "W": {"kind": "sine"}}}, "operator.W.kind"),
             ({"potential": {"seed": 5, "sigma": [1.0]}}, "potential.sigma"),
             ({"potential": {"seed": 5, "floor": True}}, "potential.floor"),
+            # blocks that left the schema: the tau grid is gone, the other
+            # grids and the restart counts are constants
+            ({"grids": {"tau": [1.0]}}, "grids"),
+            ({"grids": {"s": [0.05, 0.25, 1.0, 5.0]}}, "grids"),
+            ({"sobolev": {"restarts": 16}}, "sobolev"),
+            ({"sobolev": {}}, "sobolev"),
             ({"checks": ["CLR"], "note": "x"}, "note")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
@@ -324,7 +318,7 @@ SWEEP_INSTANCE = {
     "lattice": {"d": 2, "extents": [3, 3], "h": 1.0, "bc": "dirichlet"},
     "operator": {"family": "laplacian"},
     "potential": {"values": [0.5, 1.25, 0.5, 3.0, 1.25, 0.5, 1.25, 3.0, 0.5]},
-    "profile": {"kind": "hinge", "a": 1.0},
+    "profile": {"a": 1.0},
 }
 
 
@@ -528,6 +522,7 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     ("coupling", [1.0], dict(SWEEP_INSTANCE, kappa="x"), "sweep.instance.kappa"),
     ("coupling", [1.0], dict(SWEEP_INSTANCE, kappa=-1), "sweep.instance.kappa"),
     ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"a": 0}), "sweep.instance.profile.a"),
+    # hinge is the only profile, so its kind is no key
     ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"kind": "box"}),
      "sweep.instance.profile.kind"),
     ("tau", [1.0], dict(SWEEP_INSTANCE, checks=["CLR"]), "sweep.instance.checks"),
@@ -540,6 +535,8 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
     # the flux axis builds the magnetic Laplacian, so its base must be the Laplacian
     ("flux", [0.0], dict(SWEEP_INSTANCE, operator={"family": "fractional", "s": 0.5}),
      "sweep.instance.operator.family"),
+    ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"kind": "hinge", "a": 1.0}),
+     "sweep.instance.profile.kind"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)
@@ -582,20 +579,13 @@ SCENARIO_BAD = {
     "potential.draws": [0, -5, 1.5, "x"],
     "potential.adversarial": [[], ["a"], [-1], "x"],
     "checks": ["CLR", [1], ["noSuchTag"]],
-    "grids": ["x", []],
-    "grids.tau": [[], [-1, 1], "x", 0],
-    "grids.tau.points": [0, -1, 1.5, "x"],
-    "grids.tau.lo_rel": [0, -1, "a"],
-    "grids.tau.hi_rel": [0, "a"],
-    "grids.s": [[], ["a"], [-1], "x"],
-    "grids.t": [[], [0], "x"],
     "heat_nash": ["x", 1, []],
     "heat_nash.grid_points": [0, 1.5, "x"],
     "heat_nash.nash_samples": [-5, 0, "x"],
-    "sobolev": ["x", []],
-    "sobolev.restarts": [-1, 1.5, "x", True],
-    "sobolev.sweep_restarts": [0, "x"],
     "seed": [-1, 3.7, "x", True],
+    # keys that left the schema: any value exits 2
+    "grids": [{}, {"tau": [1.0]}, {"t": [0.1, 1.0, 10.0]}, "x"],
+    "sobolev": [{}, {"restarts": 16}, {"sweep_restarts": 8}],
 }
 SWEEP_BAD = {
     "sweep.axis": ["bogus", 1],
@@ -605,14 +595,14 @@ SWEEP_BAD = {
     "sweep.instance.potential.seed": [-1, 3.7],
     "sweep.instance.potential.sigma": ["x", 0],
     "sweep.instance.profile": ["x"],
-    "sweep.instance.profile.kind": ["box", 1],
+    "sweep.instance.profile.kind": ["hinge", "box"],   # not a key
     "sweep.instance.profile.a": [0, "x"],
     "sweep.instance.kappa": ["x", -1, 1],
     **{f"sweep.instance.{k}": v for k, v in SCENARIO_BAD.items()
        if k.split(".")[0] in ("lattice", "operator")},
 }
-SCENARIO_BLOCKS = ("", "lattice", "operator", "operator.W", "exponents", "potential", "grids",
-                   "grids.tau", "heat_nash")
+SCENARIO_BLOCKS = ("", "lattice", "operator", "operator.W", "exponents", "potential",
+                   "heat_nash")
 SWEEP_BLOCKS = ("sweep", "sweep.instance", "sweep.instance.lattice", "sweep.instance.operator",
                 "sweep.instance.potential", "sweep.instance.profile")
 KNOWN_KEYS = ({k.split(".")[-1] for k in {**SCENARIO_BAD, **SWEEP_BAD}}

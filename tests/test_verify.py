@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import (beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
@@ -137,29 +138,70 @@ def test_clr_not_applicable_when_assumptions_fail():
 def test_weak_lt_random_draws_pass():
     T = path_op(16)
     gamma, kappa = 1.0, 1.5
-    q = exponents_from_gamma_kappa(gamma, kappa).q
-    theta = exponents_from_gamma_kappa(gamma, kappa).theta
-    ic = sobolev_interp_constant(T, q, theta)
-    taus = np.geomspace(1e-2, 10.0, 15) * T.spectral_scale()
+    e = exponents_from_gamma_kappa(gamma, kappa)
+    ic = sobolev_interp_constant(T, e.q, e.theta)
+    L = ltw_bounds_from_S(ic.value, gamma, kappa)[1]
     for k in range(10):
         V = draw(T, [0.1, 1.0, 10.0][k % 3], 2000 + k)
-        r = verify_weak_lt(T, V, gamma, kappa, taus, ic.value, scenario_id="t")
+        r = verify_weak_lt(T, V, gamma, kappa, ic.value, scenario_id="t")
         assert r.status == "pass", (k, r.margin)
-        assert len(r.extras["per_tau"]) == len(taus)
-    with pytest.raises(ValueError):
-        verify_weak_lt(T, V, gamma, kappa, [0.0, 1.0], ic.value)
+        assert r.rhs == L * integral(V, gamma + kappa, T.space, measure=T.measure)
+        n, tau_star = r.extras["count"], r.extras["tau_star"]
+        assert n >= 1 and r.lhs == n * tau_star ** gamma
+        assert count_below(T, V, np.nextafter(tau_star, 0.0)).n == n
 
 
 def test_weak_lt_verdict_scales_with_potential():
+    # T - cV falls as c grows, so every count, and with them the supremum
+    # over tau, can only grow
     T = path_op(12)
     gamma, kappa = 0.5, 1.0
     e = exponents_from_gamma_kappa(gamma, kappa)
     ic = sobolev_interp_constant(T, e.q, e.theta)
-    taus = np.geomspace(0.05, 20.0, 10)
     V = draw(T, 1.0, 77)
-    for c in (0.5, 1.0, 2.0, 4.0):
-        r = verify_weak_lt(T, c * V, gamma, kappa, taus, ic.value)
-        assert r.status == "pass"
+    reports = [verify_weak_lt(T, c * V, gamma, kappa, ic.value) for c in (0.5, 1.0, 2.0, 4.0)]
+    assert all(r.status == "pass" for r in reports)
+    lhs = [r.lhs for r in reports]
+    assert lhs == sorted(lhs) and lhs[-1] > 0.0
+
+
+# magnitudes drawn from a short list repeat; 0.0 puts an eigenvalue exactly at 0
+_EIGENVALUES = st.lists(st.one_of(st.sampled_from([-2.0, -1.0, -0.25, 0.0, 0.5]),
+                                  st.floats(-8.0, 8.0, allow_subnormal=False)),
+                        max_size=10)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(eigs=_EIGENVALUES, gamma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+def test_weak_lt_lhs_is_the_supremum_over_tau(eigs, gamma):
+    eigs = np.array(eigs, dtype=np.float64)
+    T = path_op(4)
+    V = np.ones(T.n)
+    r = verify_weak_lt(T, V, gamma, 1.5, 1.0, spectrum=lambda: eigs)
+    a = np.unique(-eigs[eigs < 0.0])
+
+    def n_below(tau):
+        return spectra.count_from_eigenvalues(eigs, tau).n
+
+    # tau on a dense grid and just below each magnitude
+    taus = [*np.geomspace(1e-3, 1e2, 400).tolist(), *(np.nextafter(a, 0.0).tolist())]
+    assert all(r.lhs >= tau ** gamma * n_below(tau) for tau in taus)
+    tau_star, n = r.extras["tau_star"], r.extras["count"]
+    if a.size:
+        # the supremum is the limit as tau rises to tau_star
+        assert tau_star in a
+        n_star = n_below(float(np.nextafter(tau_star, 0.0)))
+        assert (n, r.lhs) == (n_star, tau_star ** gamma * n_star)
+    else:
+        assert (r.lhs, n, tau_star) == (0.0, 0, None)
+    if gamma == 0.0:
+        # N(0, T - V), with a tie at threshold 0 reported as the CLR check does
+        clr = verify_clr(T, V, 1.5, 1.0, spectrum=lambda: eigs)
+        assert (r.lhs, r.ties) == (clr.lhs, clr.ties)
+        if 0.0 in eigs:
+            assert r.ties == [{"tau": 0.0, "distance": 0.0}]
+    else:
+        assert r.ties == []
 
 
 def test_lt_moments_pass_and_identity():
@@ -221,9 +263,10 @@ def test_tau_shift_reduction_matches_counting_verdict():
         S_tau, _ = sobolev_constant(T_tau, e.q)
         r_clr = verify_clr(T_tau, c * V, gamma + kappa, S_tau)
         ic = sobolev_interp_constant(T, e.q, e.theta)
-        r_weak = verify_weak_lt(T, V, gamma, kappa, [tau], ic.value)
-        assert r_weak.passed == r_clr.passed
+        r_weak = verify_weak_lt(T, V, gamma, kappa, ic.value)
         assert r_weak.status == r_clr.status == "pass"
+        # the weak check reads the supremum over tau, this tau among them
+        assert r_weak.lhs >= n_weak * tau ** gamma
 
 
 # --- magnetic and ground-state checks ---------------------------------------
@@ -263,12 +306,11 @@ def test_magnetic_clr_zero_flux_reduces_to_plain():
     kappa = 1.5
     S, _ = sobolev_constant(T, 6.0)
     V = draw(T, 1.0, 55)
-    rm = verify_magnetic_clr(TA, V, kappa, S, T=T)
+    rm = verify_magnetic_clr(TA, V, kappa, S)
     rp = verify_clr(T, V, kappa, S)
     assert rm.tag == "magneticCLR"
     assert rm.lhs == rp.lhs
     assert rm.rhs == pytest.approx(rp.rhs, rel=1e-14)
-    assert rm.extras["count_nonmagnetic"] == rp.extras["count"]
 
 
 def test_magnetic_clr_with_flux_passes():
@@ -277,9 +319,8 @@ def test_magnetic_clr_with_flux_passes():
     TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, math.pi / 2))
     S, _ = sobolev_constant(T, 4.0)       # kappa = 2
     V = draw(T, 1.0, 66)
-    r = verify_magnetic_clr(TA, V, 2.0, S, T=T)
+    r = verify_magnetic_clr(TA, V, 2.0, S)
     assert r.status == "pass"
-    assert "count_nonmagnetic" in r.extras
 
 
 def test_liyau_single_site_closed_form():
@@ -362,10 +403,7 @@ def test_validate_scenario_fills_every_default():
         "potential": {"values": None, "seed": None, "sigmas": [0.1, 1.0, 10.0], "draws": 2,
                       "adversarial": None},
         "checks": [],
-        "grids": {"tau": {"points": 20, "lo_rel": 0.01, "hi_rel": 10.0},
-                  "s": [0.05, 0.25, 1.0, 5.0], "t": [0.1, 1.0, 10.0]},
         "heat_nash": None,
-        "sobolev": {"restarts": 16, "sweep_restarts": 8},
         "seed": None,
     }
     # a normalized copy validates to itself, and true turns heat_nash on
@@ -431,8 +469,7 @@ def test_validate_rejects_what_a_check_cannot_run_on(over, field):
 
 
 def test_lt_moment_alone_matches_lt_moment_after_weak_lt():
-    common = {"exponents": {"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0},
-              "grids": {"tau": {"points": 5}}}
+    common = {"exponents": {"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0}}
     alone = run_scenario(minimal_scenario(checks=["LTmoment"], **common)).reports
     paired = run_scenario(minimal_scenario(checks=["weakLT", "LTmoment"], **common)).reports
     paired = [r for r in paired if r.tag == "LTmoment"]
@@ -460,8 +497,7 @@ def test_run_scenario_counting_suite():
 
 def test_run_scenario_deterministic():
     sc = minimal_scenario(checks=["CLR", "weakLT", "LTmoment"],
-                          exponents={"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0},
-                          grids={"tau": {"points": 5}})
+                          exponents={"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0})
     a = run_scenario_jsonable(copy.deepcopy(sc))
     b = run_scenario_jsonable(copy.deepcopy(sc))
     assert a == b
@@ -510,10 +546,21 @@ def test_magnetic_draw_computes_one_spectrum_per_operator(monkeypatch):
     sc = _bundled("magclr-4x4-flux-pi2")
     res, calls = _count_spectra(monkeypatch, sc)
     n = _n_draws(sc)
-    # CLR and the non-magnetic count of magneticCLR share T - V; T_A - V is its own
+    # CLR reads T - V and magneticCLR reads T_A - V, once each per draw
     assert len(calls) == 2 * n
     assert len({id(T) for T in calls}) == 2
     assert sum(r.tag == "magneticCLR" and r.status == "pass" for r in res.reports) == n
+
+
+def test_magnetic_clr_alone_computes_no_nonmagnetic_spectrum(monkeypatch):
+    sc = copy.deepcopy(_bundled("magclr-4x4-flux-pi2"))
+    sc["checks"] = ["magneticCLR"]
+    res, calls = _count_spectra(monkeypatch, sc)
+    n = _n_draws(sc)
+    # one T_A - V spectrum per draw, and none of T - V
+    assert len(calls) == n and len({id(T) for T in calls}) == 1
+    assert not calls[0].is_real
+    assert [r.tag for r in res.reports] == ["magneticCLR"] * n
 
 
 def test_vacuous_draw_checks_compute_no_spectrum(monkeypatch):
