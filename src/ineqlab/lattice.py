@@ -8,7 +8,6 @@ determinism for everything downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +47,10 @@ class LatticeSpace:
     def index_of(self, coord) -> int:
         """Index of a site given its integer coordinates."""
         key = tuple(int(c) for c in coord)
-        idx = self._index_map().get(key)
-        if idx is None:
+        hit = np.flatnonzero(np.all(self.coords == key, axis=1)) if len(key) == self.d else []
+        if len(hit) == 0:
             raise KeyError(f"no live site at coordinates {key}")
-        return idx
-
-    def _index_map(self) -> dict:
-        cache = getattr(self, "_idx_cache", None)
-        if cache is None:
-            cache = {tuple(int(c) for c in row): i for i, row in enumerate(self.coords)}
-            object.__setattr__(self, "_idx_cache", cache)
-        return cache
+        return int(hit[0])
 
 
 def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpace:
@@ -72,10 +64,7 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if np.isscalar(extents):
-        ext = (int(extents),) * d
-    else:
-        ext = tuple(int(e) for e in extents)
+    ext = (int(extents),) * d if np.isscalar(extents) else tuple(int(e) for e in extents)
     if len(ext) != d:
         raise ValueError(f"expected {d} extents, got {len(ext)}")
     if any(e < 1 for e in ext):
@@ -86,61 +75,44 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
     if bc not in _BCS:
         raise ValueError(f"bc must be one of {_BCS}, got {bc!r}")
 
-    excl = []
-    for c in exclusions:
-        key = tuple(int(v) for v in c)
-        if len(key) != d:
-            raise ValueError(f"exclusion {key} has wrong dimension (expected {d})")
-        if any(not (0 <= key[a] < ext[a]) for a in range(d)):
-            raise ValueError(f"exclusion {key} lies outside the grid {ext}")
-        if key not in excl:
-            excl.append(key)
-    excl_set = set(excl)
+    excl = tuple(dict.fromkeys(tuple(int(v) for v in c) for c in exclusions))
+    off_grid = [c for c in excl if len(c) != d or not all(0 <= v < e for v, e in zip(c, ext))]
+    if off_grid:
+        raise ValueError(f"exclusion {off_grid[0]} is not a site of the grid {ext}")
+    holes = np.array(excl, dtype=np.int64).reshape(-1, d)
 
-    sites = [c for c in itertools.product(*(range(e) for e in ext)) if c not in excl_set]
-    if not sites:
+    live = np.ones(ext, dtype=bool)
+    live[tuple(holes.T)] = False
+    n = int(np.count_nonzero(live))
+    if n == 0:
         raise ValueError("no live sites remain after exclusions")
-    index = {c: i for i, c in enumerate(sites)}
-    n = len(sites)
+    # index[c] is the position of site c in lexicographic order, -1 when
+    # c is excluded; the boolean mask fills it in that order
+    index = np.full(ext, -1, dtype=np.int64)
+    index[live] = np.arange(n)
 
-    w_edge = h ** (d - 2)
-    edges = []
+    # per live site, its +axis neighbour along each axis (-1 for none) and
+    # the count of neighbour slots that are off the grid or excluded
+    targets = np.empty((n, d), dtype=np.int64)
     boundary = np.zeros(n, dtype=np.int64)
-    for c, i in index.items():
-        for axis in range(d):
-            for step in (+1, -1):
-                nb = list(c)
-                nb[axis] += step
-                wrapped = False
-                if bc == "periodic":
-                    nb[axis] %= ext[axis]
-                    wrapped = True
-                nbt = tuple(nb)
-                inside = wrapped or (0 <= nbt[axis] < ext[axis])
-                if not inside or nbt in excl_set:
-                    boundary[i] += 1
-                    continue
-                if nbt == c:
-                    continue  # periodic extent-1 axis folds onto itself
-                if step == +1:
-                    edges.append((i, index[nbt]))
+    for axis in range(d):
+        pad = [(0, 0)] * d
+        pad[axis] = (1, 1)
+        ring = (np.pad(index, pad, mode="wrap") if bc == "periodic"
+                else np.pad(index, pad, constant_values=-1))
+        up, down = (np.take(ring, np.arange(ext[axis]) + 1 + step, axis=axis)[live]
+                    for step in (+1, -1))
+        boundary += (up < 0).astype(np.int64) + (down < 0)
+        # a periodic extent-1 axis folds each site onto itself
+        targets[:, axis] = np.where(up == np.arange(n), -1, up)
+    # ordered by source site, then axis
+    src, axis_of = np.nonzero(targets >= 0)
+    edges = np.stack((src, targets[src, axis_of]), axis=1)
 
-    edges_arr = (
-        np.array(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-    )
-    space = LatticeSpace(
-        d=d,
-        extents=ext,
-        h=h,
-        bc=bc,
-        coords=np.array(sites, dtype=np.int64),
-        measures=np.full(n, h**d, dtype=np.float64),
-        edges=edges_arr,
-        edge_weights=np.full(len(edges), w_edge, dtype=np.float64),
-        boundary_counts=boundary,
-        excluded=tuple(excl),
-    )
-    return space
+    return LatticeSpace(d=d, extents=ext, h=h, bc=bc, coords=np.argwhere(live),
+                        measures=np.full(n, h**d), edges=edges,
+                        edge_weights=np.full(len(edges), h ** (d - 2)),
+                        boundary_counts=boundary, excluded=excl)
 
 
 def _measure_vector(space: LatticeSpace, measure) -> np.ndarray:

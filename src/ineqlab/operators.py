@@ -10,20 +10,20 @@ The plain Laplacian form is t[u] = sum_edges h^(d-2) |u_x - u_y|^2 plus
 one h^(d-2) |u_x|^2 penalty per missing neighbor slot under Dirichlet
 boundary conditions.
 
-Forms are stored dense, and every product goes through
-KineticOperator.form_product: A @ u for each row u of a block U whose
-rows are the vectors (shape b x n); a vector is the one-row block.  A
-row of a block never depends on the rows beside it.  On first use
-form_product looks at the form once: when its fullest row holds k
-nonzeros with k * ROW_ROUTE_FACTOR < n, it keeps a padded row list (per
-row, the column indices and values of its nonzeros, padded to k slots)
-and applies the form through it in O(k n) work per row; otherwise it
-multiplies densely, one matrix-vector product per row.  The
-nearest-neighbour families (Laplacian, magnetic, periodic, shifted and
-weighted forms; k <= 2d + 1) take the row route on large lattices;
-fractional and inverse-square forms are full and stay dense at every
-size.  The row list also gives the form's bandwidth, which the inertia
-count in ``spectra`` reads.
+Forms are stored dense and read-only.  The constructor reads each form
+once, in blocks of rows (``_scan``): a form with an entry that is not
+finite, or with ||A - A^H||_inf above SYM_TOL max(1, max|A_ij|), is
+rejected.  When its fullest row holds k nonzeros with
+k * ROW_ROUTE_FACTOR < n, the scan also keeps a padded row list (per row,
+the column indices and values of its nonzeros, padded to k slots) and the
+bandwidth, which the inertia count in ``spectra`` reads.  form_product
+(A @ u for each row u of a b x n block, a vector being the one-row block;
+no row depends on the rows beside it) applies such a form in O(k n) work
+per row, and any other form by one dense matrix-vector product per row.
+Nearest-neighbour forms (k <= 2d + 1) take the row route on large
+lattices; fractional and inverse-square forms stay dense.  sym() skips
+the symmetrization of an exactly Hermitian form under a uniform measure,
+and under the measure 1 it is the form itself, sharing its memory.
 
 KineticOperator.solve applies (A + shift M)^{-1} to rows from the cached
 eigenbasis of the symmetrized matrix; it is the one place that solves
@@ -33,7 +33,6 @@ with a form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,25 +51,71 @@ SYM_TOL = 1e-12
 ROW_ROUTE_FACTOR = 32
 
 
-def _padded_rows(form: np.ndarray):
-    """(cols, vals), each of shape (k, n), for the row route, or None.
+# The form scan reads SCAN_BLOCK entries (256 kB) of rows at a time.
+SCAN_BLOCK = 1 << 15
 
-    Slot s of row i holds the column index and value of the s-th nonzero
-    of that row in ascending column order; short rows are padded with
-    their own index and a zero value (a zero form keeps one such slot).
+
+def _row_blocks(n: int) -> list:
+    """Slices of consecutive rows of an n x n matrix, SCAN_BLOCK entries each."""
+    step = max(1, SCAN_BLOCK // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def abs_row_sums(M: np.ndarray) -> np.ndarray:
+    """sum_j |M_ij| for every row i, one block of rows at a time."""
+    return np.concatenate([np.sum(np.abs(M[r]), axis=1) for r in _row_blocks(len(M))])
+
+
+def _scan(form: np.ndarray):
+    """(max|A_ij|, ||A - A^H||_inf, (max Re(A - diag A), its first (i, j)),
+    padded row list or None, bandwidth or None) from one pass over the rows.
+
+    On the row route the kept nonzeros give the defect (A - A^H is nonzero
+    only where A_ij or A_ji is) and the row list (cols, vals) of shape
+    (k, n): slot s of row i holds its s-th nonzero in column order, and
+    short rows are padded with their own index and a 0.  Off it, the
+    defect is read densely, the rows passed before included.
     """
+    def dense_defect(r):    # column sums of A[:, r] - A[r]^H: the short block is transposed
+        return float(np.max(np.sum(np.abs(form[:, r] - form[r].conj().T), axis=0)))
+
     n = form.shape[0]
-    counts = np.count_nonzero(form, axis=1)
+    blocks = _row_blocks(n)
+    peaks, offs, defects, nonzeros = [], [], [], []
+    counts = np.zeros(n, dtype=np.int64)
+    for b, r in enumerate(blocks):
+        blk = form[r]
+        a = np.abs(blk)
+        peaks.append(a.max())
+        np.copyto(a, blk.real)          # the same buffer, now for Re(A - diag A)
+        a[np.arange(len(a)), np.arange(r.start, r.start + len(a))] = 0.0
+        at = int(np.argmax(a))
+        offs.append((float(a.flat[at]), (r.start + at // n, at % n)))
+        if nonzeros is not None:
+            nz = blk != 0
+            counts[r] = np.count_nonzero(nz, axis=1)
+            if max(1, int(counts.max())) * ROW_ROUTE_FACTOR < n:
+                nonzeros.append((np.flatnonzero(nz) + r.start * n, blk[nz]))
+                continue
+            nonzeros = None
+            defects.extend(dense_defect(u) for u in blocks[:b])
+        defects.append(dense_defect(r))
+    peak, offdiag = float(np.max(peaks)), max(offs, key=lambda o: o[0])   # the first maximum
+    if nonzeros is None:
+        return peak, max(defects), offdiag, None, None
+    flat, v = (np.concatenate(x) for x in zip(*nonzeros))
+    i, j = np.divmod(flat, n)
+    mirror = form[j, i]
+    lone = mirror == 0
+    defect = np.max(np.bincount(i, np.abs(v - mirror.conj()), n)
+                    + np.bincount(j[lone], np.abs(v[lone]), n))
     k = int(counts.max(initial=1))
-    if k * ROW_ROUTE_FACTOR >= n:
-        return None
-    rows, cols = np.nonzero(form)
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pad_cols = np.tile(np.arange(n), (k, 1))
-    pad_vals = np.zeros((k, n), dtype=form.dtype)
-    pad_cols[slot, rows] = cols
-    pad_vals[slot, rows] = form[rows, cols]
-    return pad_cols, pad_vals
+    slot = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.tile(np.arange(n), (k, 1))
+    vals = np.zeros((k, n), dtype=form.dtype)
+    cols[slot, i] = j
+    vals[slot, i] = v
+    return peak, float(defect), offdiag, (cols, vals), int(np.max(np.abs(j - i), initial=0))
 
 
 class KineticOperator:
@@ -78,23 +123,29 @@ class KineticOperator:
 
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
-    class with a modified measure).
+    class with a modified measure).  The operator keeps a read-only view
+    of the form array it is given; that array must not change afterwards.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
                  name: str = "", meta: dict | None = None):
-        form = np.asarray(form)
+        form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
         self.space = space
-        self.form = form
+        self.form = form.view()
+        self.form.flags.writeable = False
         self.measure = np.asarray(space.measures if measure is None else measure, dtype=np.float64)
         if self.measure.shape != (space.n,) or np.any(self.measure <= 0.0):
             raise ValueError("measure must be a strictly positive vector over the sites")
         self.name = name
         self.meta = dict(meta or {})
-        scale = max(1.0, float(np.max(np.abs(form))))
-        if np.linalg.norm(form - form.conj().T, ord=np.inf) > SYM_TOL * scale:
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
+            peak, self._defect, self._offdiag, self._rows, self.bandwidth = _scan(self.form)
+        if not np.isfinite(peak):
+            raise ValueError("form matrix has an entry that is not finite")
+        self.scale = max(1.0, peak)
+        if self._defect > SYM_TOL * self.scale:
             raise ValueError("form matrix is not self-adjoint")
         self._sym = None
         self._eig = None
@@ -108,11 +159,22 @@ class KineticOperator:
         return not np.iscomplexobj(self.form)
 
     def sym(self) -> np.ndarray:
-        """Symmetrized matrix M^{-1/2} A M^{-1/2}."""
+        """Symmetrized matrix 0.5 (B + B^H) for B = M^{-1/2} A M^{-1/2}, read-only.
+        B is that mean (barring overflow of 2B) when A is exactly Hermitian
+        and the measure uniform, and B is A when the measure is 1."""
         if self._sym is None:
-            rs = 1.0 / np.sqrt(self.measure)
-            B = rs[:, None] * self.form * rs[None, :]
-            self._sym = 0.5 * (B + B.conj().T)
+            m = self.measure
+            exact = self._defect == 0.0 and np.all(m == m[0])
+            B = self.form
+            if not (exact and m[0] == 1.0):
+                rs = 1.0 / np.sqrt(m)
+                B = self.form * rs[:, None]
+                B *= rs
+                if not exact:
+                    B = B + B.conj().T
+                    B *= 0.5
+                B.flags.writeable = False
+            self._sym = B
         return self._sym
 
     def eigensystem(self):
@@ -134,21 +196,6 @@ class KineticOperator:
 
     def is_positive_definite(self) -> bool:
         return self.min_eigenvalue() > 1e-12 * self.spectral_scale()
-
-    @cached_property
-    def _rows(self):
-        """Padded row list of the form, or None for the dense route."""
-        return _padded_rows(self.form)
-
-    @cached_property
-    def bandwidth(self) -> int | None:
-        """Largest |i - j| over the form's nonzeros on the row route; None
-        for forms that stay dense."""
-        rows = self._rows
-        if rows is None:
-            return None
-        cols, _ = rows  # padding slots hold their own index, distance 0
-        return int(np.max(np.abs(cols - np.arange(self.n))))
 
     def form_product(self, U) -> np.ndarray:
         """A @ u for every row u of a b x n block (the rows of the result),
@@ -210,19 +257,20 @@ class KineticOperator:
 
 
 def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
-    """Form matrix with optional complex factor exp(i*theta) per oriented edge."""
+    """Form matrix with optional complex factor exp(i*theta) per oriented edge;
+    np.add.at sums the terms of each entry in edge order."""
     n = space.n
     complex_entries = edge_factors is not None and np.iscomplexobj(edge_factors)
     A = np.zeros((n, n), dtype=np.complex128 if complex_entries else np.float64)
+    x, y = space.edges.T
+    w = space.edge_weights
+    if edge_factors is None:
+        hop = back = w
+    else:
+        hop, back = w * edge_factors, w * np.conj(edge_factors)
+    at = np.stack((x * (n + 1), y * (n + 1), x * n + y, y * n + x), axis=1)
+    np.add.at(A.reshape(-1), at.reshape(-1), np.stack((w, w, -hop, -back), axis=1).reshape(-1))
     w_ghost = space.h ** (space.d - 2)
-    for k in range(space.edges.shape[0]):
-        x, y = space.edges[k]
-        w = space.edge_weights[k]
-        fac = 1.0 if edge_factors is None else edge_factors[k]
-        A[x, x] += w
-        A[y, y] += w
-        A[x, y] -= w * fac
-        A[y, x] -= w * np.conj(fac)
     A[np.arange(n), np.arange(n)] += w_ghost * space.boundary_counts
     return A
 
@@ -286,10 +334,7 @@ def build_magnetic_laplacian(space: LatticeSpace, phases) -> KineticOperator:
         raise ValueError(
             f"expected one phase per edge ({space.edges.shape[0]}), got shape {phases.shape}"
         )
-    if np.count_nonzero(phases) == 0:
-        A = _assemble_laplacian(space).astype(np.complex128)
-    else:
-        A = _assemble_laplacian(space, np.exp(1j * phases))
+    A = _assemble_laplacian(space, np.exp(1j * phases))
     return KineticOperator(space, A, name="magnetic-laplacian", meta={"family": "magnetic"})
 
 
@@ -302,13 +347,9 @@ def uniform_flux_phases(space: LatticeSpace, flux: float) -> np.ndarray:
     """
     if space.d != 2:
         raise ValueError("uniform flux phases are defined for d = 2 lattices")
-    phases = np.zeros(space.edges.shape[0])
-    for k in range(space.edges.shape[0]):
-        x, y = space.edges[k]
-        cx, cy = space.coords[x], space.coords[y]
-        if (cy[1] - cx[1]) % space.extents[1] != 0:  # axis-1 edge
-            phases[k] = flux * cx[0]
-    return phases
+    cx, cy = space.coords[space.edges[:, 0]], space.coords[space.edges[:, 1]]
+    axis1 = (cy[:, 1] - cx[:, 1]) % space.extents[1] != 0
+    return np.where(axis1, flux * cx[:, 0], 0.0)
 
 
 def ring_flux_phases(space: LatticeSpace, total_flux: float) -> np.ndarray:
@@ -348,8 +389,7 @@ def build_periodic_schrodinger(space: LatticeSpace, W) -> PeriodicGroundState:
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (space.n,):
         raise ValueError(f"potential has shape {W.shape}, expected ({space.n},)")
-    lap = build_laplacian(space)
-    AW = lap.form.copy()
+    AW = _assemble_laplacian(space)
     idx = np.arange(space.n)
     AW[idx, idx] += space.measures * W
     TW = KineticOperator(space, AW, name="periodic-schrodinger",
@@ -497,18 +537,16 @@ def beurling_deny_check(T: KineticOperator, omega=None) -> BeurlingDenyReport:
     Failures are reported, never raised.  omega defaults to the constant
     weight; pass the ground state for shifted periodic operators.
     """
-    A = T.form
     n = T.n
-    scale = max(1.0, float(np.max(np.abs(A))))
+    scale = T.scale
     is_real = T.is_real
 
-    off = A - np.diag(np.diag(A))
-    offdiag_max = float(np.max(np.real(off))) if n > 1 else 0.0
+    offdiag_max = T._offdiag[0] if n > 1 else 0.0    # max Re(A - diag A)
     cond2_pass = is_real and offdiag_max <= 1e-14 * scale
     witness = None
     if is_real and not cond2_pass:
         # sign flip across the worst edge: t[|u|] - t[u] = 4 A_xy > 0
-        x, y = np.unravel_index(np.argmax(off), off.shape)
+        x, y = T._offdiag[1]
         witness = np.zeros(n)
         witness[x], witness[y] = 1.0, -1.0
 

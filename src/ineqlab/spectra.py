@@ -33,6 +33,7 @@ import numpy as np
 
 from ._specfun import exp_integral_e1
 from .lattice import as_potential
+from .operators import KineticOperator, abs_row_sums
 
 TIE_REL = 1e-9
 
@@ -234,7 +235,8 @@ def count_below(T, V, tau: float, *, spectrum=None) -> CountResult | list:
 def _pencil_counts(T, V, couplings) -> list | None:
     """N(0, T - cV) for each c in ``couplings`` from one spectrum: a
     CountResult per coupling the certificate decides and None for the
-    others, or None for all when V has a zero entry or W is not finite.
+    others, or None for all when V has a zero entry or a row of |W| does
+    not sum to a finite number.  Besides W, it makes no n x n temporary.
 
     With B = T.sym() and V > 0, B - cV = V^(1/2) (W - c) V^(1/2) for
     W = V^(-1/2) B V^(-1/2), so by Sylvester's law of inertia
@@ -275,14 +277,15 @@ def _pencil_counts(T, V, couplings) -> list | None:
     with np.errstate(over="ignore", invalid="ignore"):
         W = B * r[:, None]
         W *= r
-    if not np.all(np.isfinite(W)):
+        w_rows = abs_row_sums(W)
+    if not np.all(np.isfinite(w_rows)):
         return None
     eps = np.finfo(np.float64).eps
-    rho_w = n * eps * float(np.max(np.sum(np.abs(W), axis=1)))
+    rho_w = n * eps * float(np.max(w_rows))
     mu = np.linalg.eigvalsh(W)
     del W
     d = B.diagonal().real
-    off = np.sum(np.abs(B), axis=1) - np.abs(d)
+    off = abs_row_sums(B) - np.abs(d)
     s = np.max(off + np.abs(d - couplings[:, None] * V), axis=1)
     below = np.searchsorted(mu, couplings, side="left")   # #{mu_j < c}
     gap = np.minimum(np.abs(couplings - mu[np.maximum(below - 1, 0)]),
@@ -418,8 +421,6 @@ def liyau_upsilon(T, V):
     the elementwise reciprocal of the nonzero resolvent-sandwich
     spectrum at tau = 0.
     """
-    from .operators import KineticOperator  # local import avoids a module cycle
-
     V = as_potential(T.space, V)
     if np.any(V <= 0.0):
         raise ValueError("requires a strictly positive potential; restrict the space first")

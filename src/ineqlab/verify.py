@@ -447,6 +447,7 @@ def _block(x, where: str, keys, *, required: bool = False) -> dict:
 
 
 _BCS = ("dirichlet", "periodic")
+_LOG_NORMAL = (math.log(np.finfo(np.float64).tiny), math.log(np.finfo(np.float64).max))
 _PHASES = ("flux", "ring", "random")
 _OPERATOR_KEYS = {"laplacian": (), "fractional": ("s",), "hardy": ("s",),
                   "magnetic": ("phases", "flux", "seed"), "periodic": ("W",)}
@@ -467,7 +468,11 @@ def _parse_lattice(x, where: str) -> dict:
                   "each exclusion must be a d-tuple of site coordinates inside the extents",
                   [])
     out = {"d": d, "extents": list(extents),
-           "h": _number(lat.get("h"), f"{where}.h", lambda v: v > 0, "must be > 0", 1.0),
+           # the cell measure h^d and the Laplacian's scale 2d/h^2 stay normal doubles
+           "h": _number(lat.get("h"), f"{where}.h", lambda v: v > 0 and all(
+               _LOG_NORMAL[0] <= e <= _LOG_NORMAL[1]
+               for e in (d * math.log(v), math.log(2 * d) - 2 * math.log(v))),
+                        "must be > 0, with h^d and 2d/h^2 normal doubles", 1.0),
            "bc": _field(lat.get("bc"), f"{where}.bc", lambda v: v in _BCS,
                         f"must be one of {_BCS}", "dirichlet"),
            # each excluded site once, in order

@@ -299,7 +299,13 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"grids": {"s": [0.05, 0.25, 1.0, 5.0]}}, "grids"),
             ({"sobolev": {"restarts": 16}}, "sobolev"),
             ({"sobolev": {}}, "sobolev"),
-            ({"checks": ["CLR"], "note": "x"}, "note")]):
+            ({"checks": ["CLR"], "note": "x"}, "note"),
+            # spacings whose form or spectrum leaves the normal double range:
+            # 2d/h^2 underflows, 2d/h^2 overflows, h^d overflows, h^d is subnormal
+            ({"lattice": {"d": 1, "extents": [8], "h": 1e200}}, "lattice.h"),
+            ({"lattice": {"d": 1, "extents": [8], "h": 1e-200}}, "lattice.h"),
+            ({"lattice": {"d": 3, "extents": [2, 2, 2], "h": 1e110}}, "lattice.h"),
+            ({"lattice": {"d": 3, "extents": [2, 2, 2], "h": 1e-105}}, "lattice.h")]):
         bad = json.loads(json.dumps(TINY_CONFIG))
         bad["scenarios"][0].update(over)
         out = tmp_path / f"o{3 + i}"
@@ -537,6 +543,10 @@ def test_sweep_unknown_axis_exit_2(tmp_path, capsys):
      "sweep.instance.operator.family"),
     ("trotter_n", [1], dict(SWEEP_INSTANCE, profile={"kind": "hinge", "a": 1.0}),
      "sweep.instance.profile.kind"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, lattice=dict(SWEEP_INSTANCE["lattice"], h=1e200)),
+     "sweep.instance.lattice.h"),
+    ("coupling", [1.0], dict(SWEEP_INSTANCE, lattice=dict(SWEEP_INSTANCE["lattice"], h=1e-200)),
+     "sweep.instance.lattice.h"),
 ])
 def test_sweep_invalid_configs_exit_2(tmp_path, capsys, axis, values, instance, field):
     cfg = _sweep_config(axis, values, instance)

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
                      continuum_sobolev_d3, heat_bound_check, lieb_bound_from_K,
@@ -81,6 +82,18 @@ def test_sobolev_scaling_homogeneity():
     S1, _ = sobolev_constant(T, 4.0)
     S2, _ = sobolev_constant(T.scaled(3.7), 4.0)
     assert S2 == pytest.approx(3.7 * S1, rel=1e-9)
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(extents=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       h=st.floats(0.25, 4.0), q=st.sampled_from([3.0, 4.0, 6.0]))
+def test_sobolev_homogeneous_in_h(extents, h, q):
+    """Spacing h scales the form by h^(d-2) and the measure by h^d, so
+    S(h) = h^(d - 2 - 2d/q) S(1)."""
+    d = len(extents)
+    S1, _ = sobolev_constant(build_laplacian(make_lattice(d, extents)), q)
+    Sh, _ = sobolev_constant(build_laplacian(make_lattice(d, extents, h=h)), q)
+    assert Sh == pytest.approx(h ** (d - 2 - 2 * d / q) * S1, rel=1e-12)
 
 
 def test_sobolev_two_site_against_scan():

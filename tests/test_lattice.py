@@ -1,13 +1,15 @@
 """Lattice construction, norms, and the exponent relations."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ineqlab import (ExponentSet, exponents_from_gamma_kappa,
-                     exponents_from_q_theta, integral, lp_norm, make_lattice)
+from ineqlab import (ExponentSet, build_laplacian, build_magnetic_laplacian,
+                     exponents_from_gamma_kappa, exponents_from_q_theta, integral,
+                     lp_norm, make_lattice, random_phases, uniform_flux_phases)
 from ineqlab.lattice import as_potential, as_weight
 
 
@@ -99,6 +101,118 @@ def test_index_roundtrip():
     sp = make_lattice(d=2, extents=(3, 4), exclusions=[(2, 3)])
     for i, c in enumerate(sp.coords):
         assert sp.index_of(tuple(c)) == i
+
+
+def test_index_of_rejects_missing_sites():
+    sp = make_lattice(d=2, extents=(3, 4), exclusions=[(2, 3)])
+    for coord in [(2, 3), (3, 0), (-1, 0), (0, 4), (0,), (0, 0, 0)]:
+        with pytest.raises(KeyError):
+            sp.index_of(coord)
+
+
+# --- array builds against the per-site and per-edge loops they replaced ---
+
+def loop_lattice(d, ext, bc, excl):
+    """Sites, +axis edges and ghost-slot counts by one pass over every site
+    and every neighbour slot: the reference for make_lattice."""
+    excl_set = set(excl)
+    sites = [c for c in itertools.product(*(range(e) for e in ext)) if c not in excl_set]
+    index = {c: i for i, c in enumerate(sites)}
+    edges = []
+    boundary = np.zeros(len(sites), dtype=np.int64)
+    for c, i in index.items():
+        for axis in range(d):
+            for step in (+1, -1):
+                nb = list(c)
+                nb[axis] += step
+                wrapped = False
+                if bc == "periodic":
+                    nb[axis] %= ext[axis]
+                    wrapped = True
+                nbt = tuple(nb)
+                inside = wrapped or (0 <= nbt[axis] < ext[axis])
+                if not inside or nbt in excl_set:
+                    boundary[i] += 1
+                    continue
+                if nbt == c:
+                    continue  # periodic extent-1 axis folds onto itself
+                if step == +1:
+                    edges.append((i, index[nbt]))
+    edges = np.array(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
+    return np.array(sites, dtype=np.int64), edges, boundary
+
+
+def loop_form(space, edge_factors=None):
+    """The form matrix by one pass over the edges in edge order."""
+    n = space.n
+    complex_entries = edge_factors is not None and np.iscomplexobj(edge_factors)
+    A = np.zeros((n, n), dtype=np.complex128 if complex_entries else np.float64)
+    for k in range(space.edges.shape[0]):
+        x, y = space.edges[k]
+        w = space.edge_weights[k]
+        fac = 1.0 if edge_factors is None else edge_factors[k]
+        A[x, x] += w
+        A[y, y] += w
+        A[x, y] -= w * fac
+        A[y, x] -= w * np.conj(fac)
+    A[np.arange(n), np.arange(n)] += space.h ** (space.d - 2) * space.boundary_counts
+    return A
+
+
+def loop_flux_phases(space, flux):
+    phases = np.zeros(space.edges.shape[0])
+    for k in range(space.edges.shape[0]):
+        x, y = space.edges[k]
+        cx, cy = space.coords[x], space.coords[y]
+        if (cy[1] - cx[1]) % space.extents[1] != 0:  # axis-1 edge
+            phases[k] = flux * cx[0]
+    return phases
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+@st.composite
+def lattices(draw):
+    d = draw(st.integers(1, 3))
+    ext = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    sites = list(itertools.product(*(range(e) for e in ext)))
+    # repeats included: make_lattice keeps the first of each
+    excl = draw(st.lists(st.sampled_from(sites), max_size=min(6, len(sites) - 1)))
+    if len(set(excl)) == len(sites):
+        excl = excl[:-1]
+    bc = draw(st.sampled_from(["dirichlet", "periodic"]))
+    h = draw(st.sampled_from([1.0, 0.7, 0.3, 2.5]))
+    return d, ext, bc, excl, h
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=lattices(), seed=st.integers(0, 2**16))
+def test_array_builds_match_the_loops_bit_for_bit(case, seed):
+    d, ext, bc, excl, h = case
+    sp = make_lattice(d, ext, h=h, bc=bc, exclusions=excl)
+    coords, edges, boundary = loop_lattice(d, ext, bc, set(map(tuple, excl)))
+    assert sp.excluded == tuple(dict.fromkeys(map(tuple, excl)))
+    assert same_bits(sp.coords, coords)
+    assert same_bits(sp.edges, edges)
+    assert same_bits(sp.boundary_counts, boundary)
+    assert same_bits(sp.measures, np.full(len(coords), h**d))
+    assert same_bits(sp.edge_weights, np.full(len(edges), h ** (d - 2)))
+    for i, c in enumerate(coords):
+        assert sp.index_of(c) == i
+    # real forms, and complex forms with random and with zero phases, whose
+    # diagonal and doubled periodic bonds each sum several edges
+    assert same_bits(build_laplacian(sp).form, loop_form(sp))
+    phases = random_phases(sp, seed)
+    assert same_bits(build_magnetic_laplacian(sp, phases).form,
+                     loop_form(sp, np.exp(1j * phases)))
+    assert same_bits(build_magnetic_laplacian(sp, 0.0 * phases).form,
+                     loop_form(sp).astype(np.complex128))
+    if d == 2:
+        assert same_bits(uniform_flux_phases(sp, 0.37), loop_flux_phases(sp, 0.37))
 
 
 def test_lp_norm_and_integral():

@@ -1,6 +1,7 @@
 """Kinetic operator families: forms, spectra, and structure checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      random_phases, ring_flux_phases, uniform_flux_phases,
                      weighted_transform)
 from ineqlab import cli, verify
-from ineqlab.operators import build_function_of_operator
+from ineqlab.operators import ROW_ROUTE_FACTOR, SYM_TOL, _scan, build_function_of_operator
 
 
 def manual_quad_form(space, u):
@@ -84,6 +85,19 @@ def test_operator_rejects_nonsymmetric_form():
         KineticOperator(sp, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         KineticOperator(sp, np.eye(3))
+
+
+@pytest.mark.parametrize("n", [4, 256], ids=["dense", "row-route"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_operator_rejects_non_finite_form(bad, n):
+    sp = make_lattice(d=1, extents=n)
+    A = build_laplacian(sp).form.copy()
+    for entries in ([(1, 1)], [(0, 1), (1, 0)]):
+        B = A.copy()
+        for ij in entries:
+            B[ij] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            KineticOperator(sp, B)
 
 
 def test_shift_and_scale():
@@ -500,3 +514,168 @@ def test_form_product_matches_dense_matrix(key, width, complex_input, seed):
     if width is None:
         qf = float(np.real(np.conj(U) @ want))
         assert T.quad_form(U) == pytest.approx(qf, rel=1e-14, abs=1e-14 * scale * T.n)
+
+
+# --- the form scan and sym() ------------------------------------------------
+
+def padded_rows_reference(form):
+    """The padded row list by its own dense pass over the form."""
+    n = form.shape[0]
+    counts = np.count_nonzero(form, axis=1)
+    k = int(counts.max(initial=1))
+    if k * ROW_ROUTE_FACTOR >= n:
+        return None
+    rows, cols = np.nonzero(form)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pad_cols = np.tile(np.arange(n), (k, 1))
+    pad_vals = np.zeros((k, n), dtype=form.dtype)
+    pad_cols[slot, rows] = cols
+    pad_vals[slot, rows] = form[rows, cols]
+    return pad_cols, pad_vals
+
+
+def offdiag_reference(form):
+    """max Re(A - diag A) and the first (i, j) attaining it."""
+    off = form - np.diag(np.diag(form))
+    at = np.unravel_index(np.argmax(np.real(off)), off.shape)
+    return float(np.max(np.real(off))), (int(at[0]), int(at[1]))
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def scan_cases():
+    """Forms for the scan, keyed by name: every FORM_OPERATORS form, and
+    matrices no operator accepts (not Hermitian, or leaving the row route
+    after several blocks of rows)."""
+    cases = {"-".join(k): np.array(T.form) for k, T in FORM_OPERATORS.items()}
+    rng = np.random.default_rng(3)
+    for n in (8, 256, 600):
+        band = np.zeros((n, n))
+        for off in (0, 1, 3):
+            band += np.diag(rng.standard_normal(n - off), off)
+        cases[f"upper-band-{n}"] = band                   # A_ji = 0 across the band
+        cases[f"near-symmetric-{n}"] = band + band.T + np.diag(1e-3 * rng.standard_normal(n - 1), 1)
+        cases[f"complex-{n}"] = band + 1j * band.T
+        cases[f"zero-{n}"] = np.zeros((n, n))
+        late = band + band.T
+        late[-1] = rng.standard_normal(n)                 # one full row, in the last block
+        cases[f"late-full-row-{n}"] = late
+        ties = -np.abs(band + band.T)
+        ties[n // 2, 0] = ties[1, n - 1] = ties[n - 1, 2] = 0.25   # the first in row order wins
+        cases[f"ties-{n}"] = ties
+    return cases
+
+
+SCAN_CASES = scan_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_matches_dense_passes(name):
+    A = SCAN_CASES[name]
+    peak, defect, offdiag, rows, bandwidth = _scan(A)
+    assert peak == np.max(np.abs(A))
+    want_defect = np.linalg.norm(A - A.conj().T, ord=np.inf)
+    assert defect == pytest.approx(want_defect, rel=1e-12, abs=0.0)
+    assert offdiag == offdiag_reference(A)
+    want = padded_rows_reference(A)
+    if want is None:
+        assert rows is None and bandwidth is None
+    else:
+        assert same_bits(rows[0], want[0]) and same_bits(rows[1], want[1])
+        assert bandwidth == int(np.max(np.abs(want[0] - np.arange(len(A)))))
+
+
+@pytest.mark.parametrize("key", sorted(FORM_OPERATORS), ids="-".join)
+def test_operator_reads_its_scan(key):
+    T = FORM_OPERATORS[key]
+    A = np.array(T.form)
+    assert T.scale == max(1.0, float(np.max(np.abs(A))))
+    want = padded_rows_reference(A)
+    assert (T._rows is None) == (want is None) == (T.bandwidth is None)
+    if want is not None:
+        assert all(same_bits(g, w) for g, w in zip(T._rows, want))
+        assert T.bandwidth == int(np.max(np.abs(want[0] - np.arange(T.n))))
+
+
+@pytest.mark.parametrize("route", ["dense", "row-route"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_defect_threshold(route, dtype):
+    sp = make_lattice(d=1, extents=6 if route == "dense" else 256)
+    A = build_laplacian(sp).form.astype(dtype)
+    assert (build_laplacian(sp)._rows is None) == (route == "dense")
+    step = 1.0 if dtype is np.float64 else 1j
+    scale = 2.0                            # max |A_ij| of the 1-d Laplacian
+    for factor, accepted in ((0.99, True), (1.01, False)):
+        B = A.copy()
+        B[0, 1] += factor * SYM_TOL * scale * step
+        if accepted:
+            assert KineticOperator(sp, B)._defect > 0.0
+        else:
+            with pytest.raises(ValueError, match="not self-adjoint"):
+                KineticOperator(sp, B)
+
+
+def test_beurling_deny_reads_the_dense_offdiagonal():
+    forms = [(sid, T) for sid, T, _ in _bundled_forms()]
+    forms += [("-".join(k), T) for k, T in FORM_OPERATORS.items()]
+    sp = make_lattice(d=1, extents=300)
+    A = build_laplacian(sp).form.copy()
+    A[7, 250] = A[250, 7] = A[100, 101] = A[101, 100] = 0.5   # two equal worst edges
+    forms.append(("positive-offdiagonal", KineticOperator(sp, A)))
+    for sid, T in forms:
+        rep = beurling_deny_check(T)
+        off_max, (x, y) = offdiag_reference(np.array(T.form))
+        assert rep.offdiag_max == (off_max if T.n > 1 else 0.0), sid
+        if rep.cond2_witness is not None:
+            want = np.zeros(T.n)
+            want[x], want[y] = 1.0, -1.0
+            assert np.array_equal(rep.cond2_witness, want), sid
+    assert not rep.cond2_pass and np.flatnonzero(rep.cond2_witness).tolist() == [7, 250]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "near-hermitian"])
+@pytest.mark.parametrize("measure", ["unit", "uniform", "varying"])
+def test_sym_matches_reference_bit_for_bit(measure, kind):
+    # h = 0.7 makes the weights inexact, so M^(-1/2) A M^(-1/2) rounds
+    sp = make_lattice(d=1, extents=30, h=0.7, bc="periodic")
+    rng = np.random.default_rng(8)
+    if kind == "complex":
+        A = build_magnetic_laplacian(sp, random_phases(sp, 4)).form
+    else:
+        A = build_laplacian(sp).form.copy()
+        if kind == "near-hermitian":
+            A[0, 1] += 1e-14
+    m = {"unit": np.ones(sp.n), "uniform": np.full(sp.n, 0.37),
+         "varying": rng.uniform(0.5, 2.0, sp.n)}[measure]
+    T = KineticOperator(sp, A, measure=m)
+    rs = 1.0 / np.sqrt(m)
+    B = rs[:, None] * A * rs[None, :]
+    assert same_bits(T.sym(), 0.5 * (B + B.conj().T))
+    shared = np.shares_memory(T.sym(), T.form)
+    assert shared == (measure == "unit" and kind != "near-hermitian")
+
+
+@pytest.mark.parametrize("measure", [1.0, 0.5])
+def test_form_and_sym_are_read_only(measure):
+    sp = make_lattice(d=1, extents=5)
+    T = KineticOperator(sp, build_laplacian(sp).form, measure=np.full(sp.n, measure))
+    assert np.shares_memory(T.sym(), T.form) == (measure == 1.0)
+    for M in (T.form, T.sym()):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
+
+
+def test_laplacian_build_peaks_near_one_dense_array():
+    sp = make_lattice(d=2, extents=32)            # 1024 sites, Dirichlet
+    tracemalloc.start()
+    try:
+        T = build_laplacian(sp)
+        T.sym()
+        assert T.bandwidth == 32
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sp.n**2 * 8
