@@ -96,12 +96,14 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
     targets = np.empty((n, d), dtype=np.int64)
     boundary = np.zeros(n, dtype=np.int64)
     for axis in range(d):
-        pad = [(0, 0)] * d
-        pad[axis] = (1, 1)
-        ring = (np.pad(index, pad, mode="wrap") if bc == "periodic"
-                else np.pad(index, pad, constant_values=-1))
-        up, down = (np.take(ring, np.arange(ext[axis]) + 1 + step, axis=axis)[live]
-                    for step in (+1, -1))
+        up, down = (np.roll(index, -step, axis=axis) for step in (+1, -1))
+        if bc != "periodic":        # the roll wrapped the outer layers around
+            layer = [slice(None)] * d
+            layer[axis] = -1
+            up[tuple(layer)] = -1
+            layer[axis] = 0
+            down[tuple(layer)] = -1
+        up, down = up[live], down[live]
         boundary += (up < 0).astype(np.int64) + (down < 0)
         # a periodic extent-1 axis folds each site onto itself
         targets[:, axis] = np.where(up == np.arange(n), -1, up)
