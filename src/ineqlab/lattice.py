@@ -79,10 +79,9 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
     off_grid = [c for c in excl if len(c) != d or not all(0 <= v < e for v, e in zip(c, ext))]
     if off_grid:
         raise ValueError(f"exclusion {off_grid[0]} is not a site of the grid {ext}")
-    holes = np.array(excl, dtype=np.int64).reshape(-1, d)
 
     live = np.ones(ext, dtype=bool)
-    live[tuple(holes.T)] = False
+    live[tuple(np.array(excl, dtype=np.int64).reshape(-1, d).T)] = False
     n = int(np.count_nonzero(live))
     if n == 0:
         raise ValueError("no live sites remain after exclusions")
@@ -98,11 +97,8 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
     for axis in range(d):
         up, down = (np.roll(index, -step, axis=axis) for step in (+1, -1))
         if bc != "periodic":        # the roll wrapped the outer layers around
-            layer = [slice(None)] * d
-            layer[axis] = -1
-            up[tuple(layer)] = -1
-            layer[axis] = 0
-            down[tuple(layer)] = -1
+            np.moveaxis(up, axis, 0)[-1] = -1
+            np.moveaxis(down, axis, 0)[0] = -1
         up, down = up[live], down[live]
         boundary += (up < 0).astype(np.int64) + (down < 0)
         # a periodic extent-1 axis folds each site onto itself

@@ -21,9 +21,9 @@ bandwidth, which the inertia count in ``spectra`` reads.  form_product
 no row depends on the rows beside it) applies such a form in O(k n) work
 per row, and any other form by one dense matrix-vector product per row.
 Nearest-neighbour forms (k <= 2d + 1) take the row route on large
-lattices; fractional and inverse-square forms stay dense.  sym() skips
-the symmetrization of an exactly Hermitian form under a uniform measure,
-and under the measure 1 it is the form itself, sharing its memory.
+lattices; fractional and inverse-square forms stay dense.  Under the
+measure 1, sym() of an exactly Hermitian form is the form itself,
+sharing its memory.
 
 KineticOperator.solve applies (A + shift M)^{-1} to rows from the cached
 eigenbasis of the symmetrized matrix; it is the one place that solves
@@ -51,8 +51,7 @@ SYM_TOL = 1e-12
 ROW_ROUTE_FACTOR = 32
 
 
-# The form scan reads SCAN_BLOCK entries (256 kB) of rows at a time.
-SCAN_BLOCK = 1 << 15
+SCAN_BLOCK = 1 << 15       # entries (256 kB) of rows that a scan reads at a time
 
 
 def _row_blocks(n: int) -> list:
@@ -63,59 +62,50 @@ def _row_blocks(n: int) -> list:
 
 def abs_row_sums(M: np.ndarray) -> np.ndarray:
     """sum_j |M_ij| for every row i, one block of rows at a time."""
-    return np.concatenate([np.sum(np.abs(M[r]), axis=1) for r in _row_blocks(len(M))])
+    out = np.empty(len(M))
+    for r in _row_blocks(len(M)):
+        np.sum(np.abs(M[r]), axis=1, out=out[r])
+    return out
 
 
 def _scan(form: np.ndarray):
     """(max|A_ij|, ||A - A^H||_inf, (max Re(A - diag A), its first (i, j)),
     padded row list or None, bandwidth or None) from one pass over the rows.
-
-    On the row route the kept nonzeros give the defect (A - A^H is nonzero
-    only where A_ij or A_ji is) and the row list (cols, vals) of shape
-    (k, n): slot s of row i holds its s-th nonzero in column order, and
-    short rows are padded with their own index and a 0.  Off it, the
-    defect is read densely, the rows passed before included.
+    The row list (cols, vals), kept while the rows read so far qualify for
+    the row route, has shape (k, n): slot s of row i holds its s-th nonzero
+    in column order, and short rows are padded with their own index and a 0.
     """
-    def dense_defect(r):    # column sums of A[:, r] - A[r]^H: the short block is transposed
-        return float(np.max(np.sum(np.abs(form[:, r] - form[r].conj().T), axis=0)))
-
     n = form.shape[0]
-    blocks = _row_blocks(n)
     peaks, offs, defects, nonzeros = [], [], [], []
     counts = np.zeros(n, dtype=np.int64)
-    for b, r in enumerate(blocks):
+    for r in _row_blocks(n):
         blk = form[r]
-        a = np.abs(blk)
-        peaks.append(a.max())
-        np.copyto(a, blk.real)          # the same buffer, now for Re(A - diag A)
-        a[np.arange(len(a)), np.arange(r.start, r.start + len(a))] = 0.0
-        at = int(np.argmax(a))
-        offs.append((float(a.flat[at]), (r.start + at // n, at % n)))
+        # column sums of A[:, r] - A[r]^H: the short block is transposed
+        defects.append(np.max(np.sum(np.abs(form[:, r] - blk.conj().T), axis=0)))
+        peaks.append(np.max(np.abs(blk)))
+        off = blk.real.copy()
+        np.fill_diagonal(off[:, r], 0.0)             # Re(A - diag A)
+        at = int(np.argmax(off))
+        offs.append((float(off.flat[at]), divmod(r.start * n + at, n)))
         if nonzeros is not None:
             nz = blk != 0
             counts[r] = np.count_nonzero(nz, axis=1)
             if max(1, int(counts.max())) * ROW_ROUTE_FACTOR < n:
-                nonzeros.append((np.flatnonzero(nz) + r.start * n, blk[nz]))
-                continue
-            nonzeros = None
-            defects.extend(dense_defect(u) for u in blocks[:b])
-        defects.append(dense_defect(r))
-    peak, offdiag = float(np.max(peaks)), max(offs, key=lambda o: o[0])   # the first maximum
+                nonzeros.append(np.flatnonzero(nz) + r.start * n)
+            else:
+                nonzeros = None
+    peak, defect = float(np.max(peaks)), float(max(defects))
+    offdiag = max(offs, key=lambda o: o[0])     # the first maximum
     if nonzeros is None:
-        return peak, max(defects), offdiag, None, None
-    flat, v = (np.concatenate(x) for x in zip(*nonzeros))
-    i, j = np.divmod(flat, n)
-    mirror = form[j, i]
-    lone = mirror == 0
-    defect = np.max(np.bincount(i, np.abs(v - mirror.conj()), n)
-                    + np.bincount(j[lone], np.abs(v[lone]), n))
+        return peak, defect, offdiag, None, None
+    i, j = np.divmod(np.concatenate(nonzeros), n)
     k = int(counts.max(initial=1))
-    slot = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
     cols = np.tile(np.arange(n), (k, 1))
     vals = np.zeros((k, n), dtype=form.dtype)
     cols[slot, i] = j
-    vals[slot, i] = v
-    return peak, float(defect), offdiag, (cols, vals), int(np.max(np.abs(j - i), initial=0))
+    vals[slot, i] = form[i, j]
+    return peak, defect, offdiag, (cols, vals), int(np.max(np.abs(j - i), initial=0))
 
 
 class KineticOperator:
@@ -123,8 +113,8 @@ class KineticOperator:
 
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
-    class with a modified measure).  The operator keeps a read-only view
-    of the form array it is given; that array must not change afterwards.
+    class with a modified measure).  The constructor marks the form array
+    it is given read-only, without copying it.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
@@ -133,8 +123,8 @@ class KineticOperator:
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
         self.space = space
-        self.form = form.view()
-        self.form.flags.writeable = False
+        form.setflags(write=False)
+        self.form = form
         self.measure = np.asarray(space.measures if measure is None else measure, dtype=np.float64)
         if self.measure.shape != (space.n,) or np.any(self.measure <= 0.0):
             raise ValueError("measure must be a strictly positive vector over the sites")
@@ -159,22 +149,18 @@ class KineticOperator:
         return not np.iscomplexobj(self.form)
 
     def sym(self) -> np.ndarray:
-        """Symmetrized matrix 0.5 (B + B^H) for B = M^{-1/2} A M^{-1/2}, read-only.
-        B is that mean (barring overflow of 2B) when A is exactly Hermitian
-        and the measure uniform, and B is A when the measure is 1."""
+        """Symmetrized matrix 0.5 (B + B^H) for B = M^{-1/2} A M^{-1/2},
+        read-only; the form itself when it is exactly Hermitian and M = 1."""
         if self._sym is None:
-            m = self.measure
-            exact = self._defect == 0.0 and np.all(m == m[0])
-            B = self.form
-            if not (exact and m[0] == 1.0):
-                rs = 1.0 / np.sqrt(m)
-                B = self.form * rs[:, None]
-                B *= rs
-                if not exact:
-                    B = B + B.conj().T
-                    B *= 0.5
-                B.flags.writeable = False
-            self._sym = B
+            if self._defect == 0.0 and np.all(self.measure == 1.0):
+                self._sym = self.form
+            else:
+                rs = 1.0 / np.sqrt(self.measure)
+                B = self.form * rs[:, None] * rs
+                B = B + B.conj().T
+                B *= 0.5
+                B.setflags(write=False)
+                self._sym = B
         return self._sym
 
     def eigensystem(self):

@@ -12,7 +12,6 @@ an assumption fails (Beurling-Deny, positivity) the verdict is
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -448,7 +447,7 @@ def _block(x, where: str, keys, *, required: bool = False) -> dict:
 
 
 _BCS = ("dirichlet", "periodic")
-_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+_LOG_NORMAL = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 _PHASES = ("flux", "ring", "random")
 _OPERATOR_KEYS = {"laplacian": (), "fractional": ("s",), "hardy": ("s",),
                   "magnetic": ("phases", "flux", "seed"), "periodic": ("W",)}

@@ -661,9 +661,11 @@ def test_sym_matches_reference_bit_for_bit(measure, kind):
 @pytest.mark.parametrize("measure", [1.0, 0.5])
 def test_form_and_sym_are_read_only(measure):
     sp = make_lattice(d=1, extents=5)
-    T = KineticOperator(sp, build_laplacian(sp).form, measure=np.full(sp.n, measure))
+    A = build_laplacian(sp).form.copy()
+    T = KineticOperator(sp, A, measure=np.full(sp.n, measure))
+    assert np.shares_memory(A, T.form)         # kept without a copy: the caller's array
     assert np.shares_memory(T.sym(), T.form) == (measure == 1.0)
-    for M in (T.form, T.sym()):
+    for M in (A, T.form, T.sym()):
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 1.0
 
