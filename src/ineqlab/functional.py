@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._specfun import beta_fn, e1_scaled, hardy_constant, lgamma
+from .spectra import heat_norms
 
 __all__ = [
     "MinimizationTrace", "ConstantsBundle", "sobolev_constant",
@@ -527,8 +528,6 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
     pointwise on the grid.  Both norms come from the kernel diagonal at
     every grid point at once (``spectra.heat_norms``); no kernel is built.
     """
-    from .spectra import heat_norms  # deferred to avoid import cycle at module load
-
     if not S > 0.0:
         raise ValueError("heat bound requires S > 0 (operator without kernel)")
     if not kappa > 0.0:

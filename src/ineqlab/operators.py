@@ -118,7 +118,7 @@ class KineticOperator:
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
-                 name: str = "", meta: dict | None = None):
+                 meta: dict | None = None):
         form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
@@ -128,7 +128,6 @@ class KineticOperator:
         self.measure = np.asarray(space.measures if measure is None else measure, dtype=np.float64)
         if self.measure.shape != (space.n,) or np.any(self.measure <= 0.0):
             raise ValueError("measure must be a strictly positive vector over the sites")
-        self.name = name
         self.meta = dict(meta or {})
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
             peak, self._defect, self._offdiag, self._rows, self.bandwidth = _scan(self.form)
@@ -230,8 +229,7 @@ class KineticOperator:
         form = self.form.copy()
         idx = np.arange(self.n)
         form[idx, idx] += tau * self.measure
-        return KineticOperator(self.space, form, measure=self.measure,
-                               name=self.name, meta=dict(self.meta))
+        return KineticOperator(self.space, form, measure=self.measure, meta=dict(self.meta))
 
     def scaled(self, c: float) -> "KineticOperator":
         """Operator c*T (form c*A), c > 0."""
@@ -239,7 +237,7 @@ class KineticOperator:
         if not c > 0.0:
             raise ValueError(f"scale factor must be positive, got {c}")
         return KineticOperator(self.space, c * self.form, measure=self.measure,
-                               name=self.name, meta=dict(self.meta))
+                               meta=dict(self.meta))
 
 
 def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
@@ -264,10 +262,10 @@ def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
 def build_laplacian(space: LatticeSpace) -> KineticOperator:
     """Nearest-neighbor Laplacian form with Dirichlet penalties at missing slots."""
     A = _assemble_laplacian(space)
-    return KineticOperator(space, A, name="laplacian", meta={"family": "laplacian"})
+    return KineticOperator(space, A, meta={"family": "laplacian"})
 
 
-def build_function_of_operator(T: KineticOperator, f, *, name: str = "f(T)") -> KineticOperator:
+def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
     """Spectral calculus U f(Lambda) U* through a full eigendecomposition.
 
     f must be nonnegative and nondecreasing on [0, lambda_max]; the
@@ -294,7 +292,7 @@ def build_function_of_operator(T: KineticOperator, f, *, name: str = "f(T)") -> 
     if T.is_real:
         Ap = np.real(Ap)
     meta = {"family": "function", "base_family": T.meta.get("family")}
-    return KineticOperator(T.space, Ap, measure=T.measure, name=name, meta=meta)
+    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta)
 
 
 def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:
@@ -303,7 +301,7 @@ def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:
     if not (0.0 < s <= 1.0):
         raise ValueError(f"fractional power must satisfy 0 < s <= 1, got {s}")
     T = build_laplacian(space)
-    out = build_function_of_operator(T, lambda E: E**s, name=f"laplacian^{s:g}")
+    out = build_function_of_operator(T, lambda E: E**s)
     out.meta.update({"family": "fractional", "s": s})
     return out
 
@@ -321,7 +319,7 @@ def build_magnetic_laplacian(space: LatticeSpace, phases) -> KineticOperator:
             f"expected one phase per edge ({space.edges.shape[0]}), got shape {phases.shape}"
         )
     A = _assemble_laplacian(space, np.exp(1j * phases))
-    return KineticOperator(space, A, name="magnetic-laplacian", meta={"family": "magnetic"})
+    return KineticOperator(space, A, meta={"family": "magnetic"})
 
 
 def uniform_flux_phases(space: LatticeSpace, flux: float) -> np.ndarray:
@@ -378,8 +376,7 @@ def build_periodic_schrodinger(space: LatticeSpace, W) -> PeriodicGroundState:
     AW = _assemble_laplacian(space)
     idx = np.arange(space.n)
     AW[idx, idx] += space.measures * W
-    TW = KineticOperator(space, AW, name="periodic-schrodinger",
-                         meta={"family": "periodic"})
+    TW = KineticOperator(space, AW, meta={"family": "periodic"})
     w, _ = TW.eigensystem()
     E = float(w[0])
     scale = TW.spectral_scale()
@@ -405,9 +402,8 @@ def build_periodic_schrodinger(space: LatticeSpace, W) -> PeriodicGroundState:
 
     A_shift = AW.copy()
     A_shift[idx, idx] -= E * space.measures
-    shifted = KineticOperator(space, A_shift, name="periodic-schrodinger-shifted",
-                              meta={"family": "periodic-shifted", "energy": E,
-                                    "ground_residual": float(resid)})
+    shifted = KineticOperator(space, A_shift, meta={"family": "periodic-shifted", "energy": E,
+                                                    "ground_residual": float(resid)})
     return PeriodicGroundState(space=space, potential=W, energy=E, omega=omega,
                                shifted=shifted, full_form=AW)
 
@@ -442,8 +438,7 @@ def build_hardy_operator(space: LatticeSpace, s: float, *, origin=None,
     A = frac.form.copy()
     idx = np.arange(space.n)
     A[idx, idx] -= space.measures * C * r ** (-2.0 * s)
-    op = KineticOperator(space, A, name=f"hardy(s={s:g})",
-                         meta={"family": "hardy", "s": s, "coupling": C})
+    op = KineticOperator(space, A, meta={"family": "hardy", "s": s, "coupling": C})
     lam_min = op.min_eigenvalue()
     op.meta["lambda_min"] = lam_min
     op.meta["hardy_shift"] = max(0.0, -lam_min)
@@ -482,8 +477,7 @@ def weighted_transform(T: KineticOperator, omega, kappa: float) -> WeightedTrans
         raise ValueError("weighted transform requires a positive definite operator; apply a shift first")
     A_w = omega[:, None] * T.form * omega[None, :]
     mu = omega ** (2.0 * kappa / (kappa - 1.0)) * T.measure
-    op = KineticOperator(T.space, A_w, measure=mu, name=f"{T.name}|weighted",
-                         meta={"family": "weighted", "kappa": kappa})
+    op = KineticOperator(T.space, A_w, measure=mu, meta={"family": "weighted", "kappa": kappa})
     return WeightedTransform(operator=op, measure=mu, weight=omega, kappa=kappa)
 
 

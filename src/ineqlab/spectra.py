@@ -426,8 +426,7 @@ def liyau_upsilon(T, V):
         raise ValueError("requires a strictly positive potential; restrict the space first")
     if not T.is_positive_definite():
         raise ValueError("requires a positive definite operator")
-    return KineticOperator(T.space, T.form, measure=V * T.measure,
-                           name=f"{T.name}|upsilon", meta={"family": "upsilon"})
+    return KineticOperator(T.space, T.form, measure=V * T.measure, meta={"family": "upsilon"})
 
 
 def heat_kernel(T, s: float) -> np.ndarray:
@@ -546,46 +545,31 @@ class TrotterTrace:
     tail_ok: bool
 
 
-def _path_weights(T, s_over_n: float) -> np.ndarray:
-    K = heat_kernel(T, s_over_n)
-    return K * T.measure[None, :]  # P[y, x] = k(y, x) * m_x
-
-
 def _cycle_sum(P: np.ndarray, classes: np.ndarray, n: int, n_classes: int) -> np.ndarray:
-    """Sum of cyclic n-step path weights, resolved by visit counts per class.
+    """Sum of the cyclic n-step path weights prod_j P[x_(j+1), x_j], resolved by
+    the visit counts of the sites' classes.
 
-    Returns an array over count vectors (classes 1..r-1; class 0 counts
-    are implied) whose entries sum path weights with those visit counts.
+    Returns an array over count vectors (classes 1..r-1 for r = n_classes;
+    class 0 counts are implied) whose entries sum the weights of the cycles
+    with those visit counts; with r = 1 it is the 0-d array Tr P^n.  The
+    running D[y, x, c] sums the paths from x to y with counts c.  It starts
+    from P at count zero, and each of the n steps (the first with no
+    product) rolls the rows of class g one count up along axis g.  n visits
+    never reach count n + 1, so the entry that wraps round is zero.
+
+    At n = 1 the entry of class g is the sum of P[x, x] over its sites, the
+    kernel diagonal that ``trotter_trace`` reads from ``_heat_diagonal`` for
+    its bound at the same nodes as its estimate.
     """
     ns = P.shape[0]
-    r = n_classes
-    cshape = (n + 1,) * (r - 1)
-    D = np.zeros((ns, ns) + cshape)
-    base = [0] * (r - 1)
-    for y in range(ns):
-        idx = list(base)
-        g = classes[y]
-        if g > 0:
-            idx[g - 1] = 1
-        D[(y, slice(None)) + tuple(idx)] = P[y, :]
-    for _ in range(n - 1):
-        E = np.tensordot(P, D, axes=(1, 0))
-        D = np.empty_like(E)
-        for g in range(r):
-            rows = np.nonzero(classes == g)[0]
-            if rows.size == 0:
-                continue
-            if g == 0:
-                D[rows] = E[rows]
-            else:
-                axis = 1 + g  # count axis for class g within E[rows]
-                block = np.zeros_like(E[rows])
-                src = [slice(None)] * block.ndim
-                dst = [slice(None)] * block.ndim
-                src[axis] = slice(0, n)
-                dst[axis] = slice(1, n + 1)
-                block[tuple(dst)] = E[rows][tuple(src)]
-                D[rows] = block
+    D = np.zeros((ns, ns) + (n + 1,) * (n_classes - 1), dtype=P.dtype)
+    D.reshape(ns, ns, -1)[:, :, 0] = P
+    for step in range(n):
+        if step:
+            D = np.tensordot(P, D, axes=(1, 0))
+        for g in range(1, n_classes):
+            rows = classes == g
+            D[rows] = np.roll(D[rows], 1, axis=1 + g)
     return np.einsum("zz...->...", D)
 
 
@@ -594,70 +578,33 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int) -> TrotterTrace:
 
     The s-integral uses log-spaced composite Gauss-Legendre panels over
     [1e-4, 1e3] times the spectral time scale, split additionally at the
-    hinge kinks a/V_x, with endpoint-decay checks.  Also returns the
-    exact value sum_j F(beta_j) over the resolvent-sandwich spectrum and
-    the diagonal-kernel upper bound, which holds as the hinge is convex.
+    hinge kinks a/V_x, with endpoint-decay checks.  The estimate, its
+    per-panel tail fractions and the bound all read one array of nodes
+    and weights.  Also returns the exact value sum_j F(beta_j) over the
+    resolvent-sandwich spectrum and the diagonal-kernel upper bound, which
+    holds as the hinge is convex: the order-1 integrand
+    sum_x m_x k_s(x, x) f(s V_x), taken from the kernel diagonal.
     """
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
     V = as_potential(T.space, V)
     if not T.is_positive_definite():
         raise ValueError("requires a positive definite operator")
-    w = T.eigenvalues()
 
     values, classes = np.unique(V, return_inverse=True)
     r = values.size
-    if r >= 2 and (n + 1) ** (r - 1) > TROTTER_MAX_STATES:
+    if (n + 1) ** (r - 1) > TROTTER_MAX_STATES:
         raise ValueError(
             f"{r} distinct potential values at order n={n} exceeds the count-state budget"
         )
 
     kinks = [profile.a / v for v in values if v > 0.0]
-    t0 = 1.0 / float(w[0])
+    t0 = 1.0 / float(T.eigenvalues()[0])
     lo, hi = 1e-4 * t0, 1e3 * t0
     if kinks:
         lo = min(lo, 0.5 * min(kinks))
         hi = max(hi, 4.0 * max(kinks))
     panels = _panels(lo, hi, kinks)
-
-    if r > 1:
-        grids = np.meshgrid(*([np.arange(n + 1)] * (r - 1)), indexing="ij")
-        cnt0 = n - sum(grids)
-        W = cnt0 * values[0]
-        for g in range(1, r):
-            W = W + grids[g - 1] * values[g]
-
-    def integrand(s: float) -> float:
-        if r == 1:
-            # every path sees the same potential; the cycle sum is Tr exp(-sB)
-            val = float(np.sum(np.exp(-s * w)))
-            return val * float(profile.f((s / n) * n * values[0]))
-        P = _path_weights(T, s / n)
-        counts = _cycle_sum(P, classes, n, r)
-        fx = profile.f((s / n) * W)
-        return float(np.sum(counts * fx))
-
-    total = 0.0
-    panel_vals = []
-    for a, b in panels:
-        mid = 0.5 * (b + a)
-        rad = 0.5 * (b - a)
-        sval = 0.0
-        for node, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-            s = mid + rad * node
-            sval += wgt * integrand(s) / s
-        sval *= rad
-        panel_vals.append(sval)
-        total += sval
-
-    abs_total = sum(abs(v) for v in panel_vals) or 1e-300
-    tail = (float(abs(panel_vals[0]) / abs_total), float(abs(panel_vals[-1]) / abs_total))
-    tail_ok = bool(tail[0] < 1e-8 and tail[1] < 1e-8)
-
-    bs = birman_schwinger(T, V, 0.0)
-    betas = bs.eigenvalues
-    cutoff = 1e-13 * max(1.0, float(np.max(np.abs(betas))) if betas.size else 1.0)
-    exact = float(sum(profile.F(float(b)) for b in betas if b > cutoff))
 
     # every Gauss-Legendre node of every panel, with its weight rad * wgt
     ends = np.array(panels)
@@ -665,6 +612,26 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int) -> TrotterTrace:
     rad = 0.5 * (ends[:, 1] - ends[:, 0])
     nodes = (mid[:, None] + rad[:, None] * _GL_NODES[None, :]).ravel()
     weights = (rad[:, None] * _GL_WEIGHTS[None, :]).ravel()
+
+    # W[c] = sum_g c_g values[g]: the potential summed over a cycle's n visits
+    grids = np.meshgrid(*([np.arange(n + 1)] * (r - 1)), indexing="ij")
+    W = sum((c * v for c, v in zip(grids, values[1:])), (n - sum(grids)) * values[0])
+
+    def integrand(s) -> float:
+        P = heat_kernel(T, s / n) * T.measure[None, :]  # P[y, x] = k(y, x) * m_x
+        return float(np.sum(_cycle_sum(P, classes, n, r) * profile.f((s / n) * W)).real)
+
+    terms = weights * np.array([integrand(s) for s in nodes]) / nodes
+    total = float(np.sum(terms))
+    panel_abs = np.abs(terms.reshape(len(panels), -1).sum(axis=1))
+    tail = tuple(float(p) for p in panel_abs[[0, -1]] / (panel_abs.sum() or 1e-300))
+    tail_ok = bool(tail[0] < 1e-8 and tail[1] < 1e-8)
+
+    bs = birman_schwinger(T, V, 0.0)
+    betas = bs.eigenvalues
+    cutoff = 1e-13 * max(1.0, float(np.max(np.abs(betas))) if betas.size else 1.0)
+    exact = float(sum(profile.F(float(b)) for b in betas if b > cutoff))
+
     kd = _heat_diagonal(T, nodes)
     vals = np.sum(T.measure[:, None] * kd * profile.f(np.outer(V, nodes)), axis=0)
     bound = float(np.sum(weights * vals / nodes))

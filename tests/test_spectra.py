@@ -1,5 +1,6 @@
 """Counting, resolvent-sandwich, heat-kernel, and trace-formula layer."""
 
+import itertools
 import json
 import math
 
@@ -655,6 +656,54 @@ def test_trotter_state_budget_guard():
     ring = build_laplacian(make_lattice(d=1, extents=4, bc="periodic"))
     with pytest.raises(ValueError):
         trotter_trace(ring, np.ones(4), hinge_profile(1.0), 2)
+
+
+@pytest.mark.parametrize("ns,r", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_cycle_sum_matches_path_enumeration(ns, r):
+    """Every cyclic path x_0 -> x_1 -> ... -> x_n = x_0 adds
+    prod_j P[x_(j+1), x_j] at its per-class visit counts."""
+    rng = np.random.default_rng(100 * ns + r)
+    space = make_lattice(d=1, extents=ns)
+    T = KineticOperator(space, build_laplacian(space).form, measure=rng.uniform(0.5, 2.0, ns))
+    P = heat_kernel(T, 0.3) * T.measure[None, :]
+    classes = rng.permutation(np.arange(ns) % r)
+    for n in range(1, 5):
+        want = np.zeros((n + 1,) * (r - 1))
+        for path in itertools.product(range(ns), repeat=n):
+            weight = np.prod([P[path[(j + 1) % n], path[j]] for j in range(n)])
+            visits = np.bincount(classes[list(path)], minlength=r)
+            want[tuple(visits[1:])] += weight
+        got = spectra._cycle_sum(P, classes, n, r)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.sum()
+
+
+def test_trotter_order_one_estimate_equals_diagonal_bound():
+    """At n = 1 both routes integrate sum_x m_x k_s(x, x) f(s V_x) over the
+    same nodes: the estimate by ``_cycle_sum``, the bound by ``_heat_diagonal``."""
+    prof = hinge_profile(1.0)
+    cfg = cli._load_config("trotter-sweep")["sweep"]["instance"]
+    T = build_laplacian(make_lattice(d=2, extents=cfg["lattice"]["extents"]))
+    rng = np.random.default_rng(5)
+    base = build_laplacian(make_lattice(d=1, extents=8, h=0.7))
+    W = weighted_transform(base, rng.uniform(0.5, 2.0, 8), 2.0).operator
+    for op, V in ((T, np.array(cfg["potential"]["values"])),
+                  (W, np.array([0.4, 2.0, 0.4, 2.0, 0.4, 2.0, 0.4, 2.0]))):
+        tt = trotter_trace(op, V, prof, 1)
+        assert tt.estimate == pytest.approx(tt.bound, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_trotter_trace_on_magnetic_operator_converges():
+    """Complex kernels keep their phases along every path: the cycle sums
+    are real, and the error falls with the order as on real forms."""
+    space = make_lattice(d=2, extents=3)
+    T = build_magnetic_laplacian(space, uniform_flux_phases(space, 0.3))
+    V = np.array([0.5, 1.25, 0.5, 3.0, 1.25, 0.5, 1.25, 3.0, 0.5])
+    tts = [trotter_trace(T, V, hinge_profile(1.0), n) for n in (1, 2, 4, 8)]
+    errs = [tt.rel_error for tt in tts]
+    assert errs[3] < errs[2] < errs[1] < errs[0]
+    assert tts[0].estimate == pytest.approx(tts[0].bound, rel=1e-13)
 
 
 def _bound_per_node(T, V, profile, tt):
