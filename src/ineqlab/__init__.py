@@ -29,9 +29,8 @@ from .functional import (aizenman_lieb_factor, aizenman_lieb_unminimized,
                          tau_min_value)
 from .verify import (THEOREM_TAGS, ConfigError, VerificationReport,
                      make_report, run_scenario, validate_config, verify_clr,
-                     verify_diamagnetic, verify_gsr_identity,
+                     verify_diamagnetic, verify_gsr_identity, verify_heat_nash,
                      verify_liyau_trace, verify_lt_moments,
-                     verify_magnetic_clr, verify_moment_identity,
-                     verify_weak_lt)
+                     verify_magnetic_clr, verify_weak_lt)
 
 __version__ = "0.1.0"

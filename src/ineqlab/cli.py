@@ -160,6 +160,30 @@ def _csv_rows(results: list) -> list:
     return rows
 
 
+def _reason(rep: dict) -> str:
+    """``tag: reason`` of a non-pass report: its ``extras.reason``, else the
+    assumptions it failed, else the tag alone (a fail)."""
+    reason = rep["extras"].get("reason")
+    if reason is None:
+        failed = [k for k, v in rep["assumptions"].items() if k != "status" and v == "failed"]
+        reason = ", ".join(f"{k} failed" for k in failed) or None
+    return rep["tag"] if reason is None else f"{rep['tag']}: {reason}"
+
+
+def _summary_line(res: dict) -> str:
+    """One scenario's status counts; each non-pass count names the distinct
+    reasons of its reports (``_reason``)."""
+    parts = []
+    for status, label in (("pass", "pass"), ("fail", "fail"),
+                          ("not-applicable", "n/a"), ("vacuous", "vacuous")):
+        reps = [r for r in res["reports"] if r["status"] == status]
+        text = f"{len(reps)} {label}"
+        if status != "pass" and reps:
+            text += f" ({'; '.join(dict.fromkeys(_reason(r) for r in reps))})"
+        parts.append(text)
+    return f"{res['scenario_id']}: {', '.join(parts)}"
+
+
 def _jobs(args) -> int:
     """The requested worker count: --jobs, else $INEQLAB_JOBS, else 1."""
     if args.jobs is not None:
@@ -213,11 +237,7 @@ def cmd_verify(args) -> int:
                           "pass", "assumption_status"], _csv_rows(results))
 
     for res in results:
-        counts = {"pass": 0, "fail": 0, "not-applicable": 0, "vacuous": 0}
-        for rep in res["reports"]:
-            counts[rep["status"]] += 1
-        print(f"{res['scenario_id']}: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['not-applicable']} n/a, {counts['vacuous']} vacuous")
+        print(_summary_line(res))
     print(f"wrote {json_path} and {csv_path}")
     return 0 if n_failed == 0 else 1
 
@@ -250,6 +270,7 @@ def _sweep_rows(axis: str, values: list, inst: dict) -> list:
     rows = []
     if axis == "trotter_n":
         profile = spectra.hinge_profile(inst["profile"]["a"])
+        spectra.check_trotter_orders(T, V, values)
         for n in values:
             t = spectra.trotter_trace(T, V, profile, n)
             rows.append([n, t.estimate, t.exact, t.bound, t.rel_error, t.n_panels, t.tail_ok])

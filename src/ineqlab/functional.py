@@ -479,6 +479,11 @@ def tau_min_value(alpha, beta, theta: float) -> TauMinimum:
     return TauMinimum(value=value, tau_star=tau_star)
 
 
+# relative tolerances of the Nash and heat-bound verdicts
+NASH_REL = 1e-10
+HEAT_REL = 1e-8
+
+
 @dataclass
 class NashReport:
     min_slack_rel: float
@@ -506,7 +511,7 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
         rhs = S**p * n2sq
         slack = (lhs - rhs) / np.maximum(rhs, 1e-300)
         worst = min(worst, float(np.min(slack)))
-    return NashReport(min_slack_rel=worst, passed=worst >= -1e-10, n_samples=n_samples)
+    return NashReport(min_slack_rel=worst, passed=worst >= -NASH_REL, n_samples=n_samples)
 
 
 @dataclass
@@ -546,9 +551,9 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
     K12_bound = (kappa / (2.0 * S)) ** kappa
     return HeatBoundReport(
         K_measured=K_meas, K_bound=K_bound,
-        passed_1inf=K_meas <= K_bound * (1.0 + 1e-8),
+        passed_1inf=K_meas <= K_bound * (1.0 + HEAT_REL),
         K12_measured=K12_meas, K12_bound=K12_bound,
-        passed_12=K12_meas <= K12_bound * (1.0 + 1e-8),
+        passed_12=K12_meas <= K12_bound * (1.0 + HEAT_REL),
         s_grid=s_grid,
     )
 

@@ -4,16 +4,19 @@ profile transforms, and the cyclic-path trace formula.
 Counting is strict ("less than -tau", "larger than one") with a relative
 tie guard of 1e-9: ties are reported, never silently miscounted.  A
 scenario's checks share one T - V spectrum per potential draw
-(``shared_spectrum``).  A count with no spectrum to read, on a banded
-form (``KineticOperator.bandwidth``), is taken by Sylvester's law of
-inertia from a block LDL^H factorization of T - V + tau, in O(n m^2)
-work for blocks of m sites; it returns the dense count unchanged and
-hands every tie or doubtful pivot to it.  ``count_below`` counts a k x n
-stack of potentials on one operator in one such pass, with one stacked
-``eigh`` per block for all rows and O(k m^2) memory per block; a row
-whose pivot budget is spent or whose two shifted counts differ falls back
-to the dense count alone, and every row's count is bit for bit the one it
-gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
+(``shared_spectrum``), computed only when a check reads it.  A count on a
+banded form (``KineticOperator.bandwidth``) is taken by Sylvester's law
+of inertia from a block LDL^H factorization of T - V + tau, in O(n m^2)
+work for blocks of m sites, whether or not the draw has a spectrum to
+share; it returns the dense count unchanged and hands every tie or
+doubtful pivot to the dense spectrum, the shared one when there is one.
+So a count reads a dense spectrum only where the form has no inertia
+route or the pass leaves the row undecided.  ``count_below`` counts a
+k x n stack of potentials on one operator in one such pass, with one
+stacked ``eigh`` per block for all rows and O(k m^2) memory per block; a
+row whose pivot budget is spent or whose two shifted counts differ falls
+back to the dense count alone, and every row's count is bit for bit the
+one it gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
 (``count_couplings``) is read from one spectrum instead: by Sylvester's
 law of inertia it is #{mu_j < c} over the eigenvalues mu of
 V^(-1/2) T V^(-1/2), and a coupling whose certificate fails
@@ -68,8 +71,10 @@ def shared_spectrum(T, V) -> Callable[[], np.ndarray]:
 
     Checks of one potential draw pass it as their ``spectrum`` keyword, so
     they read one eigendecomposition, and a draw whose checks read no
-    spectrum computes none.  Only the callable holds the spectrum; it is
-    freed with it.
+    spectrum computes none: a vacuous check reads nothing, and
+    ``count_below`` calls it only for a row its inertia pass leaves
+    undecided or on a form with no inertia route.  Only the callable holds
+    the spectrum; it is freed with it.
     """
     return functools.cache(lambda: schrodinger_eigenvalues(T, V))
 
@@ -208,26 +213,25 @@ def count_below(T, V, tau: float, *, spectrum=None) -> CountResult | list:
 
     ``V`` is one potential, or a k x n stack of potentials on the same
     operator; a stack returns a list of k CountResults, the result of each
-    row counted alone.  ``spectrum`` (from ``shared_spectrum(T, V)``)
-    supplies the eigenvalues of T - V for a single potential.  Without it,
-    banded forms count every row in one inertia pass (``_inertia_count``),
-    and the dense spectrum of a row is computed here only when that pass
-    cannot decide the row; either way each result is that of the dense
-    spectrum.  ``riesz_mean`` and ``riesz_mean_from_counts`` take the same
-    keyword but always need the eigenvalues.
+    row counted alone.  Banded forms count every row in one inertia pass
+    (``_inertia_count``).  The dense spectrum of a row is read only when
+    the form has no inertia route or the pass cannot decide the row:
+    ``spectrum`` (from ``shared_spectrum(T, V)``, single potentials only)
+    when given, else one computed here.  Either way each result is that of
+    the dense spectrum, tie field included.  ``riesz_mean`` and
+    ``riesz_mean_from_counts`` take the same keyword but always need the
+    eigenvalues.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     stacked = np.ndim(V) == 2
-    if spectrum is not None:
-        if stacked:
-            raise ValueError("a stack of potentials takes no spectrum")
-        return count_from_eigenvalues(spectrum(), tau)
+    if stacked and spectrum is not None:
+        raise ValueError("a stack of potentials takes no spectrum")
     rows = V if stacked else [V]
     Vs = np.array([as_potential(T.space, v) for v in rows]).reshape(-1, T.n)
     counted = _inertia_count(T, Vs, tau) or [None] * len(Vs)
     out = [c if c is not None
-           else count_from_eigenvalues(schrodinger_eigenvalues(T, v), tau)
+           else count_from_eigenvalues(_eigenvalues(T, v, spectrum), tau)
            for c, v in zip(counted, Vs)]
     return out if stacked else out[0]
 
@@ -507,9 +511,32 @@ def hinge_profile(a: float) -> ProfileFunction:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-# trotter_trace refuses an order n whose (n + 1)^(r - 1) visit-count states
-# for r distinct potential values exceed this budget
-TROTTER_MAX_STATES = 200_000
+# trotter_trace refuses an order n whose ``_cycle_sum`` work exceeds this
+# budget: n steps of an ns x ns by ns x ns x (n + 1)^(r - 1) product, so
+# n ns^3 (n + 1)^(r - 1) units, for ns sites and r distinct potential
+# values.  Measured at one OpenBLAS thread (numpy 2.4.6, x86-64): about
+# 3e-10 s per unit from 1e7 units up, 6.3 ms per node at n = 32 on the
+# bundled 3 x 3 trotter-sweep instance (2.5e7 units) and 67 ms at n = 64
+# (2.0e8).  An order at the budget takes about 0.03 s per node, some 10 s
+# over the 300 nodes of that instance, and its count array holds at most
+# 1e8 / (n ns) entries.
+TROTTER_MAX_WORK = 10**8
+
+
+def check_trotter_orders(T, V, orders) -> None:
+    """Raise ValueError naming the first Trotter order n in ``orders`` that is
+    below 1 or whose ``_cycle_sum`` work n ns^3 (n + 1)^(r - 1) exceeds
+    TROTTER_MAX_WORK; allocates nothing of the order's size."""
+    r = np.unique(as_potential(T.space, V)).size
+    for n in orders:
+        if n < 1:
+            raise ValueError(f"requires n >= 1, got {n}")
+        work = n * T.n**3 * (n + 1) ** (r - 1)
+        if work > TROTTER_MAX_WORK:
+            raise ValueError(
+                f"Trotter order n={n} with {r} distinct potential values on {T.n} "
+                f"sites exceeds the work budget n ns^3 (n + 1)^(r - 1) <= "
+                f"{TROTTER_MAX_WORK:.0e}")
 
 
 def _panels(lo: float, hi: float, kinks) -> list[tuple[float, float]]:
@@ -585,18 +612,13 @@ def trotter_trace(T, V, profile: ProfileFunction, n: int) -> TrotterTrace:
     holds as the hinge is convex: the order-1 integrand
     sum_x m_x k_s(x, x) f(s V_x), taken from the kernel diagonal.
     """
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got {n}")
+    check_trotter_orders(T, V, [n])
     V = as_potential(T.space, V)
     if not T.is_positive_definite():
         raise ValueError("requires a positive definite operator")
 
     values, classes = np.unique(V, return_inverse=True)
     r = values.size
-    if (n + 1) ** (r - 1) > TROTTER_MAX_STATES:
-        raise ValueError(
-            f"{r} distinct potential values at order n={n} exceeds the count-state budget"
-        )
 
     kinks = [profile.a / v for v in values if v > 0.0]
     t0 = 1.0 / float(T.eigenvalues()[0])

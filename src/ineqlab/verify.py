@@ -47,14 +47,15 @@ CHECK_NEEDS = {
     "diamagnetic": CheckNeeds(family="magnetic"),
     "magneticCLR": CheckNeeds(("kappa",), per_draw=True, constant="S", family="magnetic"),
     "liyauTrace": CheckNeeds(("kappa",), per_draw=True, constant="S"),
-    "momentIdentity": CheckNeeds(("gamma_tilde",), per_draw=True),
     "gsrIdentity": CheckNeeds(family="periodic"),
 }
 
-# the heat-kernel and Nash block of a scenario reads S at exponent kappa
+# the heat-kernel and Nash block of a scenario reads S at exponent kappa and
+# emits these tags; they are not listed in ``checks``
 HEAT_NASH_NEEDS = CheckNeeds(("kappa",), constant="S")
+HEAT_NASH_TAGS = ("heatBound", "nash")
 
-THEOREM_TAGS = tuple(CHECK_NEEDS)
+THEOREM_TAGS = (*CHECK_NEEDS, *HEAT_NASH_TAGS)
 
 class ConfigError(ValueError):
     """Scenario configuration rejected at validation, with a field path."""
@@ -102,10 +103,12 @@ class VerificationReport:
 
 def make_report(scenario_id: str, tag: str, lhs: float, rhs: float, *,
                 assumptions=None, ties=(), extras=None, scale: float = 0.0,
-                applicable: bool = True, vacuous: bool = False) -> VerificationReport:
+                applicable: bool = True, vacuous: bool = False,
+                rel: float = MARGIN_REL) -> VerificationReport:
     """Verdict with the relative-margin pass rule.
 
-    pass iff margin = rhs - lhs >= -1e-9 * max(|rhs|, scale); an extra
+    pass iff margin = rhs - lhs >= -rel * max(|rhs|, scale), with
+    rel = MARGIN_REL = 1e-9 unless a check carries its own; an extra
     scale floor covers comparisons whose right side is identically zero
     (domination margins).  Assumption failures yield "not-applicable"
     and vacuous constants yield "vacuous"; neither is a failure.
@@ -117,7 +120,7 @@ def make_report(scenario_id: str, tag: str, lhs: float, rhs: float, *,
         status, passed = "vacuous", True
     elif not applicable:
         status, passed = "not-applicable", True
-    elif margin >= -MARGIN_REL * max(abs(rhs), scale):
+    elif margin >= -rel * max(abs(rhs), scale):
         status, passed = "pass", True
     else:
         status, passed = "fail", False
@@ -143,9 +146,12 @@ def verify_clr(T, V, kappa: float, S: float, *, scenario_id: str = "",
                bd=None, tag: str = "CLR", spectrum=None) -> VerificationReport:
     """N(0, T - V) <= e^(kappa-1) S^-kappa int V^kappa against the operator's measure.
 
-    ``spectrum`` (``spectra.shared_spectrum(T, V)``) lets the checks of one
-    draw share the T - V spectrum; the weakLT, LTmoment, momentIdentity and
-    magneticCLR checks take the same keyword.
+    The count is ``spectra.count_below``'s: by the inertia pass on a banded
+    form, else from the dense spectrum.  ``spectrum``
+    (``spectra.shared_spectrum(T, V)``) lets the checks of one draw share
+    the T - V spectrum, which the count reads only when the form has no
+    inertia route or the pass leaves the count undecided; the weakLT and
+    LTmoment checks take the same keyword.
     """
     if not kappa > 1.0:
         raise ValueError(f"counting bound requires kappa > 1, got {kappa}")
@@ -223,17 +229,45 @@ def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
                        applicable=bd is None or bd.passed)
 
 
-def verify_moment_identity(T, V, gamma_tilde: float, *, scenario_id: str = "",
-                           spectrum=None) -> VerificationReport:
-    """Riesz mean vs its moment-representation recomputation; lhs is the
-    relative discrepancy, rhs the tolerance 1e-6."""
-    direct = spectra.riesz_mean(T, V, gamma_tilde, spectrum=spectrum)
-    from_counts = spectra.riesz_mean_from_counts(T, V, gamma_tilde, spectrum=spectrum)
-    rel = abs(direct - from_counts) / max(abs(direct), abs(from_counts), 1e-300)
-    extras = {"riesz_direct": direct, "riesz_from_counts": from_counts,
-              "gamma_tilde": gamma_tilde}
-    return make_report(scenario_id, "momentIdentity", rel, 1e-6,
-                       assumptions={"status": "passed"}, extras=extras)
+def verify_heat_nash(T, kappa: float, S: float, *, scenario_id: str = "", bd=None,
+                     grid_points: int = 60, nash_samples: int = 10_000):
+    """The heat-kernel and Nash links of the chain as three reports, with the
+    ``functional.heat_bound_check`` result they read (None when vacuous).
+
+    - ``heatBound`` (1->inf): lhs K_measured = sup_s s^kappa
+      ||exp(-sT)||_(1->inf) over the grid, rhs (kappa/S)^kappa;
+    - ``heatBound`` (1->2): lhs sup_s s^kappa ||exp(-sT)||_(1->2)^2, rhs
+      (kappa/2S)^kappa;
+    - ``nash``: t[u]^p ||u||_1^(2-2p) >= S^p ||u||_2^2, p = q/(2(q-1)),
+      on ``nash_samples`` random probes; lhs is the worst relative shortfall
+      -min (left/right - 1), compared against 0.
+    Both heat bounds pass within HEAT_REL = 1e-8 relative and the Nash
+    bound within NASH_REL = 1e-10, the rules ``functional`` applies.  The
+    heat bounds need an L1-contractive semigroup, so they are
+    "not-applicable" when the Beurling-Deny criteria fail; the Nash bound
+    follows from S by Hoelder's inequality alone.  With S = 0 all three
+    are vacuous.
+    """
+    provenance = "minimized" if S > 0 else "vacuous"
+    # the Nash bound reads no Beurling-Deny criterion
+    blocks = {"heatBound": _assumption_block(bd, provenance),
+              "nash": _assumption_block(None, provenance)}
+    if not S > 0.0:
+        return [make_report(scenario_id, tag, 0.0, 0.0, assumptions=blocks[tag],
+                            vacuous=True, extras={"reason": "S = 0 (operator has kernel)"})
+                for tag in ("heatBound", "heatBound", "nash")], None
+    hb = functional.heat_bound_check(T, kappa, S, grid_points=grid_points)
+    q = exponents_from_gamma_kappa(0.0, kappa).q
+    nr = functional.nash_check(T, q, S, n_samples=nash_samples)
+    reports = [make_report(scenario_id, "heatBound", lhs, rhs, assumptions=blocks["heatBound"],
+                           extras={"norm": norm}, rel=functional.HEAT_REL,
+                           applicable=bd is None or bd.passed)
+               for norm, lhs, rhs in (("1->inf", hb.K_measured, hb.K_bound),
+                                      ("1->2", hb.K12_measured, hb.K12_bound))]
+    reports.append(make_report(scenario_id, "nash", -nr.min_slack_rel, 0.0, scale=1.0,
+                               assumptions=blocks["nash"], extras={"q": q},
+                               rel=functional.NASH_REL))
+    return reports, hb
 
 
 def verify_diamagnetic(T, T_A, t_grid, *, scenario_id: str = "",
@@ -870,9 +904,6 @@ def run_scenario(sc: dict) -> ScenarioResult:
                                                           gamma, kappa)[1]
                 r = verify_lt_moments(T, V, gamma_tilde, gamma, kappa, L_weak,
                                       scenario_id=sid, bd=bd, spectrum=spectrum)
-            elif check == "momentIdentity":
-                r = verify_moment_identity(T, V, gamma_tilde, scenario_id=sid,
-                                           spectrum=spectrum)
             elif check == "magneticCLR":
                 r = verify_magnetic_clr(T_A, V, kappa, constants.S, scenario_id=sid, bd=bd)
             else:  # liyauTrace
@@ -906,9 +937,10 @@ def run_scenario(sc: dict) -> ScenarioResult:
 
     hn = sc["heat_nash"]
     if hn is not None:
-        if constants.S > 0.0:
-            hb = functional.heat_bound_check(T, kappa, constants.S,
-                                             grid_points=hn["grid_points"])
+        heat_nash, hb = verify_heat_nash(T, kappa, constants.S, scenario_id=sid, bd=bd,
+                                         **hn)
+        reports.extend(heat_nash)
+        if hb is not None:
             constants.K_measured = hb.K_measured
             constants.K_bound = hb.K_bound
             constants.provenance["K"] = "measured"
@@ -918,15 +950,6 @@ def run_scenario(sc: dict) -> ScenarioResult:
             constants.L_lieb = functional.lieb_bound_from_K(K_use, kappa).value
             constants.provenance["L_lieb"] = "measured K" \
                 if hb.K_measured < hb.K_bound else "bound K"
-            q = exponents_from_gamma_kappa(0.0, kappa).q
-            nr = functional.nash_check(T, q, constants.S, n_samples=hn["nash_samples"])
-            extras["heat_nash"] = {
-                "passed_1inf": hb.passed_1inf, "passed_12": hb.passed_12,
-                "K12_measured": hb.K12_measured, "K12_bound": hb.K12_bound,
-                "nash_min_slack_rel": nr.min_slack_rel, "nash_passed": nr.passed,
-            }
-        else:
-            extras["heat_nash"] = {"vacuous": True}
 
     return ScenarioResult(scenario_id=sid, reports=reports, constants=constants,
                           assumptions=assumptions, extras=extras)

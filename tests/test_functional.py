@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ineqlab import (aizenman_lieb_factor, build_laplacian, clr_bounds_from_S,
                      continuum_sobolev_d3, heat_bound_check, lieb_bound_from_K,
@@ -786,3 +786,42 @@ def test_aizenman_lieb_validation_and_pole():
 def test_continuum_sharp_constant_value():
     assert continuum_sobolev_d3() == pytest.approx(3.0 * (math.pi / 2.0) ** (4.0 / 3.0),
                                                    rel=1e-15)
+
+
+def _relabelled(T, p):
+    """T with site i relabelled p^-1(i): form P A P^T and measure P m."""
+    return KineticOperator(T.space, T.form[np.ix_(p, p)], measure=T.measure[p])
+
+
+@pytest.mark.xfail(strict=True, reason="sobolev_constant misses the lowest basin on "
+                   "some relabelled forms (about 4 % of small cases); its seeded starts "
+                   "are not relabelled with the sites")
+@settings(max_examples=24, derandomize=True, deadline=None)
+@example(family="fractional", d=1, side=3, seed=3672, q=6.0, varying=True)
+@given(family=st.sampled_from(["laplacian", "fractional", "hardy"]),
+       d=st.integers(1, 2), side=st.integers(3, 6), seed=st.integers(0, 2**16),
+       q=st.sampled_from([3.0, 4.0, 6.0]), varying=st.booleans())
+def test_sobolev_invariant_under_site_relabelling(family, d, side, seed, q, varying):
+    """S = inf t[u] / ||u||_q^2 is a function of the form and the measure
+    alone, so relabelling the sites (form P A P^T, measure P m) leaves it
+    unchanged; the minimizer's seeded starts are not relabelled with them,
+    so a missed basin would show here.  Forms of at most 36 sites; the
+    measure is the lattice's own or a random one, so that no relabelling
+    is a symmetry."""
+    extents = [side * side] if d == 1 else [side, side]
+    if family == "hardy":
+        # one excluded origin in the middle; 2s < d
+        space = make_lattice(d, extents, exclusions=[[e // 2 for e in extents]])
+        base = build_hardy_operator(space, 0.4 if d == 1 else 0.75)
+    elif family == "fractional":
+        base = fractional_laplacian(make_lattice(d, extents), 0.5 if d == 1 else 0.75)
+    else:
+        base = build_laplacian(make_lattice(d, extents))
+    rng = np.random.default_rng(seed)
+    measure = rng.uniform(0.5, 2.0, base.n) if varying else base.measure
+    T = KineticOperator(base.space, base.form, measure=measure)
+    p = rng.permutation(T.n)
+    S, _ = sobolev_constant(T, q)
+    Sp, _ = sobolev_constant(_relabelled(T, p), q)
+    assert S > 0.0
+    assert Sp == pytest.approx(S, rel=1e-9)

@@ -105,6 +105,42 @@ def test_inertia_count_singular_pivot_falls_back():
     assert count_below(T, V, tau) == _dense_count(T, V, tau)
 
 
+def _spy_spectrum(T, V):
+    """shared_spectrum(T, V) that records each call, cached or not."""
+    shared, calls = spectra.shared_spectrum(T, V), []
+
+    def spectrum():
+        calls.append(1)
+        return shared()
+
+    return spectrum, calls
+
+
+@pytest.mark.parametrize("T,V", _banded_cases())
+def test_count_reads_shared_spectrum_only_when_inertia_cannot_decide(T, V):
+    """On an inertia-route form a decided row never reads the draw's shared
+    spectrum and gets the dense count and tie; an undecided row (an exact
+    tie) reads it once and gets the dense result, tie included."""
+    for tau in (0.0, 0.5 * float(np.max(V))):
+        spectrum, calls = _spy_spectrum(T, V)
+        assert count_below(T, V, tau, spectrum=spectrum) == _dense_count(T, V, tau)
+        assert calls == [], tau
+    tied = np.full(T.n, float(T.eigenvalues()[T.n // 5]))
+    spectrum, calls = _spy_spectrum(T, tied)
+    want = _dense_count(T, tied, 0.0)
+    assert spectra._inertia_count(T, tied[None], 0.0) == [None]
+    assert count_below(T, tied, 0.0, spectrum=spectrum) == want
+    assert want.tie is not None and calls == [1]
+
+
+def test_count_reads_shared_spectrum_without_inertia_route():
+    T = fractional_laplacian(make_lattice(d=1, extents=40), 0.5)
+    V = np.abs(np.random.default_rng(8).normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    spectrum, calls = _spy_spectrum(T, V)
+    assert count_below(T, V, 0.0, spectrum=spectrum) == _dense_count(T, V, 0.0)
+    assert calls == [1]
+
+
 def test_inertia_route_skips_periodic_dense_and_small_forms():
     m = spectra.INERTIA_BLOCK
     small = spectra.INERTIA_MIN_BLOCKS * m - 1
@@ -483,6 +519,28 @@ def test_riesz_mean_from_counts_matches_per_panel_counts_bitwise():
         assert got == _riesz_per_panel(eigs, gamma)
 
 
+# worst-case relative error of a recursive binary64 sum over the suite's
+# largest lattice, 1024 eps, as the golden comparison's residual floor
+RESIDUAL_FLOOR = 1024 * float(np.finfo(np.float64).eps)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(eigs=st.lists(st.one_of(st.sampled_from([-3.0, -1.0, -1.0, -0.5, 0.0, 2.0]),
+                               st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=128),
+       gamma=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]), st.floats(0.05, 4.0)),
+       tau=st.sampled_from([None, 0.0, 1.0]))
+def test_riesz_mean_from_counts_matches_riesz_mean(eigs, gamma, tau):
+    """The moment representation gamma int N(-t) t^(gamma-1) dt equals
+    sum |lambda_j|^gamma over the negative eigenvalues within RESIDUAL_FLOOR
+    relative, ties and repeated eigenvalues included; ``tau`` also plants
+    the tie -tau and repeats it."""
+    eigs = np.array(eigs + ([] if tau is None else [-tau] * 3))
+    direct = riesz_mean(None, None, gamma, spectrum=lambda: eigs)
+    layered = riesz_mean_from_counts(None, None, gamma, spectrum=lambda: eigs)
+    assert abs(layered - direct) <= RESIDUAL_FLOOR * max(abs(direct), abs(layered))
+
+
 def test_liyau_upsilon_spectrum_reciprocal():
     _, op = single_site(t0=2.0, m0=1.0)
     up = liyau_upsilon(op, np.array([4.0]))
@@ -656,6 +714,18 @@ def test_trotter_state_budget_guard():
     ring = build_laplacian(make_lattice(d=1, extents=4, bc="periodic"))
     with pytest.raises(ValueError):
         trotter_trace(ring, np.ones(4), hinge_profile(1.0), 2)
+
+    # the budget bounds the work n ns^3 (n + 1)^(r - 1) of _cycle_sum: on the
+    # bundled 3 x 3 instance (r = 3) the edge lies between n = 50 and 51
+    T = build_laplacian(make_lattice(d=2, extents=3))
+    V = np.array([0.5, 1.25, 0.5, 3.0, 1.25, 0.5, 1.25, 3.0, 0.5])
+    assert 50 * 9**3 * 51**2 <= spectra.TROTTER_MAX_WORK < 51 * 9**3 * 52**2
+    spectra.check_trotter_orders(T, V, [1, 2, 4, 8, 16, 32, 50])
+    for orders, named in (([51], "n=51"), ([1, 446], "n=446"), ([4, 0], "got 0")):
+        with pytest.raises(ValueError, match=named):
+            spectra.check_trotter_orders(T, V, orders)
+    with pytest.raises(ValueError, match="n=51"):
+        trotter_trace(T, V, hinge_profile(1.0), 51)
 
 
 @pytest.mark.parametrize("ns,r", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)])

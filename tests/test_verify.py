@@ -15,13 +15,13 @@ from ineqlab import (beurling_deny_check, build_laplacian,
                      ltw_bounds_from_S, make_lattice, make_report,
                      run_scenario, sobolev_constant, sobolev_interp_constant,
                      spectra, uniform_flux_phases, validate_config, verify_clr,
-                     verify_diamagnetic, verify_gsr_identity,
+                     verify_diamagnetic, verify_gsr_identity, verify_heat_nash,
                      verify_liyau_trace, verify_lt_moments,
-                     verify_magnetic_clr, verify_moment_identity,
-                     verify_weak_lt, weighted_transform)
+                     verify_magnetic_clr, verify_weak_lt, weighted_transform)
+from ineqlab import cli, functional
 from ineqlab.cli import _load_config
 from ineqlab.operators import KineticOperator
-from ineqlab.verify import (ConfigError, run_scenario_jsonable,
+from ineqlab.verify import (ConfigError, _draw_potentials, run_scenario_jsonable,
                             validate_scenario, validate_sweep)
 
 
@@ -214,9 +214,8 @@ def test_lt_moments_pass_and_identity():
         V = draw(T, 1.0, 3000 + k)
         r = verify_lt_moments(T, V, gt, gamma, kappa, L_weak)
         assert r.status == "pass", k
-        ri = verify_moment_identity(T, V, gt)
-        assert ri.status == "pass"
-        assert ri.lhs <= 1e-6
+        # the lhs is the Riesz mean, which its moment representation reproduces
+        assert spectra.riesz_mean_from_counts(T, V, gt) == pytest.approx(r.lhs, rel=1e-12)
     with pytest.raises(ValueError):
         verify_lt_moments(T, V, gamma, gamma, kappa, L_weak)
 
@@ -485,9 +484,10 @@ def test_run_scenario_empty_checks():
 
 
 def test_run_scenario_counting_suite():
-    sc = minimal_scenario(checks=["CLR", "momentIdentity"],
+    sc = minimal_scenario(checks=["CLR"], heat_nash=True,
                           exponents={"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0})
     res = run_scenario(sc)
+    assert [r.tag for r in res.reports] == ["CLR", "heatBound", "heatBound", "nash"]
     assert res.scenario_id == "unit-mini"
     assert all(r.status == "pass" for r in res.reports)
     assert res.constants.S > 0.0
@@ -539,7 +539,8 @@ def test_checks_share_one_spectrum_per_draw(monkeypatch):
     res, calls = _count_spectra(monkeypatch, sc)
     # every draw check reads T - V once; each adversarial coupling is its own T - V
     assert len(calls) == _n_draws(sc) + len(sc["potential"]["adversarial"])
-    assert {r.tag for r in res.reports} == set(sc["checks"])
+    # the heat_nash block reads no T - V spectrum
+    assert {r.tag for r in res.reports} == set(sc["checks"]) | {"heatBound", "nash"}
 
 
 def test_magnetic_draw_computes_one_spectrum_per_operator(monkeypatch):
@@ -560,7 +561,7 @@ def test_magnetic_clr_alone_computes_no_nonmagnetic_spectrum(monkeypatch):
     # one T_A - V spectrum per draw, and none of T - V
     assert len(calls) == n and len({id(T) for T in calls}) == 1
     assert not calls[0].is_real
-    assert [r.tag for r in res.reports] == ["magneticCLR"] * n
+    assert [r.tag for r in res.reports] == ["magneticCLR"] * n + ["heatBound", "heatBound", "nash"]
 
 
 def test_vacuous_draw_checks_compute_no_spectrum(monkeypatch):
@@ -570,3 +571,84 @@ def test_vacuous_draw_checks_compute_no_spectrum(monkeypatch):
     res, calls = _count_spectra(monkeypatch, sc)
     assert [r.status for r in res.reports] == ["vacuous"] * _n_draws(sc)
     assert calls == []
+
+
+def test_banded_draw_counts_by_inertia_computes_no_spectrum(monkeypatch):
+    # 256 sites make 8 inertia blocks: the CLR count of every draw is decided
+    # by the inertia pass, so no draw computes its T - V spectrum
+    sc = minimal_scenario(lattice={"d": 1, "extents": [256], "h": 1.0, "bc": "dirichlet"},
+                          potential={"seed": 5, "sigmas": [0.1, 1.0], "draws": 2})
+    res, calls = _count_spectra(monkeypatch, sc)
+    assert calls == []
+    assert [r.status for r in res.reports] == ["pass"] * 4
+    T = build_laplacian(make_lattice(d=1, extents=256))
+    draws = dict(_draw_potentials(T, validate_scenario(sc)["potential"], positive_floor=False))
+    for r in res.reports:
+        V = draws[r.extras["potential"]]
+        want = spectra.count_from_eigenvalues(np.linalg.eigvalsh(T.sym() - np.diag(V)), 0.0)
+        assert (r.lhs, r.ties) == (float(want.n), [])
+
+
+# --- the heat-kernel and Nash reports -----------------------------------------
+
+def test_heat_nash_reports_carry_the_heat_and_nash_verdicts():
+    T = path_op(16)
+    kappa = 1.5
+    q = exponents_from_gamma_kappa(0.0, kappa).q
+    S, _ = sobolev_constant(T, q)
+    reports, hb = verify_heat_nash(T, kappa, S, scenario_id="p", grid_points=30,
+                                   nash_samples=500, bd=beurling_deny_check(T))
+    assert [(r.tag, r.status, r.extras.get("norm")) for r in reports] == [
+        ("heatBound", "pass", "1->inf"), ("heatBound", "pass", "1->2"), ("nash", "pass", None)]
+    want = functional.heat_bound_check(T, kappa, S, grid_points=30)
+    assert (reports[0].lhs, reports[0].rhs) == (want.K_measured, want.K_bound) == \
+        (hb.K_measured, hb.K_bound)
+    assert (reports[1].lhs, reports[1].rhs) == (want.K12_measured, want.K12_bound)
+    nr = functional.nash_check(T, q, S, n_samples=500)
+    assert (reports[2].lhs, reports[2].rhs) == (-nr.min_slack_rel, 0.0)
+
+    # the pass rules of functional: 1e-8 relative for the heat bounds, 1e-10
+    # for the Nash bound; the heat bounds need Beurling-Deny, Nash does not
+    for slack, status in ((0.99e-8, "pass"), (1.01e-8, "fail")):
+        r = make_report("p", "heatBound", 2.0 * (1.0 + slack), 2.0, rel=functional.HEAT_REL)
+        assert r.status == status
+    for shortfall, status in ((0.99e-10, "pass"), (1.01e-10, "fail")):
+        r = make_report("p", "nash", shortfall, 0.0, scale=1.0, rel=functional.NASH_REL)
+        assert r.status == status
+    A = T.form.copy()
+    A[0, 1] = A[1, 0] = -A[0, 1]          # a gauge of the path: same spectrum
+    flipped = KineticOperator(T.space, A)
+    bd = beurling_deny_check(flipped)
+    assert not bd.passed
+    reports, _ = verify_heat_nash(flipped, kappa, S, bd=bd, grid_points=30, nash_samples=500)
+    assert [r.status for r in reports] == ["not-applicable", "not-applicable", "pass"]
+
+    reports, hb = verify_heat_nash(path_op(8, bc="periodic"), kappa, 0.0)
+    assert hb is None
+    assert [(r.tag, r.status, r.extras["reason"]) for r in reports] == [
+        (tag, "vacuous", "S = 0 (operator has kernel)")
+        for tag in ("heatBound", "heatBound", "nash")]
+
+
+def test_tenfold_sobolev_constant_fails_heat_and_nash(monkeypatch, tmp_path, capsys):
+    """With S replaced by 10 S on clr-2d-8x8, both heat bounds and the Nash
+    bound fail (measured 19.7 and 19.6 times the heat bounds, Nash shortfall
+    0.31), and verify exits 1."""
+    sc = copy.deepcopy(_bundled("clr-2d-8x8"))
+    sc["checks"] = []
+    original = functional.sobolev_constant
+
+    def tenfold(T, q, **kw):
+        S, trace = original(T, q, **kw)
+        return 10.0 * S, trace
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "scenarios": [sc]}))
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(functional, "sobolev_constant", tenfold)
+    assert cli.main(argv) == 1
+    assert "3 fail (heatBound; nash)" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(r["tag"], r["status"]) for r in payload["results"][0]["reports"]] == [
+        ("heatBound", "fail"), ("heatBound", "fail"), ("nash", "fail")]
