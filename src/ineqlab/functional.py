@@ -79,6 +79,11 @@ class ConstantsBundle:
     provenance: dict = field(default_factory=dict)
 
 
+# A descent trial within FLOOR_EPS |J| of the current value J is at its
+# rounding floor: the Armijo decrease there can be below one ulp of J.
+FLOOR_EPS = 4.0 * np.finfo(np.float64).eps
+
+
 def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """u . v for each pair of rows, each summed as a vector dot product."""
     return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
@@ -114,8 +119,9 @@ def _interp_value_grad(U: np.ndarray, T, q: float, theta: float):
 
 def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
     """Barzilai-Borwein descent preconditioned by A^{-1}, with an Armijo
-    backtracking safeguard, of J(u)/||u||_q^2 on the manifold ||u||_q = 1
-    (``_interp_value_grad``), run on every row of the k x n block U0 at once.
+    backtracking safeguard (approximate at the rounding floor), of
+    J(u)/||u||_q^2 on the manifold ||u||_q = 1 (``_interp_value_grad``),
+    run on every row of the k x n block U0 at once.
 
     Returns (best values, their points, iterations), one entry per row.
     """
@@ -177,7 +183,11 @@ def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
             tn, Gn = np.full(live.size, np.nan), np.zeros_like(G)
             Un[ok] /= nq[ok, None]
             tn[ok], Gn[ok], _ = _interp_value_grad(Un[ok], T, q, theta)
-        acc = tn <= t - 1e-4 * st * gd
+        # Armijo, or, at the rounding floor of the value, a trial within
+        # FLOOR_EPS |t| of t that lowers ||G|| (the approximate Armijo test of
+        # Hager and Zhang, SIAM J. Optim. 16, 2005)
+        acc = (tn <= t - 1e-4 * st * gd) | (
+            (np.abs(tn - t) <= FLOOR_EPS * np.abs(t)) & (_rowdot(Gn, Gn) < _rowdot(G, G)))
         flat = np.where(tn < t, 0, flat + 1)
         moved = acc[:, None]
         np.copyto(prev_U, U, where=moved)

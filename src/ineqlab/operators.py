@@ -25,13 +25,23 @@ lattices; fractional and inverse-square forms stay dense.  Under the
 measure 1, sym() of an exactly Hermitian form is the form itself,
 sharing its memory.
 
-KineticOperator.solve applies (A + shift M)^{-1} to rows from the cached
-eigenbasis of the symmetrized matrix; it is the one place that solves
-with a form.
+KineticOperator.eigensystem() is computed on first use by one of two
+routes.  A builder that knows the eigenpairs hands the constructor a
+zero-argument callable for them.  The Laplacian of a box without
+exclusions (``build_laplacian``, Dirichlet or periodic, any extents and
+h) has tensor products of sine or real Fourier vectors with eigenvalues
+h^-2 sum_axes (2 - 2 cos theta_k) (``box_eigensystem``; Strang, SIAM
+Review 41, 1999), and a function of an operator
+(``build_function_of_operator``) takes (f(w), Q) from its base.  Every
+other form takes a dense ``eigh`` of sym().  KineticOperator.solve applies (A + shift M)^{-1} to rows from
+the cached eigenbasis of the symmetrized matrix; it is the one place
+that solves with a form.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +124,13 @@ class KineticOperator:
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
     class with a modified measure).  The constructor marks the form array
-    it is given read-only, without copying it.
+    it is given read-only, without copying it.  eigensystem, when given,
+    is a zero-argument callable that returns the eigenpairs of sym() as
+    ``eigensystem()`` does; it is called on first use instead of ``eigh``.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
-                 meta: dict | None = None):
+                 meta: dict | None = None, eigensystem=None):
         form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
@@ -138,6 +150,7 @@ class KineticOperator:
             raise ValueError("form matrix is not self-adjoint")
         self._sym = None
         self._eig = None
+        self._eig_source = eigensystem
 
     @property
     def n(self) -> int:
@@ -163,10 +176,14 @@ class KineticOperator:
         return self._sym
 
     def eigensystem(self):
-        """Cached (eigenvalues ascending, eigenvectors) of the symmetrized matrix."""
+        """Cached (eigenvalues ascending, eigenvectors) of the symmetrized
+        matrix, from the builder's closed form when it gave one, else from
+        a dense ``eigh``."""
         if self._eig is None:
-            w, Q = np.linalg.eigh(self.sym())
-            self._eig = (w, Q)
+            if self._eig_source is None:
+                self._eig = np.linalg.eigh(self.sym())
+            else:
+                self._eig = self._eig_source()
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
@@ -259,18 +276,83 @@ def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
     return A
 
 
+def _axis_eigensystem(L: int, periodic: bool):
+    """(ascending eigenvalues, orthonormal eigenvector table Q[j, k]) of one
+    axis's second difference of L sites: tridiag(-1, 2, -1) with Dirichlet
+    ends, or its cyclic version.  The angle of entry (j, k) is reduced in
+    integers before it is scaled, and the table is built in place."""
+    if periodic:
+        # columns: the constant, (cos, sin) pairs for k = 1 .. (L-1)//2, and
+        # the alternating vector when L is even
+        half = (L - 1) // 2
+        k = np.array([0, *np.repeat(np.arange(1, half + 1), 2), *[L // 2] * (1 - L % 2)])
+        period, theta = L, 2.0 * np.pi / L
+        j = np.arange(L, dtype=np.float64)
+        norm = np.where((k == 0) | (2 * k == L), math.sqrt(1.0 / L), math.sqrt(2.0 / L))
+    else:
+        k = np.arange(1, L + 1)
+        period, theta = 2 * (L + 1), np.pi / (L + 1)
+        j = np.arange(1, L + 1, dtype=np.float64)
+        norm = np.full(L, math.sqrt(2.0 / (L + 1)))
+    Q = np.multiply.outer(j, k)         # j k, exact in doubles
+    np.remainder(Q, period, out=Q)
+    Q *= theta
+    if periodic:
+        sines = slice(2, 2 * half + 1, 2)
+        for cols in (slice(0, 1), slice(1, 2 * half, 2), slice(2 * half + 1, L)):
+            np.cos(Q[:, cols], out=Q[:, cols])
+        np.sin(Q[:, sines], out=Q[:, sines])
+    else:
+        np.sin(Q, out=Q)
+    Q *= norm
+    return 2.0 - 2.0 * np.cos(theta * k), Q
+
+
+def box_eigensystem(space: LatticeSpace):
+    """(ascending eigenvalues, eigenvectors) of sym() of the Laplacian of a
+    box without exclusions, in closed form.
+
+    The eigenvectors are tensor products of the per-axis tables
+    (``_axis_eigensystem``); the eigenvalues, h^-2 times the outer sum of
+    the per-axis ones over the modes in lexicographic order (axis 0
+    slowest), are sorted by a stable argsort, so equal sums keep that
+    order.  Q is filled one block of rows at a time.
+    """
+    if space.excluded:
+        raise ValueError("closed-form eigensystems need a box without exclusions")
+    axes = [_axis_eigensystem(L, space.bc == "periodic") for L in space.extents]
+    if space.d == 1:
+        w, Q = axes[0]
+        return w / space.h**2, Q
+    lam = functools.reduce(np.add.outer, [a[0] for a in axes]).reshape(-1)
+    order = np.argsort(lam, kind="stable")
+    modes = np.unravel_index(order, space.extents)
+    tables = [Q_a[:, k_a] for (_, Q_a), k_a in zip(axes, modes)]     # L_a x n each
+    sites = space.coords.T
+    Q = np.empty((space.n, space.n))
+    for r in _row_blocks(space.n):
+        Q[r] = tables[0][sites[0][r]]
+        for table, j in zip(tables[1:], sites[1:]):
+            Q[r] *= table[j[r]]
+    return lam[order] / space.h**2, Q
+
+
 def build_laplacian(space: LatticeSpace) -> KineticOperator:
-    """Nearest-neighbor Laplacian form with Dirichlet penalties at missing slots."""
+    """Nearest-neighbor Laplacian form with Dirichlet penalties at missing
+    slots; a box without exclusions carries its closed-form eigensystem."""
     A = _assemble_laplacian(space)
-    return KineticOperator(space, A, meta={"family": "laplacian"})
+    eig = None if space.excluded else (lambda: box_eigensystem(space))
+    return KineticOperator(space, A, meta={"family": "laplacian"}, eigensystem=eig)
 
 
 def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
-    """Spectral calculus U f(Lambda) U* through a full eigendecomposition.
+    """Spectral calculus U f(Lambda) U* through T's eigensystem.
 
     f must be nonnegative and nondecreasing on [0, lambda_max]; the
     input operator must be positive semidefinite.  Covers fractional
-    powers f(E) = E^s.
+    powers f(E) = E^s.  The result inherits the eigensystem (f(w), Q)
+    when f(w) is ascending, as it is unless f dips within the tolerance
+    of the nondecreasing check; it then takes its own ``eigh``.
     """
     w, Q = T.eigensystem()
     scale = T.spectral_scale()
@@ -292,7 +374,8 @@ def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
     if T.is_real:
         Ap = np.real(Ap)
     meta = {"family": "function", "base_family": T.meta.get("family")}
-    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta)
+    eig = (lambda: (fw, Q)) if np.all(np.diff(fw) >= 0.0) else None
+    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta, eigensystem=eig)
 
 
 def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:

@@ -136,6 +136,32 @@ def _write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def test_verify_n1024_box_scenarios_take_no_dense_eigensolver(tmp_path, monkeypatch, capsys):
+    # the 1-d Dirichlet and periodic Laplacians of the suite read T's
+    # closed-form eigensystem, and their draws count without a spectrum, so
+    # no eigh or eigvalsh ever sees a 1024 x 1024 matrix
+    suite = cli._load_config("paper-suite")
+    keep = ("clr-1d-n1024", "periodic-1d-n1024")
+    cfg = dict(suite, scenarios=[s for s in suite["scenarios"] if s["id"] in keep])
+    calls = []
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    code = cli.main(["verify", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path), "--jobs", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls and all(max(shape) < 1024 for _, shape in calls)
+
+
 def test_verify_tiny_config_artifacts(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, TINY_CONFIG)
     out1 = tmp_path / "run1"

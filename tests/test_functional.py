@@ -220,7 +220,9 @@ def _vector_descent(T, q, theta, u0, *, max_iter, tol, stall_window):
                 tn, gn, _ = vg(un)
                 if tn < t:
                     flat = 0
-                if tn <= t - 1e-4 * st * gd:
+                if tn <= t - 1e-4 * st * gd or (
+                        abs(tn - t) <= functional.FLOOR_EPS * abs(t)
+                        and float(gn @ gn) < float(g @ g)):
                     accepted = True
                     break
             st *= 0.5
