@@ -26,16 +26,22 @@ measure 1, sym() of an exactly Hermitian form is the form itself,
 sharing its memory.
 
 KineticOperator.eigensystem() is computed on first use by one of two
-routes.  A builder that knows the eigenpairs hands the constructor a
-zero-argument callable for them.  The Laplacian of a box without
-exclusions (``build_laplacian``, Dirichlet or periodic, any extents and
-h) has tensor products of sine or real Fourier vectors with eigenvalues
-h^-2 sum_axes (2 - 2 cos theta_k) (``box_eigensystem``; Strang, SIAM
-Review 41, 1999), and a function of an operator
-(``build_function_of_operator``) takes (f(w), Q) from its base.  Every
-other form takes a dense ``eigh`` of sym().  KineticOperator.solve applies (A + shift M)^{-1} to rows from
-the cached eigenbasis of the symmetrized matrix; it is the one place
-that solves with a form.
+routes.  A builder that knows the eigenpairs hands them to the
+constructor.  The Laplacian of a box without exclusions
+(``build_laplacian``, Dirichlet or periodic, any extents and h) carries
+its ``BoxBasis``: tensor products of sine or real Fourier vectors with
+eigenvalues h^-2 sum_axes (2 - 2 cos theta_k) (Strang, SIAM Review 41,
+1999), whose eigenvalues it reads without the n x n eigenvector table
+(``box_eigensystem``, built only when a caller asks for the eigenvectors).
+A function of an operator (``build_function_of_operator``) takes
+(f(w), Q) from its base.  Every other form takes a dense ``eigh`` of
+sym().  KineticOperator.solve applies (A + shift M)^{-1} to rows in the
+eigenbasis of the symmetrized matrix; it is the one place that solves
+with a form.  A box Laplacian with at least TRANSFORM_MIN_SITES sites
+takes the transform route: ``solve`` and the heat-kernel diagonal apply
+its basis by one FFT per axis (DST-I on Dirichlet axes, a real DFT on
+periodic ones) in O(n log n) work per row.  Smaller boxes and every other
+form multiply by the cached table.
 """
 
 from __future__ import annotations
@@ -60,6 +66,20 @@ SYM_TOL = 1e-12
 # n <= 96 dense.
 ROW_ROUTE_FACTOR = 32
 
+
+# A box Laplacian takes the transform route (``BoxBasis``) from
+# TRANSFORM_MIN_SITES sites on.  Measured for a 17-row solve at one
+# OpenBLAS thread (numpy 2.4.6, OpenBLAS 0.3.31, x86-64), dense product
+# pair against transforms: 10 against 130 us at 8x8, 0.15 against 0.32 ms
+# at 16x16, 0.36 against 0.35 ms at 20x20; 2.5 against 0.56 ms at n = 1024
+# and 2.5 against 0.80 ms at 32x32 (Dirichlet), 2.8 against 0.30 and 2.9
+# against 0.46 ms (periodic).  From 512 sites on the transforms took 0.1-0.8x the
+# dense time on every shape tried (1-d, 2-d 23x23 to 36x36, 3-d 9^3 and
+# 10^3) except 8x8x8 (1.1-1.2x, about even once the skipped table build
+# counts) and Dirichlet lines whose L + 1 is a large prime, where the FFT
+# of length 2(L + 1) falls back to Bluestein's algorithm (1.2-2.3x up to
+# 1100 sites).
+TRANSFORM_MIN_SITES = 512
 
 SCAN_BLOCK = 1 << 15       # entries (256 kB) of rows that a scan reads at a time
 
@@ -124,13 +144,15 @@ class KineticOperator:
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
     class with a modified measure).  The constructor marks the form array
-    it is given read-only, without copying it.  eigensystem, when given,
-    is a zero-argument callable that returns the eigenpairs of sym() as
-    ``eigensystem()`` does; it is called on first use instead of ``eigh``.
+    it is given read-only, without copying it.  eigenbasis, when given,
+    is what the builder knows of the eigenpairs of sym(): a ``BoxBasis``,
+    or the pair (ascending eigenvalues, eigenvectors) as ``eigensystem()``
+    returns it.  ``transform`` is the BoxBasis when the operator takes the
+    transform route (at least TRANSFORM_MIN_SITES sites), else None.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
-                 meta: dict | None = None, eigensystem=None):
+                 meta: dict | None = None, eigenbasis=None):
         form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
@@ -149,8 +171,9 @@ class KineticOperator:
         if self._defect > SYM_TOL * self.scale:
             raise ValueError("form matrix is not self-adjoint")
         self._sym = None
-        self._eig = None
-        self._eig_source = eigensystem
+        self._box = eigenbasis if isinstance(eigenbasis, BoxBasis) else None
+        self._eig = None if self._box is not None else eigenbasis
+        self.transform = self._box if space.n >= TRANSFORM_MIN_SITES else None
 
     @property
     def n(self) -> int:
@@ -177,17 +200,19 @@ class KineticOperator:
 
     def eigensystem(self):
         """Cached (eigenvalues ascending, eigenvectors) of the symmetrized
-        matrix, from the builder's closed form when it gave one, else from
-        a dense ``eigh``."""
+        matrix, from the builder's eigenbasis when it gave one (the n x n
+        table of a ``BoxBasis`` by ``box_eigensystem``), else from a dense
+        ``eigh``."""
         if self._eig is None:
-            if self._eig_source is None:
+            if self._box is None:
                 self._eig = np.linalg.eigh(self.sym())
             else:
-                self._eig = self._eig_source()
+                self._eig = box_eigensystem(self.space)
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem()[0]
+        """Ascending eigenvalues; a box reads them without its table."""
+        return self.eigensystem()[0] if self._box is None else self._box.values
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
@@ -230,10 +255,14 @@ class KineticOperator:
         A k x n block takes one product pair for all its rows, with one
         shift or a k x 1 column of shifts, one per row.  A k x 1 x n stack
         takes one product per row, so each row's result is bit for bit its
-        one-row solve and never depends on the rows beside it.
+        one-row solve and never depends on the rows beside it.  On the
+        transform route the pair is applied by FFTs (``BoxBasis.solve``),
+        and every row of a block is its one-row solve as well.
         """
-        w, Q = self.eigensystem()
         rs = 1.0 / np.sqrt(self.measure)
+        if self.transform is not None:
+            return rs * self.transform.solve(rs * B, shift)
+        w, Q = self.eigensystem()
         return rs * np.matmul(np.matmul(rs * B, Q) / (w + shift), Q.T)
 
     def quad_form(self, u) -> float:
@@ -276,73 +305,178 @@ def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
     return A
 
 
-def _axis_eigensystem(L: int, periodic: bool):
-    """(ascending eigenvalues, orthonormal eigenvector table Q[j, k]) of one
-    axis's second difference of L sites: tridiag(-1, 2, -1) with Dirichlet
-    ends, or its cyclic version.  The angle of entry (j, k) is reduced in
-    integers before it is scaled, and the table is built in place."""
+def _axis_modes(L: int, periodic: bool):
+    """(mode numbers k in column order, angle unit theta, period P of j k)
+    of one axis's second difference of L sites: tridiag(-1, 2, -1) with
+    Dirichlet ends, or its cyclic version.  Periodic columns are the
+    constant, (cos, sin) pairs for k = 1 .. (L-1)//2, and the alternating
+    vector when L is even; Dirichlet columns are sines, k = 1 .. L."""
     if periodic:
-        # columns: the constant, (cos, sin) pairs for k = 1 .. (L-1)//2, and
-        # the alternating vector when L is even
         half = (L - 1) // 2
         k = np.array([0, *np.repeat(np.arange(1, half + 1), 2), *[L // 2] * (1 - L % 2)])
-        period, theta = L, 2.0 * np.pi / L
-        j = np.arange(L, dtype=np.float64)
-        norm = np.where((k == 0) | (2 * k == L), math.sqrt(1.0 / L), math.sqrt(2.0 / L))
-    else:
-        k = np.arange(1, L + 1)
-        period, theta = 2 * (L + 1), np.pi / (L + 1)
-        j = np.arange(1, L + 1, dtype=np.float64)
-        norm = np.full(L, math.sqrt(2.0 / (L + 1)))
-    Q = np.multiply.outer(j, k)         # j k, exact in doubles
-    np.remainder(Q, period, out=Q)
-    Q *= theta
+        return k, 2.0 * np.pi / L, L
+    return np.arange(1, L + 1), np.pi / (L + 1), 2 * (L + 1)
+
+
+def _axis_values(L: int, periodic: bool) -> np.ndarray:
+    """Ascending eigenvalues 2 - 2 cos(theta k) of one axis (``_axis_modes``)."""
+    k, theta, _ = _axis_modes(L, periodic)
+    return 2.0 - 2.0 * np.cos(theta * k)
+
+
+def _axis_table(L: int, periodic: bool) -> np.ndarray:
+    """Orthonormal eigenvector table Q[j, k] of one axis (``_axis_modes``),
+    columns in the order of ``_axis_values``.  Entry (j, k) is gathered, by the integer index
+    j k mod P, from a table of sin or cos at the P angles m theta that
+    already carries the column's norm, one block of rows and one group of
+    columns at a time, so no temporary is as large as Q."""
+    k, theta, period = _axis_modes(L, periodic)
+    angles = theta * np.arange(period, dtype=np.float64)
     if periodic:
-        sines = slice(2, 2 * half + 1, 2)
-        for cols in (slice(0, 1), slice(1, 2 * half, 2), slice(2 * half + 1, L)):
-            np.cos(Q[:, cols], out=Q[:, cols])
-        np.sin(Q[:, sines], out=Q[:, sines])
+        half = (L - 1) // 2
+        j = np.arange(L)
+        cos = np.cos(angles)
+        unit, pair = math.sqrt(1.0 / L), math.sqrt(2.0 / L)
+        # the constant and alternating columns, the cosines and the sines
+        groups = [(slice(0, 1), cos * unit), (slice(1, 2 * half, 2), cos * pair),
+                  (slice(2, 2 * half + 1, 2), np.sin(angles) * pair),
+                  (slice(2 * half + 1, L), cos * unit)]
     else:
-        np.sin(Q, out=Q)
-    Q *= norm
-    return 2.0 - 2.0 * np.cos(theta * k), Q
+        j = np.arange(1, L + 1)
+        groups = [(slice(0, L), np.sin(angles) * math.sqrt(2.0 / (L + 1)))]
+    Q = np.empty((L, L))
+    for r in _row_blocks(L):
+        for cols, table in groups:
+            Q[r, cols] = table[np.multiply.outer(j[r], k[cols]) % period]
+    return Q
+
+
+def _dst1(X: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I along ``axis``, sum_j X_j sqrt(2/(L+1)) sin(pi j k/(L+1))
+    for j, k = 1 .. L: minus the imaginary parts of the rfft of X with one
+    zero before it and L + 1 after.  It is its own inverse."""
+    X = np.moveaxis(X, axis, -1)
+    L = X.shape[-1]
+    E = np.zeros(X.shape[:-1] + (2 * L + 2,))
+    E[..., 1:L + 1] = X
+    F = np.fft.rfft(E)[..., 1:L + 1].imag
+    F *= -math.sqrt(2.0 / (L + 1))
+    return np.moveaxis(F, -1, axis)
+
+
+def _rdft(X: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """The real DFT along ``axis`` in the orthonormal periodic basis of
+    ``_axis_modes``: coefficients X Q from the rfft of X, or with
+    ``inverse`` the points Q C of coefficients C by one irfft."""
+    X = np.moveaxis(X, axis, -1)
+    L = X.shape[-1]
+    half, even = (L - 1) // 2, L % 2 == 0
+    cos, sin = slice(1, 2 * half, 2), slice(2, 2 * half + 1, 2)
+    unit, pair = math.sqrt(1.0 / L), math.sqrt(2.0 / L)
+    if inverse:
+        Z = np.empty(X.shape[:-1] + (L // 2 + 1,), dtype=np.complex128)
+        Z[..., 0] = X[..., 0] / unit
+        Z.real[..., 1:half + 1] = X[..., cos] / pair
+        Z.imag[..., 1:half + 1] = X[..., sin] / -pair
+        if even:
+            Z[..., L // 2] = X[..., L - 1] / unit
+        return np.moveaxis(np.fft.irfft(Z, n=L), -1, axis)
+    F = np.fft.rfft(X)
+    C = np.empty(X.shape)
+    C[..., 0] = F[..., 0].real * unit
+    C[..., cos] = F.real[..., 1:half + 1] * pair
+    C[..., sin] = F.imag[..., 1:half + 1] * -pair
+    if even:
+        C[..., L - 1] = F[..., L // 2].real * unit
+    return np.moveaxis(C, -1, axis)
+
+
+class BoxBasis:
+    """The closed-form eigenbasis of sym() of the Laplacian of a box without
+    exclusions: tensor products of one sine or real Fourier table per axis
+    (``_axis_table``), with eigenvalues h^-2 sum_axes (2 - 2 cos theta_k)
+    (Strang, SIAM Review 41, 1999).
+
+    ``mode_values`` holds the eigenvalues over the modes in lexicographic
+    order (axis 0 slowest); ``values`` sorts them by a stable argsort
+    (``order``), so equal sums keep that order.  ``solve`` and
+    ``heat_diagonal`` apply the basis by one FFT per axis and never form
+    the n x n table that ``box_eigensystem`` builds.
+    """
+
+    def __init__(self, space: LatticeSpace):
+        if space.excluded:
+            raise ValueError("closed-form eigensystems need a box without exclusions")
+        self.space = space
+        self.periodic = space.bc == "periodic"
+        self.axis_values = [_axis_values(L, self.periodic) for L in space.extents]
+        lam = functools.reduce(np.add.outer, self.axis_values).reshape(-1)
+        self.order = np.argsort(lam, kind="stable")
+        self.mode_values = lam / space.h**2
+        self.values = self.mode_values[self.order]
+
+    def _transform(self, X: np.ndarray, inverse: bool) -> np.ndarray:
+        lead = X.ndim - 1
+        X = X.reshape(X.shape[:-1] + self.space.extents)
+        for a in range(self.space.d):
+            X = _rdft(X, lead + a, inverse) if self.periodic else _dst1(X, lead + a)
+        return X.reshape(X.shape[:lead] + (-1,))
+
+    def solve(self, B, shift=0.0) -> np.ndarray:
+        """Q ((Q^T b) / (w + shift)) for every row b of B, Q the basis and w
+        its eigenvalues: ``KineticOperator.solve``'s product pair, with the
+        basis applied by the axis transforms.  A row's result never
+        depends on the rows beside it, in a block or a k x 1 x n stack."""
+        C = self._transform(np.asarray(B, dtype=np.float64), False)
+        return self._transform(C / (self.mode_values + shift), True)
+
+    def heat_diagonal(self, s_values) -> np.ndarray:
+        """sum_j Q_xj^2 exp(-s w_j) for every site x and time s in
+        ``s_values``, as an n x G array: the product over the axes of the
+        per-axis sums.  On a periodic axis of L sites that sum is
+        (1/L) sum_k g_k for g_k = exp(-s lam_k / h^2), the same at every
+        site.  On a Dirichlet axis sin^2 = (1 - cos 2 theta)/2 makes it
+        (F_0 - Re F_j) / (L + 1) at site j, for F the DFT of
+        (0, g_1, .., g_L): one rfft of length L + 1 per time."""
+        s_values = np.asarray(s_values, dtype=np.float64)
+        out = np.ones((self.space.n, s_values.size))
+        for a, (L, lam) in enumerate(zip(self.space.extents, self.axis_values)):
+            g = np.exp(-np.outer(lam / self.space.h**2, s_values))      # L x G
+            if self.periodic:
+                out *= np.sum(g, axis=0) / L
+            else:
+                F = np.fft.rfft(np.concatenate((np.zeros((1, s_values.size)), g)), axis=0).real
+                j = np.arange(1, L + 1)
+                out *= ((F[0] - F[np.minimum(j, L + 1 - j)]) / (L + 1))[self.space.coords[:, a]]
+        return out
 
 
 def box_eigensystem(space: LatticeSpace):
     """(ascending eigenvalues, eigenvectors) of sym() of the Laplacian of a
-    box without exclusions, in closed form.
-
-    The eigenvectors are tensor products of the per-axis tables
-    (``_axis_eigensystem``); the eigenvalues, h^-2 times the outer sum of
-    the per-axis ones over the modes in lexicographic order (axis 0
-    slowest), are sorted by a stable argsort, so equal sums keep that
-    order.  Q is filled one block of rows at a time.
-    """
-    if space.excluded:
-        raise ValueError("closed-form eigensystems need a box without exclusions")
-    axes = [_axis_eigensystem(L, space.bc == "periodic") for L in space.extents]
-    if space.d == 1:
-        w, Q = axes[0]
-        return w / space.h**2, Q
-    lam = functools.reduce(np.add.outer, [a[0] for a in axes]).reshape(-1)
-    order = np.argsort(lam, kind="stable")
-    modes = np.unravel_index(order, space.extents)
-    tables = [Q_a[:, k_a] for (_, Q_a), k_a in zip(axes, modes)]     # L_a x n each
+    box without exclusions, in closed form (``BoxBasis``): column j of Q is
+    the tensor product of the axis tables' columns of mode ``order[j]``.
+    Q is filled one block of rows at a time."""
+    basis = BoxBasis(space)
+    axes = [_axis_table(L, basis.periodic) for L in space.extents]
+    if space.d == 1 and np.all(np.diff(basis.order) > 0):     # already ascending
+        return basis.values, axes[0]
+    modes = np.unravel_index(basis.order, space.extents)
+    tables = [Q_a[:, k_a] for Q_a, k_a in zip(axes, modes)]     # L_a x n each
     sites = space.coords.T
     Q = np.empty((space.n, space.n))
     for r in _row_blocks(space.n):
         Q[r] = tables[0][sites[0][r]]
         for table, j in zip(tables[1:], sites[1:]):
             Q[r] *= table[j[r]]
-    return lam[order] / space.h**2, Q
+    return basis.values, Q
 
 
 def build_laplacian(space: LatticeSpace) -> KineticOperator:
     """Nearest-neighbor Laplacian form with Dirichlet penalties at missing
-    slots; a box without exclusions carries its closed-form eigensystem."""
+    slots; a box without exclusions carries its closed-form eigenbasis."""
     A = _assemble_laplacian(space)
-    eig = None if space.excluded else (lambda: box_eigensystem(space))
-    return KineticOperator(space, A, meta={"family": "laplacian"}, eigensystem=eig)
+    basis = None if space.excluded else BoxBasis(space)
+    return KineticOperator(space, A, meta={"family": "laplacian"}, eigenbasis=basis)
 
 
 def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
@@ -374,8 +508,8 @@ def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
     if T.is_real:
         Ap = np.real(Ap)
     meta = {"family": "function", "base_family": T.meta.get("family")}
-    eig = (lambda: (fw, Q)) if np.all(np.diff(fw) >= 0.0) else None
-    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta, eigensystem=eig)
+    eig = (fw, Q) if np.all(np.diff(fw) >= 0.0) else None
+    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta, eigenbasis=eig)
 
 
 def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:

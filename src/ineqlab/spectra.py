@@ -21,8 +21,11 @@ one it gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
 law of inertia it is #{mu_j < c} over the eigenvalues mu of
 V^(-1/2) T V^(-1/2), and a coupling whose certificate fails
 goes to ``count_below``; short axes on banded forms keep the stacked
-inertia pass.  All other eigenproblems use full dense decompositions; the
-intended scale is a few thousand sites at most.
+inertia pass.  The heat-kernel diagonal of a box Laplacian on the
+transform route (``KineticOperator.transform``) is a product of one FFT
+per axis and reads no eigenvector table.  All other eigenproblems use
+full dense decompositions; the intended scale is a few thousand sites at
+most.
 """
 
 from __future__ import annotations
@@ -447,11 +450,15 @@ def heat_kernel(T, s: float) -> np.ndarray:
 
 def _heat_diagonal(T, s_values) -> np.ndarray:
     """Kernel diagonals k_s(x, x) = sum_j |Q_xj|^2 exp(-s w_j) / m_x of
-    exp(-sT), as an n x G array over the G times in ``s_values``, from the
-    cached eigensystem (w, Q) of T.sym() by one n x n x G product."""
+    exp(-sT), as an n x G array over the G times in ``s_values``: on the
+    transform route a product over the box's axes
+    (``BoxBasis.heat_diagonal``), else from the cached eigensystem (w, Q)
+    of T.sym() by one n x n x G product."""
     s_values = np.asarray(s_values, dtype=np.float64)
     if not np.all(s_values > 0.0):
         raise ValueError(f"requires s > 0, got {s_values}")
+    if T.transform is not None:
+        return T.transform.heat_diagonal(s_values) / T.measure[:, None]
     w, Q = T.eigensystem()
     P = Q.real**2 + Q.imag**2 if np.iscomplexobj(Q) else Q * Q
     return (P @ np.exp(-np.outer(w, s_values))) / T.measure[:, None]

@@ -138,8 +138,15 @@ def _write_config(tmp_path, cfg, name="config.json"):
 
 def test_verify_n1024_box_scenarios_take_no_dense_eigensolver(tmp_path, monkeypatch, capsys):
     # the 1-d Dirichlet and periodic Laplacians of the suite read T's
-    # closed-form eigensystem, and their draws count without a spectrum, so
-    # no eigh or eigvalsh ever sees a 1024 x 1024 matrix
+    # closed-form eigenvalues and apply its basis by FFTs, and their draws
+    # count without a spectrum, so no eigh or eigvalsh ever sees a
+    # 1024 x 1024 matrix and no n x n eigenvector table is built
+    from ineqlab import operators
+
+    def no_table(space):
+        raise AssertionError(f"built the {space.n} x {space.n} eigenvector table")
+
+    monkeypatch.setattr(operators, "box_eigensystem", no_table)
     suite = cli._load_config("paper-suite")
     keep = ("clr-1d-n1024", "periodic-1d-n1024")
     cfg = dict(suite, scenarios=[s for s in suite["scenarios"] if s["id"] in keep])

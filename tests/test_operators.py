@@ -15,7 +15,8 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      random_phases, ring_flux_phases, uniform_flux_phases,
                      weighted_transform)
 from ineqlab import cli, verify
-from ineqlab.operators import (ROW_ROUTE_FACTOR, SYM_TOL, _scan, box_eigensystem,
+from ineqlab.operators import (ROW_ROUTE_FACTOR, SYM_TOL, TRANSFORM_MIN_SITES, BoxBasis,
+                               _axis_table, _scan, box_eigensystem,
                                build_function_of_operator)
 
 
@@ -478,7 +479,7 @@ def test_solve_matches_dense_solve(key):
 
 def test_bundled_suite_forms_route_by_size():
     # every bundled form under 1024 sites stays dense; both n = 1024 forms
-    # take the row route
+    # take the row route, and, as box Laplacians, the transform route
     from ineqlab import cli, verify
 
     for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
@@ -486,6 +487,7 @@ def test_bundled_suite_forms_route_by_size():
         ops = [T, T_A, bundle.shifted if bundle is not None else None]
         for op in filter(None, ops):
             assert (op._rows is not None) == (space.n >= 1024), sc["id"]
+            assert (op.transform is not None) == (space.n >= 1024), sc["id"]
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
@@ -707,7 +709,7 @@ def test_box_eigensystem_matches_eigh(extents, bc, h, seed):
     assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 4.0 * n * eps
     assert np.max(np.abs(B @ Q - Q * w)) <= 4.0 * n * eps * scale
 
-    twin = KineticOperator(sp, T.form, eigensystem=lambda: (we, Qe))   # on the eigh basis
+    twin = KineticOperator(sp, T.form, eigenbasis=(we, Qe))   # on the eigh basis
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((3, n))
     shift = 1.0 / h**2                       # T + shift is positive definite
@@ -772,3 +774,81 @@ def test_box_eigensystem_n1024_is_orthonormal_in_one_dense_array(extents, bc):
     assert peak <= 1.25 * sp.n**2 * 8
     eps = float(np.finfo(np.float64).eps)
     assert np.linalg.norm(Q.T @ Q - np.eye(sp.n)) <= sp.n * eps
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(extents=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       bc=st.sampled_from(["dirichlet", "periodic"]), h=st.sampled_from([0.5, 1.0, 2.0]),
+       shifts=st.sampled_from(["zero", "one", "column"]), seed=st.integers(0, 2**16))
+def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
+    """BoxBasis.solve and BoxBasis.heat_diagonal, called directly so that
+    boxes on both sides of TRANSFORM_MIN_SITES are covered, equal the
+    product pair and the n x n x G product in the table of
+    ``box_eigensystem`` to rounding; a row of a block or of a k x 1 x n
+    stack is bit for bit its one-row solve."""
+    sp = make_lattice(d=len(extents), extents=extents, h=h, bc=bc)
+    basis = BoxBasis(sp)
+    w, Q = box_eigensystem(sp)
+    np.testing.assert_array_equal(basis.values, w)
+    n, eps = sp.n, float(np.finfo(np.float64).eps)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((4, n))
+    # a zero shift only where T is positive definite (Dirichlet)
+    shift = {"zero": 0.0 if bc == "dirichlet" else 1.0 / h**2, "one": 1.0 / h**2,
+             "column": rng.uniform(0.1, 2.0, size=(4, 1)) / h**2}[shifts]
+    want = np.matmul(np.matmul(B, Q) / (w + shift), Q.T)
+    got = basis.solve(B, shift)
+    # every entry of the exact solve is at most n max|b| / min(w + shift)
+    scale = float(np.max(np.abs(B)) / np.min(w + shift))
+    assert np.max(np.abs(got - want)) <= n * eps * scale
+    for r in range(4):
+        one = basis.solve(B[r:r + 1], np.broadcast_to(shift, (4, 1))[r:r + 1])
+        assert np.array_equal(got[r], one[0]), r
+    S = basis.solve(B[:, None, :], 1.0 / h**2)
+    assert np.array_equal(S[:, 0], basis.solve(B, 1.0 / h**2))
+    s = np.array([1e-3, 0.1, 1.0, 10.0]) * h**2
+    want = (Q * Q) @ np.exp(-np.outer(w, s))
+    got = basis.heat_diagonal(s)
+    assert got.shape == (n, s.size)
+    assert np.max(np.abs(got - want)) <= n * eps * float(np.max(want))
+
+
+def test_box_laplacian_routes_by_size():
+    # a box Laplacian takes the transform route from TRANSFORM_MIN_SITES
+    # sites on; a smaller box, a box with an exclusion, a shifted box and a
+    # function of a box stay on the dense route
+    for extents in [(TRANSFORM_MIN_SITES - 1,), (TRANSFORM_MIN_SITES,), (16, 32), (8, 8)]:
+        T = build_laplacian(make_lattice(d=len(extents), extents=extents))
+        assert (T.transform is not None) == (T.n >= TRANSFORM_MIN_SITES), extents
+    big = make_lattice(d=2, extents=(16, 32), exclusions=[(3, 3)])
+    assert build_laplacian(big).transform is None
+    T = build_laplacian(make_lattice(d=1, extents=TRANSFORM_MIN_SITES))
+    assert T.shifted(0.5).transform is None
+    assert build_function_of_operator(T, np.sqrt).transform is None
+
+
+def _direct_axis_table(L, periodic):
+    # the table by its definition: sin or cos of (j k mod P) theta, entry by
+    # entry, times the column's norm
+    if periodic:
+        half = (L - 1) // 2
+        k = np.array([0, *np.repeat(np.arange(1, half + 1), 2), *[L // 2] * (1 - L % 2)])
+        j, period, theta = np.arange(L), L, 2.0 * np.pi / L
+        norm = np.where((k == 0) | (2 * k == L), math.sqrt(1.0 / L), math.sqrt(2.0 / L))
+        sine = np.zeros(L, dtype=bool)
+        sine[2:2 * half + 1:2] = True
+    else:
+        k = np.arange(1, L + 1)
+        j, period, theta = np.arange(1, L + 1), 2 * (L + 1), np.pi / (L + 1)
+        norm = np.full(L, math.sqrt(2.0 / (L + 1)))
+        sine = np.ones(L, dtype=bool)
+    angle = (np.multiply.outer(j, k) % period).astype(np.float64) * theta
+    return np.where(sine, np.sin(angle), np.cos(angle)) * norm
+
+
+@pytest.mark.parametrize("L, periodic", [(1, False), (33, False), (1024, False), (1, True),
+                                         (2, True), (7, True), (8, True), (1024, True)])
+def test_axis_table_gathers_its_definition_bit_for_bit(L, periodic):
+    # the gather from one table of P angles reads the same doubles as sin
+    # and cos taken entry by entry
+    assert np.array_equal(_axis_table(L, periodic), _direct_axis_table(L, periodic))
