@@ -479,7 +479,7 @@ def test_solve_matches_dense_solve(key):
 
 def test_bundled_suite_forms_route_by_size():
     # every bundled form under 1024 sites stays dense; both n = 1024 forms
-    # take the row route, and, as box Laplacians, the transform route
+    # take the row route
     from ineqlab import cli, verify
 
     for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
@@ -487,7 +487,6 @@ def test_bundled_suite_forms_route_by_size():
         ops = [T, T_A, bundle.shifted if bundle is not None else None]
         for op in filter(None, ops):
             assert (op._rows is not None) == (space.n >= 1024), sc["id"]
-            assert (op.transform is not None) == (space.n >= 1024), sc["id"]
 
 
 @pytest.mark.parametrize("complex_input", [False, True])
@@ -798,9 +797,10 @@ def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
              "column": rng.uniform(0.1, 2.0, size=(4, 1)) / h**2}[shifts]
     want = np.matmul(np.matmul(B, Q) / (w + shift), Q.T)
     got = basis.solve(B, shift)
-    # every entry of the exact solve is at most n max|b| / min(w + shift)
+    # each route rounds an entry by about n eps max|b| / min(w + shift): up
+    # to 0.93 of that over 600 random boxes, so 4 leaves room
     scale = float(np.max(np.abs(B)) / np.min(w + shift))
-    assert np.max(np.abs(got - want)) <= n * eps * scale
+    assert np.max(np.abs(got - want)) <= 4.0 * n * eps * scale
     for r in range(4):
         one = basis.solve(B[r:r + 1], np.broadcast_to(shift, (4, 1))[r:r + 1])
         assert np.array_equal(got[r], one[0]), r
@@ -810,7 +810,7 @@ def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
     want = (Q * Q) @ np.exp(-np.outer(w, s))
     got = basis.heat_diagonal(s)
     assert got.shape == (n, s.size)
-    assert np.max(np.abs(got - want)) <= n * eps * float(np.max(want))
+    assert np.max(np.abs(got - want)) <= 4.0 * n * eps * float(np.max(want))
 
 
 def test_box_laplacian_routes_by_size():
