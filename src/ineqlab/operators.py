@@ -73,12 +73,12 @@ ROW_ROUTE_FACTOR = 32
 # pair against transforms: 10 against 130 us at 8x8, 0.15 against 0.32 ms
 # at 16x16, 0.36 against 0.35 ms at 20x20; 2.5 against 0.56 ms at n = 1024
 # and 2.5 against 0.80 ms at 32x32 (Dirichlet), 2.8 against 0.30 and 2.9
-# against 0.46 ms (periodic).  From 512 sites on the transforms took 0.1-0.8x the
-# dense time on every shape tried (1-d, 2-d 23x23 to 36x36, 3-d 9^3 and
-# 10^3) except 8x8x8 (1.1-1.2x, about even once the skipped table build
-# counts) and Dirichlet lines whose L + 1 is a large prime, where the FFT
-# of length 2(L + 1) falls back to Bluestein's algorithm (1.2-2.3x up to
-# 1100 sites).
+# against 0.46 ms (periodic).  From 512 sites on the transforms took
+# 0.1-0.8x the dense time on every shape tried (1-d, 2-d 23x23 to 36x36,
+# 3-d 9^3 and 10^3) except 8x8x8 (1.1-1.2x, about even once the skipped
+# table build counts) and Dirichlet lines whose L + 1 is a large prime,
+# where the FFT of length 2(L + 1) falls back to Bluestein's algorithm
+# (1.2-2.3x up to 1100 sites).
 TRANSFORM_MIN_SITES = 512
 
 SCAN_BLOCK = 1 << 15       # entries (256 kB) of rows that a scan reads at a time
@@ -326,10 +326,10 @@ def _axis_values(L: int, periodic: bool) -> np.ndarray:
 
 def _axis_table(L: int, periodic: bool) -> np.ndarray:
     """Orthonormal eigenvector table Q[j, k] of one axis (``_axis_modes``),
-    columns in the order of ``_axis_values``.  Entry (j, k) is gathered, by the integer index
-    j k mod P, from a table of sin or cos at the P angles m theta that
-    already carries the column's norm, one block of rows and one group of
-    columns at a time, so no temporary is as large as Q."""
+    columns in the order of ``_axis_values``.  Entry (j, k) is gathered, by
+    the integer index j k mod P, from a table of sin or cos at the P angles
+    m theta that already carries the column's norm, one block of rows and
+    one group of columns at a time, so no temporary is as large as Q."""
     k, theta, period = _axis_modes(L, periodic)
     angles = theta * np.arange(period, dtype=np.float64)
     if periodic:
