@@ -23,12 +23,9 @@ The interpolation constant runs the same fixed point jointly in (u, tau):
 every row carries its own shift tau, the solve divides by w + tau in the
 cached eigenbasis of A, and after each accepted round tau moves to its
 closed-form best value for the row's new point.  At tau = 0 with no tau
-step this is the Sobolev path, bit for bit.  The cold cross-check of the
-interpolation constant (``_interp_direct``) instead minimizes the
-interpolated quotient directly by Barzilai-Borwein steps along the
-A^{-1}-preconditioned gradient (``_bb_descent``), from its own starts and
-with no shift tau, so that it shares no minimizer with the route it
-checks.
+step this is the Sobolev path, bit for bit.  It is the only route to the
+interpolation constant; its value is an upper bound, attained at the
+reported minimizer.
 """
 
 from __future__ import annotations
@@ -79,11 +76,6 @@ class ConstantsBundle:
     provenance: dict = field(default_factory=dict)
 
 
-# A descent trial within FLOOR_EPS |J| of the current value J is at its
-# rounding floor: the Armijo decrease there can be below one ulp of J.
-FLOOR_EPS = 4.0 * np.finfo(np.float64).eps
-
-
 def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """u . v for each pair of rows, each summed as a vector dot product."""
     return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
@@ -102,131 +94,6 @@ def _value_grad(U: np.ndarray, T, q: float, tau=0.0):
     t = _rowdot(U, AU)
     G = 2.0 * (AU - t[:, None] * m * np.abs(U) ** (q - 1.0) * np.sign(U))
     return t, G
-
-
-def _interp_value_grad(U: np.ndarray, T, q: float, theta: float):
-    # per row: J(u) = t[u]^theta ||u||^(2(1-theta)), the gradient of
-    # J(u)/||u||_q^2 on the manifold ||u||_q = 1, and t[u]
-    m = T.measure
-    AU = T.form_product(U)
-    t = _rowdot(U, AU)[:, None]
-    n2 = np.sum(m * U * U, axis=1)[:, None]
-    J = t**theta * n2 ** (1.0 - theta)
-    G = J * (2.0 * theta * AU / t + 2.0 * (1.0 - theta) * m * U / n2
-             - 2.0 * m * np.abs(U) ** (q - 1.0) * np.sign(U))
-    return J[:, 0], G, t[:, 0]
-
-
-def _bb_descent(T, q, theta, U0, *, max_iter, tol, stall_window):
-    """Barzilai-Borwein descent preconditioned by A^{-1}, with an Armijo
-    backtracking safeguard (approximate at the rounding floor), of
-    J(u)/||u||_q^2 on the manifold ||u||_q = 1 (``_interp_value_grad``),
-    run on every row of the k x n block U0 at once.
-
-    Returns (best values, their points, iterations), one entry per row.
-    """
-    # Each row steps along D = A^{-1} G, the gradient in the metric of the
-    # form (the "Sobolev gradient").  In that metric the Hessian of the
-    # quotient no longer carries the condition number lambda_max/lambda_min
-    # of A, so a row settles in tens of iterations, not thousands.  The
-    # Armijo test reads G . D and the BB step (s . y)/(y . A^{-1} y) is
-    # taken in the same metric.  The first trial step t[u]/(2 theta J(u))
-    # makes the first trial the inverse-power step of the start.  Values
-    # only ever come from the form: the preconditioner picks directions.
-    #
-    # A row exits on a small gradient, when relative value improvements
-    # stall, at the rounding floor (60 trials in a row, accepted or not,
-    # that do not lower its value) or after max_iter iterations.
-    #
-    # Each round evaluates one trial point of every live row.  A row whose
-    # trial passes the Armijo test moves there and proposes its next BB
-    # step; a row whose trial fails halves its step and tries again in the
-    # next round.  So the rows need not be in the same iteration, every row
-    # takes exactly the steps and evaluations it would take alone, and a
-    # row that exits leaves the block.
-    m = T.measure
-    k = U0.shape[0]
-    U = U0 / _norm_q(U0, m, q)[:, None]
-    t, G, tf = _interp_value_grad(U, T, q, theta)
-    best_t, best_U = t.copy(), U.copy()
-    iters = np.zeros(k, dtype=np.int64)
-    if max_iter < 1:
-        return best_t, best_U, iters
-    D = T.solve(G[:, None, :])[:, 0, :]
-    live = np.arange(k)             # row of U0 held by each live row
-    it = np.zeros(k, dtype=np.int64)
-    last_improve = np.zeros(k, dtype=np.int64)
-    flat = np.zeros(k, dtype=np.int64)
-    step0 = tf / (2.0 * theta * t)
-    step = step0.copy()             # BB step of the current iteration
-    st = step.copy()                # step of the current trial
-    prev_U, prev_G, prev_D = U.copy(), G.copy(), D.copy()
-    gd = _rowdot(G, D)
-    done = np.sqrt(_rowdot(G, G)) <= tol * np.maximum(1.0, np.abs(t))
-    iters[done] = 1
-    while True:
-        if done.any():
-            keep = ~done
-            (live, U, t, G, D, gd, prev_U, prev_G, prev_D, step0, step, st, it,
-             last_improve, flat) = (
-                x[keep] for x in (live, U, t, G, D, gd, prev_U, prev_G, prev_D, step0,
-                                  step, st, it, last_improve, flat))
-        if not live.size:
-            break
-        Un = U - st[:, None] * D
-        nq = _norm_q(Un, m, q)
-        ok = nq > 0.0
-        if ok.all():
-            Un /= nq[:, None]
-            tn, Gn, _ = _interp_value_grad(Un, T, q, theta)
-        else:                       # a zero trial point is not evaluated
-            tn, Gn = np.full(live.size, np.nan), np.zeros_like(G)
-            Un[ok] /= nq[ok, None]
-            tn[ok], Gn[ok], _ = _interp_value_grad(Un[ok], T, q, theta)
-        # Armijo, or, at the rounding floor of the value, a trial within
-        # FLOOR_EPS |t| of t that lowers ||G|| (the approximate Armijo test of
-        # Hager and Zhang, SIAM J. Optim. 16, 2005)
-        acc = (tn <= t - 1e-4 * st * gd) | (
-            (np.abs(tn - t) <= FLOOR_EPS * np.abs(t)) & (_rowdot(Gn, Gn) < _rowdot(G, G)))
-        flat = np.where(tn < t, 0, flat + 1)
-        moved = acc[:, None]
-        np.copyto(prev_U, U, where=moved)
-        np.copyto(prev_G, G, where=moved)
-        np.copyto(prev_D, D, where=moved)
-        np.copyto(U, Un, where=moved)
-        np.copyto(G, Gn, where=moved)
-        if acc.any():
-            D[acc] = T.solve(G[acc][:, None, :])[:, 0, :]
-        t = np.where(acc, tn, t)
-        bt = best_t[live]
-        better = t < bt
-        # only improvements of at least 0.1% reset the stall window
-        last_improve = np.where(better & (t < bt * (1.0 - 1e-3)), it, last_improve)
-        best_t[live[better]] = t[better]
-        best_U[live[better]] = U[better]
-        stall = acc & (it - last_improve > stall_window)
-        it += acc
-        gd = _rowdot(G, D)
-        cap = acc & (it >= max_iter)
-        conv = acc & (np.sqrt(_rowdot(G, G)) <= tol * np.maximum(1.0, np.abs(t)))
-        done = (flat >= 60) | stall | cap | conv
-        # a row's count includes the iteration it exits in: a stall or
-        # max_iter exits in the iteration just taken, the rounding floor
-        # after a failed trial in the current one, and the rounding floor
-        # after an accepted trial and a small gradient in the one after it
-        iters[live[done]] = (it + 1 - (stall | cap))[done]
-        dU = U - prev_U
-        dG = G - prev_G
-        sy = _rowdot(dU, dG)
-        yd = _rowdot(dG, D - prev_D)
-        pos = (sy > 0.0) & (yd > 0.0)
-        bb = sy / np.where(pos, yd, 1.0)
-        step = np.where(acc, np.where(pos,
-                                      np.minimum(np.maximum(bb, 1e-12 * step0), 1e12 * step0),
-                                      np.minimum(step * 2.0, 1e12 * step0)),
-                        step)
-        st = np.where(acc, step, st * 0.5)
-    return best_t, best_U, iters
 
 
 def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
@@ -386,33 +253,15 @@ def _golden_log(f, lo: float, hi: float, *, iterations: int):
 
 @dataclass
 class InterpConstant:
-    """S_interp from the joint (u, tau) fixed point, with its cold cross-check.
-
-    ``rel_gap`` = |direct_value - value| / value compares two upper bounds
-    on the same infimum; a gap says that one route missed the lowest basin,
-    not which one.
-    """
+    """S_interp from the joint (u, tau) fixed point: the least value found,
+    an upper bound on the infimum, with its best shift tau_star and the
+    point that attains it (``minimizer``, with ||u||_q = 1; None when the
+    constant is vacuous)."""
 
     value: float
     tau_star: float
-    direct_value: float | None
-    rel_gap: float | None
+    minimizer: np.ndarray | None
     vacuous: bool = False
-
-
-def _interp_direct(T, q, theta, *, restarts=8, seed=0, max_iter=20_000):
-    """Direct minimization of t[u]^theta ||u||_2^(2(1-theta)) / ||u||_q^2
-    by the descent preconditioned by A^{-1} (``_bb_descent``).
-
-    It starts cold from its own seeded block, never from a minimizer or a
-    shift of the tau route, so that it stays an independent cross-check of
-    that route: the preconditioner only picks its directions, and every
-    value it compares comes from the form.
-    """
-    U0 = _seeded_starts(T.n, restarts, seed + 7000)[:-1]
-    J, _, _ = _bb_descent(T, q, theta, U0, max_iter=max_iter, tol=1e-8,
-                          stall_window=150)
-    return float(np.min(J, initial=np.inf))
 
 
 def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
@@ -431,17 +280,16 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
     tau exactly, so no round raises a row's J, and every value is an upper
     bound.  A row stops when its residual reaches 1e-10 and its tau moves
     by at most 1e-8 relative, when the guard rejects its update, or after
-    500 rounds.  The least J over the rows is reported with its tau, and
-    cross-checked against direct minimization of the interpolated quotient
-    (``direct_value``, ``rel_gap``).
+    500 rounds.  The least J over the rows is reported with its tau and
+    its row; at that row the value equals t[u]^theta ||u||^(2(1-theta)) to
+    rounding.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"requires theta in (0, 1), got {theta}")
     if not q > 2.0:
         raise ValueError(f"requires q > 2, got {q}")
     if not T.is_positive_definite():
-        return InterpConstant(value=0.0, tau_star=0.0, direct_value=None,
-                              rel_gap=None, vacuous=True)
+        return InterpConstant(value=0.0, tau_star=0.0, minimizer=None, vacuous=True)
     m = T.measure
 
     def parts(U):
@@ -457,11 +305,7 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
     J = tau ** (theta - 1.0) * (t + tau * n2)
     i = int(np.argmin(J))
     value = _xpowx(theta) * _xpowx(1.0 - theta) * float(J[i])
-
-    direct = _interp_direct(T, q, theta, restarts=restarts, seed=seed)
-    return InterpConstant(value=float(value), tau_star=float(tau[i]),
-                          direct_value=direct,
-                          rel_gap=abs(direct - value) / max(value, 1e-300))
+    return InterpConstant(value=value, tau_star=float(tau[i]), minimizer=U[i])
 
 
 @dataclass

@@ -586,7 +586,7 @@ def _parse_operator(x, lat: dict, where: str) -> dict:
 # gamma + kappa > 1 the weak bounds need
 _EXPONENT_RULES = {
     "kappa": (lambda x: x > 1, "must be > 1 for counting/moment/heat checks"),
-    "gamma": (lambda x: x >= 0, "must be >= 0"),
+    "gamma": (lambda x: x > 0, "must be > 0"),
     "gamma_tilde": (lambda x: x > 0, "must be > 0"),
 }
 
@@ -880,9 +880,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
         interp = functional.sobolev_interp_constant(T, e.q, e.theta)
         constants.S_interp = interp.value
         constants.provenance["S_interp"] = "minimized (tau step)"
-        extras["interp"] = {"tau_star": interp.tau_star,
-                            "direct_value": interp.direct_value,
-                            "rel_gap": interp.rel_gap, "vacuous": interp.vacuous}
+        extras["interp"] = {"tau_star": interp.tau_star, "vacuous": interp.vacuous}
 
     pot = sc["potential"]
     per_draw = [c for c in checks if CHECK_NEEDS[c].per_draw]

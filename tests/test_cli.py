@@ -328,6 +328,9 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"checks": ["diamagnetic"]}, "checks"),
             ({"checks": ["gsrIdentity"]}, "checks"),
             ({"checks": [], "heat_nash": True, "exponents": {}}, "exponents.kappa"),
+            # the weak constant's theta = kappa/(gamma + kappa) must lie below 1
+            ({"checks": ["weakLT"], "exponents": {"gamma": 0, "kappa": 1.5}},
+             "exponents.gamma"),
             # malformed field types
             ({"operator": "laplacian"}, "operator"),
             ({"exponents": []}, "exponents"),
@@ -686,7 +689,7 @@ SCENARIO_BAD = {
     "operator.W.harmonic": ["x", True],
     "exponents": ["x", []],
     "exponents.kappa": [1, 0.5, "x", True],
-    "exponents.gamma": [-1, "x"],
+    "exponents.gamma": [0, -1, "x"],
     "exponents.gamma_tilde": [0, -2.0, "x"],
     "potential": ["x", [1]],
     "potential.values": ["x", [-1.0], [True]],

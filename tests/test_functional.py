@@ -153,122 +153,6 @@ def _starts(n, restarts=16):
                     + [np.ones(n)])
 
 
-@pytest.mark.parametrize("extents", [32, 256], ids=["dense-n32", "rows-n256"])
-def test_bb_descent_rows_are_independent(extents):
-    # every row of a block takes the steps it would take alone
-    T = build_laplacian(make_lattice(d=1, extents=extents))
-    assert (T._rows is not None) == (extents == 256)
-    q, theta = 6.0, 0.6
-    U0 = _starts(T.n)
-    kw = dict(max_iter=50_000, tol=1e-6, stall_window=50)
-    best, points, iters = functional._bb_descent(T, q, theta, U0, **kw)
-    assert best.shape == iters.shape == (17,) and points.shape == U0.shape
-    assert np.all(iters >= 1)
-    for r in range(17):
-        b1, _, i1 = functional._bb_descent(T, q, theta, U0[r:r + 1], **kw)
-        assert b1[0] == pytest.approx(best[r], rel=1e-12), r
-        assert i1[0] == iters[r], r
-
-
-def _vector_descent(T, q, theta, u0, *, max_iter, tol, stall_window):
-    # reference: the preconditioned BB/Armijo loop over one start, one
-    # vector at a time; also returns the exit it took
-    m = T.measure
-
-    def norm_q(u):
-        return float(functional._norm_q(u[None], m, q)[0])
-
-    def vg(u):
-        J, G, t = functional._interp_value_grad(u[None], T, q, theta)
-        return float(J[0]), G[0], float(t[0])
-
-    def precond(g):
-        return T.solve(g[None])[0]
-
-    u = u0 / norm_q(u0)
-    t, g, tf = vg(u)
-    best_t, best_u = t, u.copy()
-    d = precond(g)
-    step = step0 = tf / (2.0 * theta * t)
-    prev_u = prev_g = prev_d = None
-    last_improve, iters, flat, exit = 0, 0, 0, "max_iter"
-    for it in range(max_iter):
-        iters = it + 1
-        if math.sqrt(float(g @ g)) <= tol * max(1.0, abs(t)):
-            exit = "gradient"
-            break
-        if flat >= 60:
-            exit = "floor"
-            break
-        if prev_u is not None:
-            du, dg = u - prev_u, g - prev_g
-            sy, yd = float(du @ dg), float(dg @ (d - prev_d))
-            if sy > 0.0 and yd > 0.0:
-                step = min(max(sy / yd, 1e-12 * step0), 1e12 * step0)
-            else:
-                step = min(step * 2.0, 1e12 * step0)
-        gd = float(g @ d)
-        st, accepted = step, False
-        # every trial that does not lower the value counts toward the
-        # rounding floor, an accepted one included
-        while flat < 60:
-            un = u - st * d
-            nq = norm_q(un)
-            flat += 1
-            if nq > 0.0:
-                un = un / nq
-                tn, gn, _ = vg(un)
-                if tn < t:
-                    flat = 0
-                if tn <= t - 1e-4 * st * gd or (
-                        abs(tn - t) <= functional.FLOOR_EPS * abs(t)
-                        and float(gn @ gn) < float(g @ g)):
-                    accepted = True
-                    break
-            st *= 0.5
-        if not accepted:
-            exit = "floor"
-            break
-        prev_u, prev_g, prev_d = u, g, d
-        u, t, g = un, tn, gn
-        d = precond(g)
-        if t < best_t:
-            if t < best_t * (1.0 - 1e-3):
-                last_improve = it
-            best_t, best_u = t, u.copy()
-        if it - last_improve > stall_window:
-            exit = "stall"
-            break
-    return best_t, best_u, iters, exit
-
-
-@pytest.mark.parametrize("extents, max_iter, stall_window, tol, exits", [
-    pytest.param((6, 6), 50_000, 50, 1e-6, {"gradient"}, id="50000-50"),
-    # on a 3-site line every row's gradient falls below 1e-14 within 18
-    # iterations, so it spends 19 or more at the rounding floor:
-    # 9 to 12 of the 17 rows exit there and the rest reach max_iter, on the
-    # closed-form basis, on the eigh basis and with every eigenvalue moved
-    # by 4e-16 relative
-    pytest.param((3,), 37, 50, 0.0, {"floor", "max_iter"}, id="37-50"),
-    pytest.param((6, 6), 50_000, 5, 1e-6, {"stall"}, id="50000-5"),
-])
-def test_bb_descent_matches_vector_loop(extents, max_iter, stall_window, tol, exits):
-    # same arithmetic, so every row equals the reference exactly, whichever
-    # exit it takes (gradient, rounding floor, max_iter, stall)
-    T = build_laplacian(make_lattice(d=len(extents), extents=extents))
-    q, theta = 4.0, 0.5
-    U0 = _starts(T.n)
-    kw = dict(max_iter=max_iter, tol=tol, stall_window=stall_window)
-    best, points, iters = functional._bb_descent(T, q, theta, U0, **kw)
-    seen = set()
-    for r in range(17):
-        t1, u1, i1, exit = _vector_descent(T, q, theta, U0[r], **kw)
-        assert (t1, i1) == (best[r], iters[r]), r
-        assert np.array_equal(u1, points[r]), r
-        seen.add(exit)
-    assert seen == exits
-
-
 def test_polish_guard_reverts_only_the_rising_row():
     # a row handed over at half its unit-norm scale has a quarter of the value
     # its normalized update would have, so the guard keeps it as it came;
@@ -406,14 +290,59 @@ def test_interp_limit_recovers_sobolev():
     assert ic.value == pytest.approx(S, rel=1e-3)
 
 
+def _nested_interp(T, q, theta):
+    # the scaling identity S_interp = c_theta min_tau tau^(theta-1) S(T + tau),
+    # c_theta = theta^theta (1-theta)^(1-theta), in nested form: a golden
+    # section over tau in [1e-2, 1e2] lambda_1(T), each S(T + tau) its own
+    # Sobolev solve of the shifted form; returns (value, tau)
+    lam1 = float(T.eigenvalues()[0])
+    tau, J = functional._golden_log(
+        lambda tau: tau ** (theta - 1.0)
+        * sobolev_constant(T.shifted(tau), q, certificate_samples=0)[0],
+        1e-2 * lam1, 1e2 * lam1, iterations=60)
+    return theta**theta * (1.0 - theta) ** (1.0 - theta) * J, tau
+
+
+def _assert_nested_identity(ic, nested):
+    # the joint route agrees with the nested form to rounding (1.01e-14 at
+    # worst here); a tau step scaled by 1.01 moves the value by 2.9e-7 or
+    # more and tau_star by 2.5e-4 or more
+    value, tau = nested
+    assert ic.value == pytest.approx(value, rel=1e-12)
+    assert ic.tau_star == pytest.approx(tau, rel=1e-5)
+
+
 def test_interp_two_routes_agree():
     for T in (build_laplacian(make_lattice(d=1, extents=16)),
               build_laplacian(make_lattice(d=2, extents=6))):
         ic = sobolev_interp_constant(T, 4.0, 0.5)
-        assert ic.direct_value is not None
-        assert ic.rel_gap is not None and ic.rel_gap <= 1e-6
+        _assert_nested_identity(ic, _nested_interp(T, 4.0, 0.5))
         assert ic.tau_star > 0.0
         assert not ic.vacuous
+
+
+INTERP_MINIMIZER_FORMS = {
+    "path-16": lambda: build_laplacian(make_lattice(d=1, extents=16)),
+    "path-32": lambda: build_laplacian(make_lattice(d=1, extents=32)),
+    "box-6x6": lambda: build_laplacian(make_lattice(d=2, extents=(6, 6))),
+    "box-8x8": lambda: build_laplacian(make_lattice(d=2, extents=(8, 8))),
+    "fractional-path-24": lambda: fractional_laplacian(make_lattice(d=1, extents=24), 0.5),
+}
+
+
+@pytest.mark.parametrize("q, theta", [(4.0, 0.5), (10.0 / 3.0, 0.6), (3.0, 2.0 / 3.0)])
+@pytest.mark.parametrize("form", INTERP_MINIMIZER_FORMS)
+def test_interp_value_is_attained_at_its_minimizer(form, q, theta):
+    # S_interp is the interpolated quotient of the reported point, recomputed
+    # from the form alone: t[u]^theta ||u||^(2(1-theta)) / ||u||_q^2
+    T = INTERP_MINIMIZER_FORMS[form]()
+    ic = sobolev_interp_constant(T, q, theta)
+    u, m = ic.minimizer, T.measure
+    assert u.shape == (T.n,)
+    t = float(u @ T.form_product(u))
+    quotient = (t**theta * float(np.sum(m * u * u)) ** (1.0 - theta)
+                / float(np.sum(m * np.abs(u) ** q)) ** (2.0 / q))
+    assert ic.value == pytest.approx(quotient, rel=16 * np.finfo(float).eps, abs=0.0)
 
 
 def test_interp_scaling_homogeneity():
@@ -447,6 +376,7 @@ def test_interp_tau_step_solve_count(monkeypatch, lat, gamma, kappa):
     T = build_laplacian(make_lattice(**lat))
     T.eigensystem()
     e = exponents_from_gamma_kappa(gamma, kappa)
+    nested = _nested_interp(T, e.q, e.theta)
     solves = _counting_solves(monkeypatch)
     eighs = []
     eigh = np.linalg.eigh
@@ -458,7 +388,7 @@ def test_interp_tau_step_solve_count(monkeypatch, lat, gamma, kappa):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     ic = sobolev_interp_constant(T, e.q, e.theta)
     assert not solves and not eighs
-    assert ic.rel_gap <= 1e-6
+    _assert_nested_identity(ic, nested)
 
 
 def _recorded_polish(monkeypatch):
@@ -491,33 +421,15 @@ def test_interp_tau_step_stops_at_cap(monkeypatch):
                          [(*case, n) for case, n in zip(INTERP_CASES, [1837, 1272])])
 def test_interp_joint_route_cuts_form_products(monkeypatch, lat, gamma, kappa,
                                                parent_products):
-    # parent_products is what one Sobolev solve of T + tau per tau step,
-    # plus the direct cross-check, takes here
+    # parent_products is what this route took when it made one Sobolev solve
+    # of T + tau per tau step and ran a direct cross-check
     T = build_laplacian(make_lattice(**lat))
     e = exponents_from_gamma_kappa(gamma, kappa)
+    nested = _nested_interp(T, e.q, e.theta)
     calls = _counting_products(monkeypatch)
     ic = sobolev_interp_constant(T, e.q, e.theta)
-    assert ic.rel_gap <= 1e-6
+    _assert_nested_identity(ic, nested)
     assert 1 <= len(calls) <= parent_products * 2 // 5
-
-
-@pytest.mark.parametrize("lat, gamma, kappa, parent_products",
-                         [(*case, n) for case, n in zip(INTERP_CASES, [608, 265])]
-                         + [(dict(d=1, extents=200), 1.0, 1.5, 2831)])
-def test_interp_direct_cuts_form_products(monkeypatch, lat, gamma, kappa, parent_products):
-    # parent_products is what the cold cross-check took when it descended
-    # along the Euclidean gradient with a first step of 1/lambda_max; on the
-    # 200-site Dirichlet path that descent also stalled 9.3e-7 above the
-    # tau route
-    T = build_laplacian(make_lattice(**lat))
-    T.eigensystem()
-    e = exponents_from_gamma_kappa(gamma, kappa)
-    calls = _counting_products(monkeypatch)
-    direct = functional._interp_direct(T, e.q, e.theta)
-    assert 1 <= len(calls) <= parent_products // 4
-    ic = sobolev_interp_constant(T, e.q, e.theta)
-    assert ic.direct_value == direct
-    assert ic.rel_gap <= 1e-12
 
 
 def test_interp_joint_value_non_increasing_in_round_cap():
