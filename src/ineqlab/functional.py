@@ -288,6 +288,8 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
         raise ValueError(f"requires theta in (0, 1), got {theta}")
     if not q > 2.0:
         raise ValueError(f"requires q > 2, got {q}")
+    if not T.is_real:
+        raise ValueError("Sobolev minimization handles real symmetric forms only")
     if not T.is_positive_definite():
         return InterpConstant(value=0.0, tau_star=0.0, minimizer=None, vacuous=True)
     m = T.measure
@@ -333,27 +335,22 @@ def tau_min_value(alpha, beta, theta: float) -> TauMinimum:
     return TauMinimum(value=value, tau_star=tau_star)
 
 
-# relative tolerances of the Nash and heat-bound verdicts
-NASH_REL = 1e-10
-HEAT_REL = 1e-8
-
-
 @dataclass
 class NashReport:
     min_slack_rel: float
-    passed: bool
     n_samples: int
     vacuous: bool = False
 
 
 def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
                seed: int = 4242) -> NashReport:
-    """Verify t[u]^(q/(2(q-1))) ||u||_1^((q-2)/(q-1)) >= S^(q/(2(q-1))) ||u||_2^2
-    on random positive and signed functions; reports the minimal relative slack."""
+    """Measure t[u]^(q/(2(q-1))) ||u||_1^((q-2)/(q-1)) against S^(q/(2(q-1))) ||u||_2^2
+    on random positive and signed functions; reports the minimal relative
+    slack, which ``verify.verify_heat_nash`` judges."""
     if S < 0.0:
         raise ValueError(f"requires S >= 0, got {S}")
     if S == 0.0:
-        return NashReport(min_slack_rel=math.inf, passed=True, n_samples=0, vacuous=True)
+        return NashReport(min_slack_rel=math.inf, n_samples=0, vacuous=True)
     m = T.measure
     p = q / (2.0 * (q - 1.0))
     e1 = (q - 2.0) / (q - 1.0)
@@ -365,27 +362,25 @@ def nash_check(T, q: float, S: float, *, n_samples: int = 10_000,
         rhs = S**p * n2sq
         slack = (lhs - rhs) / np.maximum(rhs, 1e-300)
         worst = min(worst, float(np.min(slack)))
-    return NashReport(min_slack_rel=worst, passed=worst >= -NASH_REL, n_samples=n_samples)
+    return NashReport(min_slack_rel=worst, n_samples=n_samples)
 
 
 @dataclass
 class HeatBoundReport:
     K_measured: float
     K_bound: float
-    passed_1inf: bool
     K12_measured: float
     K12_bound: float
-    passed_12: bool
     s_grid: np.ndarray
 
 
 def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
                      grid_points: int = 60) -> HeatBoundReport:
-    """Measure sup_s s^kappa ||exp(-sT)||_(1->inf) and compare with (kappa/S)^kappa.
-
-    Also checks the squared 1->2 norm against (kappa/2S)^kappa s^(-kappa)
-    pointwise on the grid.  Both norms come from the kernel diagonal at
-    every grid point at once (``spectra.heat_norms``); no kernel is built.
+    """Measure sup_s s^kappa ||exp(-sT)||_(1->inf) with its bound (kappa/S)^kappa,
+    and sup_s s^kappa ||exp(-sT)||_(1->2)^2 with its bound (kappa/2S)^kappa,
+    over the grid; ``verify.verify_heat_nash`` judges them.  Both norms
+    come from the kernel diagonal at every grid point at once
+    (``spectra.heat_norms``); no kernel is built.
     """
     if not S > 0.0:
         raise ValueError("heat bound requires S > 0 (operator without kernel)")
@@ -405,10 +400,7 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
     K12_bound = (kappa / (2.0 * S)) ** kappa
     return HeatBoundReport(
         K_measured=K_meas, K_bound=K_bound,
-        passed_1inf=K_meas <= K_bound * (1.0 + HEAT_REL),
-        K12_measured=K12_meas, K12_bound=K12_bound,
-        passed_12=K12_meas <= K12_bound * (1.0 + HEAT_REL),
-        s_grid=s_grid,
+        K12_measured=K12_meas, K12_bound=K12_bound, s_grid=s_grid,
     )
 
 

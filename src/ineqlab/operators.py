@@ -25,23 +25,19 @@ lattices; fractional and inverse-square forms stay dense.  Under the
 measure 1, sym() of an exactly Hermitian form is the form itself,
 sharing its memory.
 
-KineticOperator.eigensystem() is computed on first use by one of two
-routes.  A builder that knows the eigenpairs hands them to the
-constructor.  The Laplacian of a box without exclusions
-(``build_laplacian``, Dirichlet or periodic, any extents and h) carries
-its ``BoxBasis``: tensor products of sine or real Fourier vectors with
+KineticOperator.eigensystem() is one dense ``eigh`` of sym(), computed on
+first use and cached.  KineticOperator.solve applies (A + shift M)^{-1}
+to rows in the eigenbasis of the symmetrized matrix; it is the one place
+that solves with a form.  The Laplacian of a box without exclusions with
+at least TRANSFORM_MIN_SITES sites (``build_laplacian``, Dirichlet or
+periodic, any extents and h) takes the transform route: it carries its
+``BoxBasis``, tensor products of sine or real Fourier vectors with
 eigenvalues h^-2 sum_axes (2 - 2 cos theta_k) (Strang, SIAM Review 41,
-1999), whose eigenvalues it reads without the n x n eigenvector table
-(``box_eigensystem``, built only when a caller asks for the eigenvectors).
-A function of an operator (``build_function_of_operator``) takes
-(f(w), Q) from its base.  Every other form takes a dense ``eigh`` of
-sym().  KineticOperator.solve applies (A + shift M)^{-1} to rows in the
-eigenbasis of the symmetrized matrix; it is the one place that solves
-with a form.  A box Laplacian with at least TRANSFORM_MIN_SITES sites
-takes the transform route: ``solve`` and the heat-kernel diagonal apply
-its basis by one FFT per axis (DST-I on Dirichlet axes, a real DFT on
-periodic ones) in O(n log n) work per row.  Smaller boxes and every other
-form multiply by the cached table.
+1999).  It reads its eigenvalues from the basis, and ``solve`` and the
+heat-kernel diagonal apply the basis by one FFT per axis (DST-I on
+Dirichlet axes, a real DFT on periodic ones) in O(n log n) work per row.
+Every other form, and every reader of a large box's eigenvectors,
+multiplies by the ``eigh`` eigenvectors.
 """
 
 from __future__ import annotations
@@ -75,10 +71,10 @@ ROW_ROUTE_FACTOR = 32
 # and 2.5 against 0.80 ms at 32x32 (Dirichlet), 2.8 against 0.30 and 2.9
 # against 0.46 ms (periodic).  From 512 sites on the transforms took
 # 0.1-0.8x the dense time on every shape tried (1-d, 2-d 23x23 to 36x36,
-# 3-d 9^3 and 10^3) except 8x8x8 (1.1-1.2x, about even once the skipped
-# table build counts) and Dirichlet lines whose L + 1 is a large prime,
-# where the FFT of length 2(L + 1) falls back to Bluestein's algorithm
-# (1.2-2.3x up to 1100 sites).
+# 3-d 9^3 and 10^3) except 8x8x8 (1.1-1.2x, before counting the eigh that
+# the route skips) and Dirichlet lines whose L + 1 is a large prime, where
+# the FFT of length 2(L + 1) falls back to Bluestein's algorithm (1.2-2.3x
+# up to 1100 sites).
 TRANSFORM_MIN_SITES = 512
 
 SCAN_BLOCK = 1 << 15       # entries (256 kB) of rows that a scan reads at a time
@@ -144,15 +140,13 @@ class KineticOperator:
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
     class with a modified measure).  The constructor marks the form array
-    it is given read-only, without copying it.  eigenbasis, when given,
-    is what the builder knows of the eigenpairs of sym(): a ``BoxBasis``,
-    or the pair (ascending eigenvalues, eigenvectors) as ``eigensystem()``
-    returns it.  ``transform`` is the BoxBasis when the operator takes the
-    transform route (at least TRANSFORM_MIN_SITES sites), else None.
+    it is given read-only, without copying it.  ``transform`` is the
+    ``BoxBasis`` of sym() that the builder hands on when the operator takes
+    the transform route (``build_laplacian``), else None.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
-                 meta: dict | None = None, eigenbasis=None):
+                 meta: dict | None = None, transform: BoxBasis | None = None):
         form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
@@ -171,9 +165,8 @@ class KineticOperator:
         if self._defect > SYM_TOL * self.scale:
             raise ValueError("form matrix is not self-adjoint")
         self._sym = None
-        self._box = eigenbasis if isinstance(eigenbasis, BoxBasis) else None
-        self._eig = None if self._box is not None else eigenbasis
-        self.transform = self._box if space.n >= TRANSFORM_MIN_SITES else None
+        self._eig = None
+        self.transform = transform
 
     @property
     def n(self) -> int:
@@ -200,19 +193,15 @@ class KineticOperator:
 
     def eigensystem(self):
         """Cached (eigenvalues ascending, eigenvectors) of the symmetrized
-        matrix, from the builder's eigenbasis when it gave one (the n x n
-        table of a ``BoxBasis`` by ``box_eigensystem``), else from a dense
-        ``eigh``."""
+        matrix, from one dense ``eigh``."""
         if self._eig is None:
-            if self._box is None:
-                self._eig = np.linalg.eigh(self.sym())
-            else:
-                self._eig = box_eigensystem(self.space)
+            self._eig = np.linalg.eigh(self.sym())
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; a box reads them without its table."""
-        return self.eigensystem()[0] if self._box is None else self._box.values
+        """Ascending eigenvalues; the transform route reads them without
+        ``eigh``."""
+        return self.eigensystem()[0] if self.transform is None else self.transform.values
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
@@ -305,50 +294,20 @@ def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
     return A
 
 
-def _axis_modes(L: int, periodic: bool):
-    """(mode numbers k in column order, angle unit theta, period P of j k)
-    of one axis's second difference of L sites: tridiag(-1, 2, -1) with
-    Dirichlet ends, or its cyclic version.  Periodic columns are the
+def _axis_values(L: int, periodic: bool) -> np.ndarray:
+    """Ascending eigenvalues 2 - 2 cos(theta k) of one axis's second
+    difference of L sites: tridiag(-1, 2, -1) with Dirichlet ends, or its
+    cyclic version, one per column of its basis.  Periodic columns are the
     constant, (cos, sin) pairs for k = 1 .. (L-1)//2, and the alternating
-    vector when L is even; Dirichlet columns are sines, k = 1 .. L."""
+    vector when L is even (theta = 2 pi / L); Dirichlet columns are sines,
+    k = 1 .. L (theta = pi / (L + 1))."""
     if periodic:
         half = (L - 1) // 2
         k = np.array([0, *np.repeat(np.arange(1, half + 1), 2), *[L // 2] * (1 - L % 2)])
-        return k, 2.0 * np.pi / L, L
-    return np.arange(1, L + 1), np.pi / (L + 1), 2 * (L + 1)
-
-
-def _axis_values(L: int, periodic: bool) -> np.ndarray:
-    """Ascending eigenvalues 2 - 2 cos(theta k) of one axis (``_axis_modes``)."""
-    k, theta, _ = _axis_modes(L, periodic)
-    return 2.0 - 2.0 * np.cos(theta * k)
-
-
-def _axis_table(L: int, periodic: bool) -> np.ndarray:
-    """Orthonormal eigenvector table Q[j, k] of one axis (``_axis_modes``),
-    columns in the order of ``_axis_values``.  Entry (j, k) is gathered, by
-    the integer index j k mod P, from a table of sin or cos at the P angles
-    m theta that already carries the column's norm, one block of rows and
-    one group of columns at a time, so no temporary is as large as Q."""
-    k, theta, period = _axis_modes(L, periodic)
-    angles = theta * np.arange(period, dtype=np.float64)
-    if periodic:
-        half = (L - 1) // 2
-        j = np.arange(L)
-        cos = np.cos(angles)
-        unit, pair = math.sqrt(1.0 / L), math.sqrt(2.0 / L)
-        # the constant and alternating columns, the cosines and the sines
-        groups = [(slice(0, 1), cos * unit), (slice(1, 2 * half, 2), cos * pair),
-                  (slice(2, 2 * half + 1, 2), np.sin(angles) * pair),
-                  (slice(2 * half + 1, L), cos * unit)]
+        theta = 2.0 * np.pi / L
     else:
-        j = np.arange(1, L + 1)
-        groups = [(slice(0, L), np.sin(angles) * math.sqrt(2.0 / (L + 1)))]
-    Q = np.empty((L, L))
-    for r in _row_blocks(L):
-        for cols, table in groups:
-            Q[r, cols] = table[np.multiply.outer(j[r], k[cols]) % period]
-    return Q
+        k, theta = np.arange(1, L + 1), np.pi / (L + 1)
+    return 2.0 - 2.0 * np.cos(theta * k)
 
 
 def _dst1(X: np.ndarray, axis: int) -> np.ndarray:
@@ -366,7 +325,7 @@ def _dst1(X: np.ndarray, axis: int) -> np.ndarray:
 
 def _rdft(X: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
     """The real DFT along ``axis`` in the orthonormal periodic basis of
-    ``_axis_modes``: coefficients X Q from the rfft of X, or with
+    ``_axis_values``: coefficients X Q from the rfft of X, or with
     ``inverse`` the points Q C of coefficients C by one irfft."""
     X = np.moveaxis(X, axis, -1)
     L = X.shape[-1]
@@ -393,15 +352,14 @@ def _rdft(X: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
 
 class BoxBasis:
     """The closed-form eigenbasis of sym() of the Laplacian of a box without
-    exclusions: tensor products of one sine or real Fourier table per axis
-    (``_axis_table``), with eigenvalues h^-2 sum_axes (2 - 2 cos theta_k)
+    exclusions: tensor products of one sine or real Fourier basis per axis
+    (``_axis_values``), with eigenvalues h^-2 sum_axes (2 - 2 cos theta_k)
     (Strang, SIAM Review 41, 1999).
 
     ``mode_values`` holds the eigenvalues over the modes in lexicographic
-    order (axis 0 slowest); ``values`` sorts them by a stable argsort
-    (``order``), so equal sums keep that order.  ``solve`` and
-    ``heat_diagonal`` apply the basis by one FFT per axis and never form
-    the n x n table that ``box_eigensystem`` builds.
+    order (axis 0 slowest), and ``values`` holds them ascending.  ``solve``
+    and ``heat_diagonal`` apply the basis by one FFT per axis; no n x n
+    eigenvector array is ever formed.
     """
 
     def __init__(self, space: LatticeSpace):
@@ -411,9 +369,8 @@ class BoxBasis:
         self.periodic = space.bc == "periodic"
         self.axis_values = [_axis_values(L, self.periodic) for L in space.extents]
         lam = functools.reduce(np.add.outer, self.axis_values).reshape(-1)
-        self.order = np.argsort(lam, kind="stable")
         self.mode_values = lam / space.h**2
-        self.values = self.mode_values[self.order]
+        self.values = np.sort(self.mode_values)
 
     def _transform(self, X: np.ndarray, inverse: bool) -> np.ndarray:
         lead = X.ndim - 1
@@ -451,32 +408,14 @@ class BoxBasis:
         return out
 
 
-def box_eigensystem(space: LatticeSpace):
-    """(ascending eigenvalues, eigenvectors) of sym() of the Laplacian of a
-    box without exclusions, in closed form (``BoxBasis``): column j of Q is
-    the tensor product of the axis tables' columns of mode ``order[j]``.
-    Q is filled one block of rows at a time."""
-    basis = BoxBasis(space)
-    axes = [_axis_table(L, basis.periodic) for L in space.extents]
-    if space.d == 1 and np.all(np.diff(basis.order) > 0):     # already ascending
-        return basis.values, axes[0]
-    modes = np.unravel_index(basis.order, space.extents)
-    tables = [Q_a[:, k_a] for Q_a, k_a in zip(axes, modes)]     # L_a x n each
-    sites = space.coords.T
-    Q = np.empty((space.n, space.n))
-    for r in _row_blocks(space.n):
-        Q[r] = tables[0][sites[0][r]]
-        for table, j in zip(tables[1:], sites[1:]):
-            Q[r] *= table[j[r]]
-    return basis.values, Q
-
-
 def build_laplacian(space: LatticeSpace) -> KineticOperator:
     """Nearest-neighbor Laplacian form with Dirichlet penalties at missing
-    slots; a box without exclusions carries its closed-form eigenbasis."""
+    slots; a box without exclusions with at least TRANSFORM_MIN_SITES sites
+    takes the transform route with its ``BoxBasis``."""
     A = _assemble_laplacian(space)
-    basis = None if space.excluded else BoxBasis(space)
-    return KineticOperator(space, A, meta={"family": "laplacian"}, eigenbasis=basis)
+    large_box = not space.excluded and space.n >= TRANSFORM_MIN_SITES
+    return KineticOperator(space, A, meta={"family": "laplacian"},
+                           transform=BoxBasis(space) if large_box else None)
 
 
 def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
@@ -484,9 +423,7 @@ def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
 
     f must be nonnegative and nondecreasing on [0, lambda_max]; the
     input operator must be positive semidefinite.  Covers fractional
-    powers f(E) = E^s.  The result inherits the eigensystem (f(w), Q)
-    when f(w) is ascending, as it is unless f dips within the tolerance
-    of the nondecreasing check; it then takes its own ``eigh``.
+    powers f(E) = E^s.
     """
     w, Q = T.eigensystem()
     scale = T.spectral_scale()
@@ -508,8 +445,7 @@ def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
     if T.is_real:
         Ap = np.real(Ap)
     meta = {"family": "function", "base_family": T.meta.get("family")}
-    eig = (fw, Q) if np.all(np.diff(fw) >= 0.0) else None
-    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta, eigenbasis=eig)
+    return KineticOperator(T.space, Ap, measure=T.measure, meta=meta)
 
 
 def fractional_laplacian(space: LatticeSpace, s: float) -> KineticOperator:

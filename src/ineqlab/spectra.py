@@ -23,7 +23,7 @@ V^(-1/2) T V^(-1/2), and a coupling whose certificate fails
 goes to ``count_below``; short axes on banded forms keep the stacked
 inertia pass.  The heat-kernel diagonal of a box Laplacian on the
 transform route (``KineticOperator.transform``) is a product of one FFT
-per axis and reads no eigenvector table.  All other eigenproblems use
+per axis and reads no eigenvectors.  All other eigenproblems use
 full dense decompositions; the intended scale is a few thousand sites at
 most.
 """

@@ -20,6 +20,9 @@ from . import functional, operators, spectra
 from .lattice import as_potential, exponents_from_gamma_kappa, integral, make_lattice
 
 MARGIN_REL = 1e-9
+# relative tolerances of the heat-bound and Nash verdicts
+HEAT_REL = 1e-8
+NASH_REL = 1e-10
 
 # the s grid of the liyauTrace checks and the t grid of the diamagnetic
 # checks that run_scenario makes
@@ -242,11 +245,10 @@ def verify_heat_nash(T, kappa: float, S: float, *, scenario_id: str = "", bd=Non
       on ``nash_samples`` random probes; lhs is the worst relative shortfall
       -min (left/right - 1), compared against 0.
     Both heat bounds pass within HEAT_REL = 1e-8 relative and the Nash
-    bound within NASH_REL = 1e-10, the rules ``functional`` applies.  The
-    heat bounds need an L1-contractive semigroup, so they are
-    "not-applicable" when the Beurling-Deny criteria fail; the Nash bound
-    follows from S by Hoelder's inequality alone.  With S = 0 all three
-    are vacuous.
+    bound within NASH_REL = 1e-10.  The heat bounds need an L1-contractive
+    semigroup, so they are "not-applicable" when the Beurling-Deny
+    criteria fail; the Nash bound follows from S by Hoelder's inequality
+    alone.  With S = 0 all three are vacuous.
     """
     provenance = "minimized" if S > 0 else "vacuous"
     # the Nash bound reads no Beurling-Deny criterion
@@ -260,13 +262,13 @@ def verify_heat_nash(T, kappa: float, S: float, *, scenario_id: str = "", bd=Non
     q = exponents_from_gamma_kappa(0.0, kappa).q
     nr = functional.nash_check(T, q, S, n_samples=nash_samples)
     reports = [make_report(scenario_id, "heatBound", lhs, rhs, assumptions=blocks["heatBound"],
-                           extras={"norm": norm}, rel=functional.HEAT_REL,
+                           extras={"norm": norm}, rel=HEAT_REL,
                            applicable=bd is None or bd.passed)
                for norm, lhs, rhs in (("1->inf", hb.K_measured, hb.K_bound),
                                       ("1->2", hb.K12_measured, hb.K12_bound))]
     reports.append(make_report(scenario_id, "nash", -nr.min_slack_rel, 0.0, scale=1.0,
                                assumptions=blocks["nash"], extras={"q": q},
-                               rel=functional.NASH_REL))
+                               rel=NASH_REL))
     return reports, hb
 
 

@@ -201,8 +201,7 @@ def test_criterion_6_heat_chain_on_suite_operators(suite_run, suite_config):
         gp = sc["heat_nash"]["grid_points"] if sc["heat_nash"] else 60
         hb = functional.heat_bound_check(T, kappa, S, grid_points=gp)
         assert hb.K_measured <= (kappa / S) ** kappa * (1.0 + 1e-8), res["scenario_id"]
-        assert hb.passed_1inf, res["scenario_id"]
-        assert hb.passed_12, res["scenario_id"]
+        assert hb.K12_measured <= (kappa / (2.0 * S)) ** kappa * (1.0 + 1e-8), res["scenario_id"]
         # the scenario's own heat_nash block judged the same bounds
         heat = [r for r in res["reports"] if r["tag"] in ("heatBound", "nash")]
         if sc["heat_nash"]:

@@ -21,6 +21,7 @@ from ineqlab.functional import aizenman_lieb_unminimized
 from ineqlab.lattice import exponents_from_gamma_kappa
 from ineqlab.operators import (KineticOperator, build_hardy_operator, build_magnetic_laplacian,
                                fractional_laplacian, uniform_flux_phases)
+from ineqlab.verify import HEAT_REL, NASH_REL
 
 mpmath.mp.dps = 30
 
@@ -282,6 +283,15 @@ def test_sobolev_rejects_bad_input():
         sobolev_constant(TA, 4.0)
 
 
+def test_interp_constant_rejects_a_complex_form():
+    # the same real-form check as sobolev_constant, before any minimization
+    # casts the complex form to real
+    sp = make_lattice(d=2, extents=4, bc="periodic")
+    TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.7))
+    with pytest.raises(ValueError, match="real symmetric forms only"):
+        sobolev_interp_constant(TA, 4.0, 0.5)
+
+
 def test_interp_limit_recovers_sobolev():
     T = build_laplacian(make_lattice(d=1, extents=16))
     q = 4.0
@@ -532,7 +542,6 @@ def test_nash_single_site_equality():
     q = 4.0
     S, _ = sobolev_constant(op, q)
     rep = nash_check(op, q, S, n_samples=200)
-    assert rep.passed
     assert rep.min_slack_rel == pytest.approx(0.0, abs=1e-10)
 
 
@@ -540,13 +549,13 @@ def test_nash_on_path():
     T = build_laplacian(make_lattice(d=1, extents=16))
     S, _ = sobolev_constant(T, 4.0)
     rep = nash_check(T, 4.0, S, n_samples=2000)
-    assert rep.passed and rep.min_slack_rel >= -1e-10
+    assert rep.min_slack_rel >= -NASH_REL
 
 
 def test_nash_vacuous():
     T = build_laplacian(make_lattice(d=1, extents=8, bc="periodic"))
     rep = nash_check(T, 4.0, 0.0)
-    assert rep.vacuous and rep.passed
+    assert rep.vacuous and rep.min_slack_rel == math.inf
 
 
 def test_heat_bound_single_site_sharp_value():
@@ -561,7 +570,8 @@ def test_heat_bound_single_site_sharp_value():
     assert rep.K_measured == pytest.approx((kappa / lam) ** kappa * math.exp(-kappa),
                                            rel=1e-4)
     assert rep.K_bound == pytest.approx((kappa / lam) ** kappa, rel=1e-13)
-    assert rep.passed_1inf and rep.passed_12
+    assert rep.K_measured <= rep.K_bound * (1.0 + HEAT_REL)
+    assert rep.K12_measured <= rep.K12_bound * (1.0 + HEAT_REL)
 
 
 def test_heat_bound_on_path():
@@ -569,8 +579,8 @@ def test_heat_bound_on_path():
     kappa = 1.5
     S, _ = sobolev_constant(T, 2.0 * kappa / (kappa - 1.0))
     rep = heat_bound_check(T, kappa, S)
-    assert rep.passed_1inf and rep.passed_12
-    assert rep.K_measured <= rep.K_bound * (1.0 + 1e-8)
+    assert rep.K_measured <= rep.K_bound * (1.0 + HEAT_REL)
+    assert rep.K12_measured <= rep.K12_bound * (1.0 + HEAT_REL)
     with pytest.raises(ValueError):
         heat_bound_check(T, kappa, 0.0)
     with pytest.raises(ValueError):

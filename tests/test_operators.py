@@ -16,8 +16,7 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      weighted_transform)
 from ineqlab import cli, verify
 from ineqlab.operators import (ROW_ROUTE_FACTOR, SYM_TOL, TRANSFORM_MIN_SITES, BoxBasis,
-                               _axis_table, _scan, box_eigensystem,
-                               build_function_of_operator)
+                               _scan, build_function_of_operator)
 
 
 def manual_quad_form(space, u):
@@ -687,37 +686,18 @@ def test_laplacian_build_peaks_near_one_dense_array():
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(extents=st.lists(st.integers(1, 7), min_size=1, max_size=3),
-       bc=st.sampled_from(["dirichlet", "periodic"]), h=st.sampled_from([0.5, 1.0, 2.0]),
-       seed=st.integers(0, 2**16))
-def test_box_eigensystem_matches_eigh(extents, bc, h, seed):
-    """The closed-form eigensystem of a box Laplacian is an eigensystem of
-    sym() to rounding, and what T reads from it (solve, heat_kernel) equals
-    what it reads from the eigh basis."""
-    from ineqlab.spectra import heat_kernel
-
+       bc=st.sampled_from(["dirichlet", "periodic"]), h=st.sampled_from([0.5, 1.0, 2.0]))
+def test_box_basis_values_match_eigvalsh(extents, bc, h):
+    """The closed-form eigenvalues of a box Laplacian are ascending and are
+    those of sym() to rounding."""
     sp = make_lattice(d=len(extents), extents=extents, h=h, bc=bc)
-    T = build_laplacian(sp)
-    w, Q = T.eigensystem()
-    B = T.sym()
-    we, Qe = np.linalg.eigh(B)
+    w = BoxBasis(sp).values
+    we = np.linalg.eigvalsh(build_laplacian(sp).sym())
     n, eps = sp.n, float(np.finfo(np.float64).eps)
     scale = float(np.max(np.abs(we)))
     assert np.all(np.diff(w) >= 0.0)
-    # each eigenvalue of eigh is exact to about n eps ||B||
+    # each eigenvalue of eigvalsh is exact to about n eps ||B||
     np.testing.assert_allclose(w, we, rtol=0.0, atol=4.0 * n * eps * max(scale, 1e-300))
-    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 4.0 * n * eps
-    assert np.max(np.abs(B @ Q - Q * w)) <= 4.0 * n * eps * scale
-
-    twin = KineticOperator(sp, T.form, eigenbasis=(we, Qe))   # on the eigh basis
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((3, n))
-    shift = 1.0 / h**2                       # T + shift is positive definite
-    want = twin.solve(X, shift)
-    got = T.solve(X, shift)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    s = 0.5 * h**2
-    want = heat_kernel(twin, s)
-    assert np.max(np.abs(heat_kernel(T, s) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _counting_eigh(monkeypatch):
@@ -732,22 +712,9 @@ def _counting_eigh(monkeypatch):
     return shapes
 
 
-def test_box_laplacian_and_its_fractional_power_take_no_eigh(monkeypatch):
-    box = make_lattice(d=2, extents=9)
-    shapes = _counting_eigh(monkeypatch)
-    T = build_laplacian(box)
-    frac = fractional_laplacian(box, 0.5)
-    w, Q = frac.eigensystem()
-    assert shapes == []
-    # the fractional form inherits (w^s, Q) from its base
-    np.testing.assert_array_equal(w, T.eigenvalues() ** 0.5)
-    assert np.max(np.abs(frac.sym() @ Q - Q * w)) <= 1e-13 * w[-1]
-
-
 def test_box_with_an_exclusion_takes_eigh(monkeypatch):
-    # the Hardy lattice: the closed form needs a full box, so its Laplacian
-    # and the Hardy form each take one eigh; the fractional power between
-    # them inherits the Laplacian's
+    # the Hardy lattice: its Laplacian and the Hardy form each take one
+    # eigh; the fractional power between them is never asked for its own
     sp = make_lattice(d=2, extents=9, exclusions=[(4, 4)])
     shapes = _counting_eigh(monkeypatch)
     build_laplacian(sp).eigensystem()
@@ -757,24 +724,6 @@ def test_box_with_an_exclusion_takes_eigh(monkeypatch):
     assert shapes == [(sp.n, sp.n)] * 2
 
 
-@pytest.mark.parametrize("extents, bc", [((1024,), "dirichlet"), ((1024,), "periodic"),
-                                         ((32, 32), "dirichlet")])
-def test_box_eigensystem_n1024_is_orthonormal_in_one_dense_array(extents, bc):
-    # the table is built in place, with no n x n temporary; its angles are
-    # reduced in integers first, without which ||Q^T Q - I||_F reaches
-    # 2.4e-12 at n = 1024 (2.6e-14 with it; eigh: 8.4e-14)
-    sp = make_lattice(d=len(extents), extents=extents, bc=bc)
-    tracemalloc.start()
-    try:
-        _, Q = box_eigensystem(sp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * sp.n**2 * 8
-    eps = float(np.finfo(np.float64).eps)
-    assert np.linalg.norm(Q.T @ Q - np.eye(sp.n)) <= sp.n * eps
-
-
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(extents=st.lists(st.integers(1, 9), min_size=1, max_size=3),
        bc=st.sampled_from(["dirichlet", "periodic"]), h=st.sampled_from([0.5, 1.0, 2.0]),
@@ -782,13 +731,12 @@ def test_box_eigensystem_n1024_is_orthonormal_in_one_dense_array(extents, bc):
 def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
     """BoxBasis.solve and BoxBasis.heat_diagonal, called directly so that
     boxes on both sides of TRANSFORM_MIN_SITES are covered, equal the
-    product pair and the n x n x G product in the table of
-    ``box_eigensystem`` to rounding; a row of a block or of a k x 1 x n
-    stack is bit for bit its one-row solve."""
+    product pair and the n x n x G product in the eigh basis of sym() to
+    rounding; a row of a block or of a k x 1 x n stack is bit for bit its
+    one-row solve."""
     sp = make_lattice(d=len(extents), extents=extents, h=h, bc=bc)
     basis = BoxBasis(sp)
-    w, Q = box_eigensystem(sp)
-    np.testing.assert_array_equal(basis.values, w)
+    w, Q = np.linalg.eigh(build_laplacian(sp).sym())
     n, eps = sp.n, float(np.finfo(np.float64).eps)
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((4, n))
@@ -815,11 +763,13 @@ def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
 
 def test_box_laplacian_routes_by_size():
     # a box Laplacian takes the transform route from TRANSFORM_MIN_SITES
-    # sites on; a smaller box, a box with an exclusion, a shifted box and a
-    # function of a box stay on the dense route
+    # sites on and carries no BoxBasis below it; a box with an exclusion,
+    # a shifted box and a function of a box stay on the dense route
     for extents in [(TRANSFORM_MIN_SITES - 1,), (TRANSFORM_MIN_SITES,), (16, 32), (8, 8)]:
         T = build_laplacian(make_lattice(d=len(extents), extents=extents))
         assert (T.transform is not None) == (T.n >= TRANSFORM_MIN_SITES), extents
+        carried = [v for v in vars(T).values() if isinstance(v, BoxBasis)]
+        assert carried == ([T.transform] if T.n >= TRANSFORM_MIN_SITES else []), extents
     big = make_lattice(d=2, extents=(16, 32), exclusions=[(3, 3)])
     assert build_laplacian(big).transform is None
     T = build_laplacian(make_lattice(d=1, extents=TRANSFORM_MIN_SITES))
@@ -827,28 +777,35 @@ def test_box_laplacian_routes_by_size():
     assert build_function_of_operator(T, np.sqrt).transform is None
 
 
-def _direct_axis_table(L, periodic):
-    # the table by its definition: sin or cos of (j k mod P) theta, entry by
-    # entry, times the column's norm
-    if periodic:
-        half = (L - 1) // 2
-        k = np.array([0, *np.repeat(np.arange(1, half + 1), 2), *[L // 2] * (1 - L % 2)])
-        j, period, theta = np.arange(L), L, 2.0 * np.pi / L
-        norm = np.where((k == 0) | (2 * k == L), math.sqrt(1.0 / L), math.sqrt(2.0 / L))
-        sine = np.zeros(L, dtype=bool)
-        sine[2:2 * half + 1:2] = True
-    else:
-        k = np.arange(1, L + 1)
-        j, period, theta = np.arange(1, L + 1), 2 * (L + 1), np.pi / (L + 1)
-        norm = np.full(L, math.sqrt(2.0 / (L + 1)))
-        sine = np.ones(L, dtype=bool)
-    angle = (np.multiply.outer(j, k) % period).astype(np.float64) * theta
-    return np.where(sine, np.sin(angle), np.cos(angle)) * norm
+@pytest.mark.parametrize("extents, bc", [((TRANSFORM_MIN_SITES,), "dirichlet"),
+                                         ((32, 32), "periodic")])
+def test_large_box_eigenvector_readers_match_the_form_without_a_basis(extents, bc):
+    # no workload reads a large box's eigenvectors: heat_kernel,
+    # birman_schwinger, a function of T and the vacuous kernel vector of the
+    # Sobolev minimization read them from eigh, as on the same form built
+    # without a BoxBasis, while T reads its eigenvalues from the basis
+    from ineqlab import sobolev_constant
+    from ineqlab.spectra import birman_schwinger, heat_kernel
 
+    sp = make_lattice(d=len(extents), extents=extents, bc=bc)
+    T = build_laplacian(sp)
+    bare = KineticOperator(sp, T.form)
+    assert T.transform is not None and bare.transform is None
 
-@pytest.mark.parametrize("L, periodic", [(1, False), (33, False), (1024, False), (1, True),
-                                         (2, True), (7, True), (8, True), (1024, True)])
-def test_axis_table_gathers_its_definition_bit_for_bit(L, periodic):
-    # the gather from one table of P angles reads the same doubles as sin
-    # and cos taken entry by entry
-    assert np.array_equal(_axis_table(L, periodic), _direct_axis_table(L, periodic))
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    assert close(T.eigenvalues(), bare.eigenvalues())
+    assert close(heat_kernel(T, 0.5), heat_kernel(bare, 0.5))
+    V = np.random.default_rng(7).uniform(0.0, 2.0, size=sp.n)
+    tau = 0.0 if bc == "dirichlet" else 0.1          # T + tau positive definite
+    bs, bs_bare = birman_schwinger(T, V, tau), birman_schwinger(bare, V, tau)
+    assert close(bs.matrix, bs_bare.matrix) and close(bs.eigenvalues, bs_bare.eigenvalues)
+    assert close(build_function_of_operator(T, np.sqrt).form,
+                 build_function_of_operator(bare, np.sqrt).form)
+    if bc == "periodic":
+        (S, trace), (S_bare, trace_bare) = (sobolev_constant(op, 4.0) for op in (T, bare))
+        assert S == S_bare == 0.0 and trace.vacuous and trace_bare.vacuous
+        assert close(trace.minimizer, trace_bare.minimizer)
+        # the constant vector, normalized in L^4
+        np.testing.assert_allclose(np.abs(trace.minimizer), sp.n ** -0.25, rtol=1e-12)

@@ -21,8 +21,8 @@ from ineqlab import (beurling_deny_check, build_laplacian,
 from ineqlab import cli, functional
 from ineqlab.cli import _load_config
 from ineqlab.operators import KineticOperator
-from ineqlab.verify import (ConfigError, _draw_potentials, run_scenario_jsonable,
-                            validate_scenario, validate_sweep)
+from ineqlab.verify import (HEAT_REL, NASH_REL, ConfigError, _draw_potentials,
+                            run_scenario_jsonable, validate_scenario, validate_sweep)
 
 
 def path_op(n=16, **kw):
@@ -607,13 +607,13 @@ def test_heat_nash_reports_carry_the_heat_and_nash_verdicts():
     nr = functional.nash_check(T, q, S, n_samples=500)
     assert (reports[2].lhs, reports[2].rhs) == (-nr.min_slack_rel, 0.0)
 
-    # the pass rules of functional: 1e-8 relative for the heat bounds, 1e-10
+    # the pass rules: 1e-8 relative for the heat bounds, 1e-10
     # for the Nash bound; the heat bounds need Beurling-Deny, Nash does not
     for slack, status in ((0.99e-8, "pass"), (1.01e-8, "fail")):
-        r = make_report("p", "heatBound", 2.0 * (1.0 + slack), 2.0, rel=functional.HEAT_REL)
+        r = make_report("p", "heatBound", 2.0 * (1.0 + slack), 2.0, rel=HEAT_REL)
         assert r.status == status
     for shortfall, status in ((0.99e-10, "pass"), (1.01e-10, "fail")):
-        r = make_report("p", "nash", shortfall, 0.0, scale=1.0, rel=functional.NASH_REL)
+        r = make_report("p", "nash", shortfall, 0.0, scale=1.0, rel=NASH_REL)
         assert r.status == status
     A = T.form.copy()
     A[0, 1] = A[1, 0] = -A[0, 1]          # a gauge of the path: same spectrum
