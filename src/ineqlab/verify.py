@@ -232,18 +232,20 @@ def verify_lt_moments(T, V, gamma_tilde: float, gamma: float, kappa: float,
                        applicable=bd is None or bd.passed)
 
 
-def verify_heat_nash(T, kappa: float, S: float, *, scenario_id: str = "", bd=None,
-                     grid_points: int = 60, nash_samples: int = 10_000):
+def verify_heat_nash(T, kappa: float, S: float, u, *, scenario_id: str = "", bd=None,
+                     grid_points: int = 60):
     """The heat-kernel and Nash links of the chain as three reports, with the
-    ``functional.heat_bound_check`` result they read (None when vacuous).
+    ``functional.heat_bound_check`` result they read (None when vacuous);
+    u is the minimizer that S was read from.
 
     - ``heatBound`` (1->inf): lhs K_measured = sup_s s^kappa
       ||exp(-sT)||_(1->inf) over the grid, rhs (kappa/S)^kappa;
     - ``heatBound`` (1->2): lhs sup_s s^kappa ||exp(-sT)||_(1->2)^2, rhs
       (kappa/2S)^kappa;
-    - ``nash``: t[u]^p ||u||_1^(2-2p) >= S^p ||u||_2^2, p = q/(2(q-1)),
-      on ``nash_samples`` random probes; lhs is the worst relative shortfall
-      -min (left/right - 1), compared against 0.
+    - ``nash``: t[v]^p ||v||_1^(2-2p) >= S^p ||v||_2^2, p = q/(2(q-1)),
+      on the probes v = |u|^k of ``functional.nash_check``; lhs is the
+      worst relative shortfall -min (left/right - 1), compared against 0,
+      and ``extras.power`` the k of the worst probe.
     Both heat bounds pass within HEAT_REL = 1e-8 relative and the Nash
     bound within NASH_REL = 1e-10.  The heat bounds need an L1-contractive
     semigroup, so they are "not-applicable" when the Beurling-Deny
@@ -260,14 +262,15 @@ def verify_heat_nash(T, kappa: float, S: float, *, scenario_id: str = "", bd=Non
                 for tag in ("heatBound", "heatBound", "nash")], None
     hb = functional.heat_bound_check(T, kappa, S, grid_points=grid_points)
     q = exponents_from_gamma_kappa(0.0, kappa).q
-    nr = functional.nash_check(T, q, S, n_samples=nash_samples)
+    nr = functional.nash_check(T, q, S, u)
     reports = [make_report(scenario_id, "heatBound", lhs, rhs, assumptions=blocks["heatBound"],
                            extras={"norm": norm}, rel=HEAT_REL,
                            applicable=bd is None or bd.passed)
                for norm, lhs, rhs in (("1->inf", hb.K_measured, hb.K_bound),
                                       ("1->2", hb.K12_measured, hb.K12_bound))]
     reports.append(make_report(scenario_id, "nash", -nr.min_slack_rel, 0.0, scale=1.0,
-                               assumptions=blocks["nash"], extras={"q": q},
+                               assumptions=blocks["nash"],
+                               extras={"q": q, "power": nr.power},
                                rel=NASH_REL))
     return reports, hb
 
@@ -643,13 +646,10 @@ def validate_scenario(sc: dict) -> dict:
             "must be an object or a boolean")
     heat_nash = None
     if hn is True or isinstance(hn, dict):
-        hn = _block({} if hn is True else hn, f"{where}.heat_nash",
-                    ("grid_points", "nash_samples"))
+        hn = _block({} if hn is True else hn, f"{where}.heat_nash", ("grid_points",))
         heat_nash = {
             "grid_points": _integer(hn.get("grid_points"), f"{where}.heat_nash.grid_points",
-                                    1, 60),
-            "nash_samples": _integer(hn.get("nash_samples"),
-                                     f"{where}.heat_nash.nash_samples", 1, 10_000)}
+                                    1, 60)}
     needs = _scenario_needs({"checks": checks, "heat_nash": heat_nash})
 
     exps = _block(sc.get("exponents"), f"{where}.exponents", _EXPONENT_RULES)
@@ -870,7 +870,6 @@ def run_scenario(sc: dict) -> ScenarioResult:
         constants.S = S
         constants.provenance["S"] = "minimized"
         extras["sobolev"] = {"residual": S_trace.residual,
-                             "certificate_slack": S_trace.certificate_slack,
                              "restarts": S_trace.restarts, "vacuous": S_trace.vacuous}
         if S > 0.0:
             lo, up = functional.clr_bounds_from_S(S, kappa)
@@ -937,8 +936,8 @@ def run_scenario(sc: dict) -> ScenarioResult:
 
     hn = sc["heat_nash"]
     if hn is not None:
-        heat_nash, hb = verify_heat_nash(T, kappa, constants.S, scenario_id=sid, bd=bd,
-                                         **hn)
+        heat_nash, hb = verify_heat_nash(T, kappa, constants.S, S_trace.minimizer,
+                                         scenario_id=sid, bd=bd, **hn)
         reports.extend(heat_nash)
         if hb is not None:
             constants.K_measured = hb.K_measured

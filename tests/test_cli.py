@@ -123,7 +123,7 @@ TINY_CONFIG = {
             "exponents": {"gamma": 0.5, "kappa": 2.0, "gamma_tilde": 1.5},
             "potential": {"seed": 9, "sigmas": [0.5], "draws": 2},
             "checks": ["CLR", "LTmoment"],
-            "heat_nash": {"grid_points": 12, "nash_samples": 200},
+            "heat_nash": {"grid_points": 12},
             "seed": 2,
         },
     ],
@@ -346,7 +346,8 @@ def test_verify_invalid_configs_exit_2(tmp_path, capsys):
             ({"seed": True}, "seed"),
             ({"seed": "x"}, "seed"),
             # fields that are read: each checked, even when no check reads it
-            ({"heat_nash": {"nash_samples": -5}}, "heat_nash.nash_samples"),
+            # a field that left the schema: any value exits 2
+            ({"heat_nash": {"nash_samples": 2000}}, "heat_nash.nash_samples"),
             ({"heat_nash": {"grid_points": "x"}}, "heat_nash.grid_points"),
             ({"heat_nash": {"grid_points": 0}}, "heat_nash.grid_points"),
             ({"potential": {"seed": 5, "adversarial": ["a"]}}, "potential.adversarial"),
@@ -694,9 +695,9 @@ SCENARIO_BAD = {
     "checks": ["CLR", [1], ["noSuchTag"]],
     "heat_nash": ["x", 1, []],
     "heat_nash.grid_points": [0, 1.5, "x"],
-    "heat_nash.nash_samples": [-5, 0, "x"],
     "seed": [-1, 3.7, "x", True],
     # keys that left the schema: any value exits 2
+    "heat_nash.nash_samples": [2000, -5, "x"],
     "grids": [{}, {"tau": [1.0]}, {"t": [0.1, 1.0, 10.0]}, "x"],
     "sobolev": [{}, {"restarts": 16}, {"sweep_restarts": 8}],
 }
@@ -774,6 +775,20 @@ def test_broken_config_field_exits_2_with_its_path(case):
     assert rc == 2, err.getvalue()
     assert f"config error: {field}:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def test_removed_nash_samples_exits_2_with_its_path(tmp_path, capsys):
+    # the Nash probes are a fixed ladder, so the sample count the bundled
+    # clr-1d-n1024 once set is an unknown key, named by its path
+    sc = copy.deepcopy(next(s for s in cli._load_config("paper-suite")["scenarios"]
+                            if s["id"] == "clr-1d-n1024"))
+    sc["heat_nash"]["nash_samples"] = 2000
+    path = _write_config(tmp_path, {"schema": 1, "scenarios": [sc]})
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: scenario 'clr-1d-n1024'.heat_nash.nash_samples: unknown key"
+            in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bundled_configs_resolve():

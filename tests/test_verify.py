@@ -408,7 +408,7 @@ def test_validate_scenario_fills_every_default():
     # a normalized copy validates to itself, and true turns heat_nash on
     assert validate_scenario(copy.deepcopy(sc)) == sc
     on = validate_scenario(dict(sc, heat_nash=True, exponents={"kappa": 2}))
-    assert on["heat_nash"] == {"grid_points": 60, "nash_samples": 10_000}
+    assert on["heat_nash"] == {"grid_points": 60}
     assert on["exponents"]["kappa"] == 2.0 and isinstance(on["exponents"]["kappa"], float)
 
 
@@ -595,17 +595,21 @@ def test_heat_nash_reports_carry_the_heat_and_nash_verdicts():
     T = path_op(16)
     kappa = 1.5
     q = exponents_from_gamma_kappa(0.0, kappa).q
-    S, _ = sobolev_constant(T, q)
-    reports, hb = verify_heat_nash(T, kappa, S, scenario_id="p", grid_points=30,
-                                   nash_samples=500, bd=beurling_deny_check(T))
+    S, trace = sobolev_constant(T, q)
+    u = trace.minimizer
+    reports, hb = verify_heat_nash(T, kappa, S, u, scenario_id="p", grid_points=30,
+                                   bd=beurling_deny_check(T))
     assert [(r.tag, r.status, r.extras.get("norm")) for r in reports] == [
         ("heatBound", "pass", "1->inf"), ("heatBound", "pass", "1->2"), ("nash", "pass", None)]
     want = functional.heat_bound_check(T, kappa, S, grid_points=30)
     assert (reports[0].lhs, reports[0].rhs) == (want.K_measured, want.K_bound) == \
         (hb.K_measured, hb.K_bound)
     assert (reports[1].lhs, reports[1].rhs) == (want.K12_measured, want.K12_bound)
-    nr = functional.nash_check(T, q, S, n_samples=500)
+    nr = functional.nash_check(T, q, S, u)
     assert (reports[2].lhs, reports[2].rhs) == (-nr.min_slack_rel, 0.0)
+    # the Nash report names the power k of its worst probe |u|^k
+    assert reports[2].extras == {"q": q, "power": nr.power}
+    assert nr.power in functional.NASH_POWERS
 
     # the pass rules: 1e-8 relative for the heat bounds, 1e-10
     # for the Nash bound; the heat bounds need Beurling-Deny, Nash does not
@@ -620,10 +624,10 @@ def test_heat_nash_reports_carry_the_heat_and_nash_verdicts():
     flipped = KineticOperator(T.space, A)
     bd = beurling_deny_check(flipped)
     assert not bd.passed
-    reports, _ = verify_heat_nash(flipped, kappa, S, bd=bd, grid_points=30, nash_samples=500)
+    reports, _ = verify_heat_nash(flipped, kappa, S, u, bd=bd, grid_points=30)
     assert [r.status for r in reports] == ["not-applicable", "not-applicable", "pass"]
 
-    reports, hb = verify_heat_nash(path_op(8, bc="periodic"), kappa, 0.0)
+    reports, hb = verify_heat_nash(path_op(8, bc="periodic"), kappa, 0.0, None)
     assert hb is None
     assert [(r.tag, r.status, r.extras["reason"]) for r in reports] == [
         (tag, "vacuous", "S = 0 (operator has kernel)")
@@ -633,7 +637,7 @@ def test_heat_nash_reports_carry_the_heat_and_nash_verdicts():
 def test_tenfold_sobolev_constant_fails_heat_and_nash(monkeypatch, tmp_path, capsys):
     """With S replaced by 10 S on clr-2d-8x8, both heat bounds and the Nash
     bound fail (measured 19.7 and 19.6 times the heat bounds, Nash shortfall
-    0.31), and verify exits 1."""
+    0.74), and verify exits 1."""
     sc = copy.deepcopy(_bundled("clr-2d-8x8"))
     sc["checks"] = []
     original = functional.sobolev_constant
@@ -652,3 +656,28 @@ def test_tenfold_sobolev_constant_fails_heat_and_nash(monkeypatch, tmp_path, cap
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [(r["tag"], r["status"]) for r in payload["results"][0]["reports"]] == [
         ("heatBound", "fail"), ("heatBound", "fail"), ("nash", "fail")]
+
+
+def test_doubled_sobolev_constant_fails_nash_on_every_bundled_scenario(monkeypatch, tmp_path):
+    """With S replaced by 2 S, the Nash bound fails on all 8 bundled heat/Nash
+    scenarios, and verify exits 1: their probes |u|^k sit 1.12 to 1.34 times
+    above the bound at S, below 2^p >= 1.486 for every q here."""
+    scenarios = [dict(sc, checks=[]) for sc in _load_config("paper-suite")["scenarios"]
+                 if sc.get("heat_nash")]
+    assert len(scenarios) == 8
+    original = functional.sobolev_constant
+
+    def doubled(T, q, **kw):
+        S, trace = original(T, q, **kw)
+        return 2.0 * S, trace
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "scenarios": scenarios}))
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(functional, "sobolev_constant", doubled)
+    assert cli.main(argv) == 1
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    nash = {res["scenario_id"]: [r["status"] for r in res["reports"] if r["tag"] == "nash"]
+            for res in payload["results"]}
+    assert nash == {sc["id"]: ["fail"] for sc in scenarios}
