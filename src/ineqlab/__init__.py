@@ -13,9 +13,8 @@ from .lattice import (ExponentSet, LatticeSpace, exponents_from_gamma_kappa,
 from .operators import (KineticOperator, beurling_deny_check,
                         build_hardy_operator, build_laplacian,
                         build_magnetic_laplacian, build_periodic_schrodinger,
-                        diamagnetic_form_pair, fractional_laplacian,
-                        random_phases, ring_flux_phases, uniform_flux_phases,
-                        weighted_transform)
+                        fractional_laplacian, random_phases, ring_flux_phases,
+                        uniform_flux_phases, weighted_transform)
 from .spectra import (birman_schwinger, birman_schwinger_check, count_below,
                       count_from_eigenvalues, heat_kernel, heat_norms,
                       hinge_profile, liyau_upsilon, riesz_mean,

@@ -185,18 +185,10 @@ def _summary_line(res: dict) -> str:
 
 
 def _jobs(args) -> int:
-    """The requested worker count: --jobs, else $INEQLAB_JOBS, else 1."""
-    if args.jobs is not None:
-        name, text = "--jobs", str(args.jobs)
-    else:
-        name, text = "INEQLAB_JOBS", os.environ.get("INEQLAB_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise verify.ConfigError(f"{name}: must be an integer >= 1, got {text!r}")
-    return jobs
+    """The requested worker count: --jobs, default 1."""
+    if args.jobs < 1:
+        raise verify.ConfigError(f"--jobs: must be an integer >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def cmd_verify(args) -> int:
@@ -325,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", required=True,
                     help="config path or bundled name (paper-suite)")
     pv.add_argument("--out", metavar="DIR", help="output directory (default .)")
-    pv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes, at most one per scenario "
-                         "(default $INEQLAB_JOBS or 1)")
+    pv.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most one per scenario (default 1)")
     pv.add_argument("--seed", type=int, default=None,
                     help="override every scenario's potential seed")
     pv.set_defaults(func=cmd_verify)

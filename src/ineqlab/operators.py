@@ -701,19 +701,3 @@ def beurling_deny_check(T: KineticOperator, omega=None) -> BeurlingDenyReport:
         cond3_omega=omega_label,
     )
 
-
-def diamagnetic_form_pair(T: KineticOperator, T_A: KineticOperator, u, v) -> tuple[float, float]:
-    """Left and right side of the form inequality t[v, |u|] <= Re t_A[v sgn u, u].
-
-    sgn u = u/|u| with the convention sgn 0 = 0.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.float64)
-    absu = np.abs(u)
-    lhs = float(np.real(v @ T.form_product(absu)))
-    sgn = np.zeros_like(u)
-    nz = absu > 0.0
-    sgn[nz] = u[nz] / absu[nz]
-    w = v * sgn
-    rhs = float(np.real(np.conj(w) @ T_A.form_product(u)))
-    return lhs, rhs

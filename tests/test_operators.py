@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
-                     build_hardy_operator, diamagnetic_form_pair,
-                     fractional_laplacian, hardy_constant, make_lattice,
+                     build_hardy_operator, fractional_laplacian,
+                     hardy_constant, make_lattice,
                      random_phases, ring_flux_phases, uniform_flux_phases,
                      weighted_transform)
 from ineqlab import cli, verify
@@ -224,28 +224,6 @@ def test_random_phases_deterministic():
     sp = make_lattice(d=2, extents=3, bc="periodic")
     np.testing.assert_array_equal(random_phases(sp, 42), random_phases(sp, 42))
     assert not np.array_equal(random_phases(sp, 42), random_phases(sp, 43))
-
-
-def test_diamagnetic_pair_zero_phase_equality():
-    sp = make_lattice(d=2, extents=3)
-    T = build_laplacian(sp)
-    TA = build_magnetic_laplacian(sp, np.zeros(len(sp.edges)))
-    rng = np.random.default_rng(8)
-    u = np.abs(rng.standard_normal(sp.n))
-    lhs, rhs = diamagnetic_form_pair(T, TA, u, u)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_diamagnetic_pair_inequality_random():
-    sp = make_lattice(d=2, extents=3, bc="periodic")
-    T = build_laplacian(sp)
-    TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.9))
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        u = rng.standard_normal(sp.n) + 1j * rng.standard_normal(sp.n)
-        v = np.abs(u) * rng.uniform(0.0, 1.0, sp.n)
-        lhs, rhs = diamagnetic_form_pair(T, TA, u, v)
-        assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
 
 
 def test_periodic_ground_state():

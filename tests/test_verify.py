@@ -1,9 +1,11 @@
 """Theorem checks, reductions, config validation, and scenario runs."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -285,7 +287,7 @@ def test_diamagnetic_flux_and_random_phases():
     for phases in (uniform_flux_phases(sp, math.pi / 2),
                    np.random.default_rng(5).uniform(-math.pi, math.pi, len(sp.edges))):
         TA = build_magnetic_laplacian(sp, phases)
-        r = verify_diamagnetic(T, TA, [0.1, 1.0, 10.0], n_pairs=50)
+        r = verify_diamagnetic(T, TA, [0.1, 1.0, 10.0])
         assert r.status == "pass", r.lhs
         assert r.rhs == 0.0
 
@@ -296,6 +298,22 @@ def test_diamagnetic_requires_matching_structure():
     TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.5))
     with pytest.raises(ValueError):
         verify_diamagnetic(T, TA, [1.0])
+
+
+def test_diamagnetic_requires_equal_diagonals_and_no_positive_offdiagonal():
+    # the form inequality is read off the structure, so a pair outside the
+    # structure its proof needs raises instead of being judged
+    sp = make_lattice(d=2, extents=4, bc="periodic")
+    T = build_laplacian(sp)
+    TA = build_magnetic_laplacian(sp, uniform_flux_phases(sp, 0.5))
+    assert verify_diamagnetic(T, TA, [1.0]).status == "pass"
+    shifted = KineticOperator(sp, TA.form + 1e-6 * np.eye(sp.n))
+    with pytest.raises(ValueError):
+        verify_diamagnetic(T, shifted, [1.0])
+    # the same |entries| with the off-diagonal signs flipped
+    flipped = KineticOperator(sp, 2.0 * np.diag(np.diag(T.form)) - T.form)
+    with pytest.raises(ValueError):
+        verify_diamagnetic(flipped, TA, [1.0])
 
 
 def test_magnetic_clr_zero_flux_reduces_to_plain():
@@ -358,7 +376,7 @@ def test_gsr_identity_on_ring():
     x = np.arange(16)
     W = 2.0 * np.cos(2.0 * math.pi * x / 16)
     bundle = build_periodic_schrodinger(sp, W)
-    r = verify_gsr_identity(bundle, n_samples=100)
+    r = verify_gsr_identity(bundle)
     assert r.status == "pass"
     assert r.lhs <= 1e-10
     assert r.extras["energy"] == pytest.approx(bundle.energy)
@@ -367,8 +385,36 @@ def test_gsr_identity_on_ring():
 def test_gsr_identity_flat_potential():
     sp = make_lattice(d=1, extents=10, bc="periodic")
     bundle = build_periodic_schrodinger(sp, np.zeros(10))
-    r = verify_gsr_identity(bundle, n_samples=25)
+    r = verify_gsr_identity(bundle)
     assert r.status == "pass"
+
+
+# 1024 eps, the bound on the golden gsrIdentity rows (tests/test_cli.py)
+RESIDUAL_FLOOR = 1024 * float(np.finfo(np.float64).eps)
+
+
+def cosine_ring(n, amplitude):
+    sp = make_lattice(d=1, extents=n, bc="periodic")
+    return build_periodic_schrodinger(sp, amplitude * np.cos(2.0 * math.pi * np.arange(n) / n))
+
+
+@pytest.mark.parametrize("n, amplitude", [(64, 0.5), (256, 2.0)])
+def test_gsr_identity_holds_on_deep_wells(n, amplitude):
+    # checked on samples v = u / omega, these rings failed at 5.3e-9 and
+    # 0.25; the two matrices of the identity agree to rounding
+    r = verify_gsr_identity(cosine_ring(n, amplitude))
+    assert r.status == "pass"
+    assert 0.0 <= r.lhs <= RESIDUAL_FLOOR
+
+
+@pytest.mark.parametrize("n, amplitude", [(16, 0.5), (64, 0.5), (256, 2.0)])
+def test_gsr_identity_fails_off_the_ground_state(n, amplitude):
+    bundle = cosine_ring(n, amplitude)
+    E, omega = bundle.energy, bundle.omega
+    for mutant in (dataclasses.replace(bundle, energy=E * (1.0 + 1e-8) + 1e-8),
+                   dataclasses.replace(bundle, omega=omega * (1.0 + 1e-6 * np.cos(np.arange(n))))):
+        r = verify_gsr_identity(mutant)
+        assert r.status == "fail" and r.lhs > 1e-9
 
 
 # --- configuration ---------------------------------------------------------
@@ -381,7 +427,6 @@ def minimal_scenario(**over):
         "exponents": {"kappa": 1.5},
         "potential": {"seed": 5, "sigmas": [1.0], "draws": 1},
         "checks": ["CLR"],
-        "seed": 1,
     }
     sc.update(copy.deepcopy(over))
     return sc
@@ -403,7 +448,6 @@ def test_validate_scenario_fills_every_default():
                       "adversarial": None},
         "checks": [],
         "heat_nash": None,
-        "seed": None,
     }
     # a normalized copy validates to itself, and true turns heat_nash on
     assert validate_scenario(copy.deepcopy(sc)) == sc
@@ -467,6 +511,14 @@ def test_validate_rejects_what_a_check_cannot_run_on(over, field):
         validate_config(cfg)
 
 
+def test_scenario_seed_is_an_unknown_key(tmp_path, capsys):
+    # no check samples, so a scenario has no seed of its own
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "scenarios": [minimal_scenario(seed=1)]}))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario 'unit-mini'.seed: unknown key" in capsys.readouterr().err
+
+
 def test_lt_moment_alone_matches_lt_moment_after_weak_lt():
     common = {"exponents": {"gamma": 1.0, "kappa": 1.5, "gamma_tilde": 2.0}}
     alone = run_scenario(minimal_scenario(checks=["LTmoment"], **common)).reports
@@ -502,6 +554,33 @@ def test_run_scenario_deterministic():
     b = run_scenario_jsonable(copy.deepcopy(sc))
     assert a == b
     assert a == run_scenario(copy.deepcopy(sc)).to_jsonable()
+
+
+def test_bundled_suite_draws_only_potentials_phases_and_starts(monkeypatch, tmp_path):
+    """The determinism contract: the only random numbers are the potential
+    draws, the random phases and the minimizers' seeded starts."""
+    callers = set()
+    default_rng = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):     # a comprehension's frame
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    assert cli.main(["verify", "--config", "paper-suite", "--out", str(tmp_path)]) == 0
+    assert callers == {"_draw_potentials", "random_phases", "_seeded_starts"}
+
+
+def test_verify_passes_a_deep_well_ring(tmp_path):
+    sc = {"id": "ring-n64", "lattice": {"d": 1, "extents": [64], "bc": "periodic"},
+          "operator": {"family": "periodic", "W": {"kind": "cosine", "amplitude": 0.5}},
+          "checks": ["gsrIdentity"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "scenarios": [sc]}))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_scenario_torus_counting_is_vacuous():
