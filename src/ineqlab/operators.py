@@ -10,18 +10,24 @@ The plain Laplacian form is t[u] = sum_edges h^(d-2) |u_x - u_y|^2 plus
 one h^(d-2) |u_x|^2 penalty per missing neighbor slot under Dirichlet
 boundary conditions.
 
-Forms are stored dense and read-only.  The constructor reads each form
-once, in blocks of rows (``_scan``): a form with an entry that is not
-finite, or with ||A - A^H||_inf above SYM_TOL max(1, max|A_ij|), is
-rejected.  When its fullest row holds k nonzeros with
-k * ROW_ROUTE_FACTOR < n, the scan also keeps a padded row list (per row,
-the column indices and values of its nonzeros, padded to k slots) and the
-bandwidth, which the inertia count in ``spectra`` reads.  form_product
-(A @ u for each row u of a b x n block, a vector being the one-row block;
-no row depends on the rows beside it) applies such a form in O(k n) work
-per row, and any other form by one dense matrix-vector product per row.
-Nearest-neighbour forms (k <= 2d + 1) take the row route on large
-lattices; fractional and inverse-square forms stay dense.  Under the
+The Laplacian, magnetic and periodic Schroedinger forms are built as a
+padded row list straight from the lattice edges (``_edge_rows``): per
+row, the column indices and values of its nonzeros, padded to the k
+slots of the fullest row.  Every other form is handed over dense, and
+the constructor reads it once, in blocks of rows (``_scan``), for the
+same row list where the form qualifies.  Either way the constructor
+rejects a form with an entry that is not finite, or with
+||A - A^H||_inf above SYM_TOL max(1, max|A_ij|), and a form whose
+fullest row holds k nonzeros with k * ROW_ROUTE_FACTOR < n keeps its row
+list and bandwidth, which the inertia count in ``spectra`` reads.
+form_product (A @ u for each row u of a b x n block, a vector being the
+one-row block; no row depends on the rows beside it) applies such a form
+in O(k n) work per row, and any other form by one dense matrix-vector
+product per row.  Nearest-neighbour forms (k <= 2d + 1) take the row
+route on large lattices; fractional and inverse-square forms stay dense.
+``KineticOperator.form`` is the dense matrix, read-only: a form built as
+a row list makes it on first read, so a large box that is only
+multiplied, solved and counted never holds an n x n array.  Under the
 measure 1, sym() of an exactly Hermitian form is the form itself,
 sharing its memory.
 
@@ -94,12 +100,26 @@ def abs_row_sums(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pad_rows(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
+    """Padded row list (cols, vals) of shape (k, n) of the nonzero entries
+    (i, j, v), given in row-major order: slot s of row i holds its s-th
+    nonzero in column order, and short rows are padded with their own
+    index and a 0."""
+    counts = np.bincount(i, minlength=n)
+    k = int(counts.max(initial=1))
+    slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.tile(np.arange(n), (k, 1))
+    vals = np.zeros((k, n), dtype=v.dtype)
+    cols[slot, i] = j
+    vals[slot, i] = v
+    return cols, vals
+
+
 def _scan(form: np.ndarray):
     """(max|A_ij|, ||A - A^H||_inf, (max Re(A - diag A), its first (i, j)),
     padded row list or None, bandwidth or None) from one pass over the rows.
-    The row list (cols, vals), kept while the rows read so far qualify for
-    the row route, has shape (k, n): slot s of row i holds its s-th nonzero
-    in column order, and short rows are padded with their own index and a 0.
+    The row list (``_pad_rows``) is kept while the rows read so far qualify
+    for the row route.
     """
     n = form.shape[0]
     peaks, offs, defects, nonzeros = [], [], [], []
@@ -125,13 +145,37 @@ def _scan(form: np.ndarray):
     if nonzeros is None:
         return peak, defect, offdiag, None, None
     i, j = np.divmod(np.concatenate(nonzeros), n)
-    k = int(counts.max(initial=1))
-    slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.tile(np.arange(n), (k, 1))
-    vals = np.zeros((k, n), dtype=form.dtype)
-    cols[slot, i] = j
-    vals[slot, i] = form[i, j]
-    return peak, defect, offdiag, (cols, vals), int(np.max(np.abs(j - i), initial=0))
+    return (peak, defect, offdiag, _pad_rows(i, j, form[i, j], n),
+            int(np.max(np.abs(j - i), initial=0)))
+
+
+def _row_stats(rows):
+    """What ``_scan`` reads from a dense form, read from its padded row list
+    (cols, vals) instead, with the same values: the peak, the defect
+    ||A - A^H||_inf (each entry matched with its transposed entry), the
+    largest Re(A - diag A) with its first (i, j) in row-major order (the
+    zeroed diagonal included), and the row list and bandwidth, or None
+    for both when the form does not take the row route."""
+    cols, vals = rows
+    n = cols.shape[1]
+    i, s = np.nonzero(vals.T != 0)                 # row-major: by row, then slot
+    j, v = cols[s, i], vals[s, i]
+    key, mirror_key = i * n + j, j * n + i         # key ascends
+    at = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
+    paired = key[at] == mirror_key
+    mirror = np.where(paired, v[at], 0)
+    # row i of |A - A^H| holds |A_ij - conj(A_ji)| at each stored A_ij, and
+    # |A_ji| at each stored A_ji whose transposed entry is not stored
+    excess = (np.bincount(i, weights=np.abs(v - np.conj(mirror)), minlength=n)
+              + np.bincount(j[~paired], weights=np.abs(v[~paired]), minlength=n))
+    re = np.where(i != j, v.real, 0.0)
+    first = int(np.argmax(re)) if re.size else 0
+    offdiag = ((float(re[first]), (int(i[first]), int(j[first])))
+               if re.size and re[first] > 0.0 else (0.0, (0, 0)))
+    peak, defect = float(np.max(np.abs(vals))), float(np.max(excess))
+    if vals.shape[0] * ROW_ROUTE_FACTOR >= n:
+        return peak, defect, offdiag, None, None
+    return peak, defect, offdiag, rows, int(np.max(np.abs(j - i), initial=0))
 
 
 class KineticOperator:
@@ -140,9 +184,11 @@ class KineticOperator:
     measure defaults to the space's cell measures but may differ (the
     weighted transform and the L^2(V dx) realization both reuse this
     class with a modified measure).  The constructor marks the form array
-    it is given read-only, without copying it.  ``transform`` is the
-    ``BoxBasis`` of sym() that the builder hands on when the operator takes
-    the transform route (``build_laplacian``), else None.
+    it is given read-only, without copying it; ``_from_rows`` builds the
+    operator of a padded row list instead, whose dense ``form`` is made on
+    first read.  ``transform`` is the ``BoxBasis`` of sym() that the
+    builder hands on when the operator takes the transform route
+    (``build_laplacian``), else None.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
@@ -150,15 +196,33 @@ class KineticOperator:
         form = np.asarray(form, dtype=None if np.iscomplexobj(form) else np.float64)
         if form.shape != (space.n, space.n):
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
-        self.space = space
         form.setflags(write=False)
-        self.form = form
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
+            stats = _scan(form)
+        self._setup(space, form, None, stats, measure, meta, transform)
+
+    @classmethod
+    def _from_rows(cls, space: LatticeSpace, rows, *, measure=None, meta: dict | None = None,
+                   transform: BoxBasis | None = None) -> "KineticOperator":
+        """The operator of the form whose padded row list (``_pad_rows``) is
+        ``rows``; its dense form is made only when a reader first asks."""
+        op = cls.__new__(cls)
+        for a in rows:
+            a.setflags(write=False)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
+            stats = _row_stats(rows)
+        op._setup(space, None, rows, stats, measure, meta, transform)
+        return op
+
+    def _setup(self, space, form, row_form, stats, measure, meta, transform):
+        self.space = space
+        self._form, self._row_form = form, row_form
+        self.dtype = (form if row_form is None else row_form[1]).dtype
         self.measure = np.asarray(space.measures if measure is None else measure, dtype=np.float64)
         if self.measure.shape != (space.n,) or np.any(self.measure <= 0.0):
             raise ValueError("measure must be a strictly positive vector over the sites")
         self.meta = dict(meta or {})
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
-            peak, self._defect, self._offdiag, self._rows, self.bandwidth = _scan(self.form)
+        peak, self._defect, self._offdiag, self._rows, self.bandwidth = stats
         if not np.isfinite(peak):
             raise ValueError("form matrix has an entry that is not finite")
         self.scale = max(1.0, peak)
@@ -166,6 +230,7 @@ class KineticOperator:
             raise ValueError("form matrix is not self-adjoint")
         self._sym = None
         self._eig = None
+        self._band = None
         self.transform = transform
 
     @property
@@ -173,8 +238,21 @@ class KineticOperator:
         return self.space.n
 
     @property
+    def form(self) -> np.ndarray:
+        """The dense form matrix, read-only; a form built as a row list
+        makes it on first read and keeps it."""
+        if self._form is None:
+            cols, vals = self._row_form
+            slot, i = np.nonzero(vals)
+            A = np.zeros((self.n, self.n), dtype=self.dtype)
+            A[i, cols[slot, i]] = vals[slot, i]
+            A.setflags(write=False)
+            self._form = A
+        return self._form
+
+    @property
     def is_real(self) -> bool:
-        return not np.iscomplexobj(self.form)
+        return not np.issubdtype(self.dtype, np.complexfloating)
 
     def sym(self) -> np.ndarray:
         """Symmetrized matrix 0.5 (B + B^H) for B = M^{-1/2} A M^{-1/2},
@@ -190,6 +268,38 @@ class KineticOperator:
                 B.setflags(write=False)
                 self._sym = B
         return self._sym
+
+    def sym_band(self, m: int):
+        """The m x m diagonal blocks of sym() over consecutive m-site blocks
+        and the blocks below them, B[k, k - 1], made from the row list, which
+        the form must keep, and cached, read-only; bit for bit the slices of
+        sym(), which is not formed."""
+        if self._band is not None and self._band[0] == m:
+            return self._band[1:]
+        cols, vals = self._rows
+        rs = 1.0 / np.sqrt(self.measure)
+        plain = self._defect == 0.0 and np.all(self.measure == 1.0)
+
+        def block(r: slice, c: slice) -> np.ndarray:      # A[r, c]
+            J, v = cols[:, r], vals[:, r]
+            slot, i = np.nonzero((J >= c.start) & (J < c.stop) & (v != 0))
+            out = np.zeros((r.stop - r.start, c.stop - c.start), dtype=self.dtype)
+            out[i, J[slot, i] - c.start] = v[slot, i]
+            return out if plain else out * rs[r, None] * rs[c]
+
+        def sym_block(r: slice, c: slice) -> np.ndarray:
+            B = block(r, c)
+            if not plain:
+                B = B + block(c, r).conj().T
+                B *= 0.5
+            B.setflags(write=False)
+            return B
+
+        cuts = [slice(i, min(i + m, self.n)) for i in range(0, self.n, m)]
+        diag = [sym_block(r, r) for r in cuts]
+        sub = [sym_block(r, c) for c, r in zip(cuts, cuts[1:])]
+        self._band = (m, diag, sub)
+        return diag, sub
 
     def eigensystem(self):
         """Cached (eigenvalues ascending, eigenvectors) of the symmetrized
@@ -258,6 +368,13 @@ class KineticOperator:
         u = np.asarray(u)
         return float(np.real(np.conj(u) @ self.form_product(u)))
 
+    def with_measure(self, measure, meta: dict) -> "KineticOperator":
+        """The same form on another measure; a form built as a row list
+        stays one."""
+        if self._row_form is None:
+            return KineticOperator(self.space, self.form, measure=measure, meta=meta)
+        return KineticOperator._from_rows(self.space, self._row_form, measure=measure, meta=meta)
+
     def shifted(self, tau: float) -> "KineticOperator":
         """Operator T + tau (form A + tau * diag(m))."""
         tau = float(tau)
@@ -275,23 +392,31 @@ class KineticOperator:
                                meta=dict(self.meta))
 
 
-def _assemble_laplacian(space: LatticeSpace, edge_factors=None) -> np.ndarray:
-    """Form matrix with optional complex factor exp(i*theta) per oriented edge;
-    np.add.at sums the terms of each entry in edge order."""
+def _edge_rows(space: LatticeSpace, edge_factors=None, diagonals=()):
+    """Padded row list (``_pad_rows``) of the nearest-neighbour form with an
+    optional complex factor exp(i*theta) per oriented edge and the
+    ``diagonals`` added to its diagonal, one after the other.  One
+    ``np.add.at`` sums the terms of each entry from zero: its edges in edge
+    order, then the Dirichlet ghost term, then each diagonal; an entry
+    that sums to zero is not kept."""
     n = space.n
-    complex_entries = edge_factors is not None and np.iscomplexobj(edge_factors)
-    A = np.zeros((n, n), dtype=np.complex128 if complex_entries else np.float64)
     x, y = space.edges.T
     w = space.edge_weights
     if edge_factors is None:
         hop = back = w
     else:
         hop, back = w * edge_factors, w * np.conj(edge_factors)
-    at = np.stack((x * (n + 1), y * (n + 1), x * n + y, y * n + x), axis=1)
-    np.add.at(A.reshape(-1), at.reshape(-1), np.stack((w, w, -hop, -back), axis=1).reshape(-1))
-    w_ghost = space.h ** (space.d - 2)
-    A[np.arange(n), np.arange(n)] += w_ghost * space.boundary_counts
-    return A
+    at = np.arange(n) * (n + 1)
+    keys = np.concatenate((np.stack((x * (n + 1), y * (n + 1), x * n + y, y * n + x),
+                                    axis=1).reshape(-1), at, *[at] * len(diagonals)))
+    terms = np.concatenate((np.stack((w, w, -hop, -back), axis=1).reshape(-1),
+                            space.h ** (space.d - 2) * space.boundary_counts, *diagonals))
+    key, slot = np.unique(keys, return_inverse=True)
+    vals = np.zeros(key.size, dtype=terms.dtype)
+    np.add.at(vals, slot, terms)
+    keep = vals != 0
+    i, j = np.divmod(key[keep], n)
+    return _pad_rows(i, j, vals[keep], n)
 
 
 def _axis_values(L: int, periodic: bool) -> np.ndarray:
@@ -412,10 +537,9 @@ def build_laplacian(space: LatticeSpace) -> KineticOperator:
     """Nearest-neighbor Laplacian form with Dirichlet penalties at missing
     slots; a box without exclusions with at least TRANSFORM_MIN_SITES sites
     takes the transform route with its ``BoxBasis``."""
-    A = _assemble_laplacian(space)
     large_box = not space.excluded and space.n >= TRANSFORM_MIN_SITES
-    return KineticOperator(space, A, meta={"family": "laplacian"},
-                           transform=BoxBasis(space) if large_box else None)
+    return KineticOperator._from_rows(space, _edge_rows(space), meta={"family": "laplacian"},
+                                      transform=BoxBasis(space) if large_box else None)
 
 
 def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
@@ -471,8 +595,8 @@ def build_magnetic_laplacian(space: LatticeSpace, phases) -> KineticOperator:
         raise ValueError(
             f"expected one phase per edge ({space.edges.shape[0]}), got shape {phases.shape}"
         )
-    A = _assemble_laplacian(space, np.exp(1j * phases))
-    return KineticOperator(space, A, meta={"family": "magnetic"})
+    return KineticOperator._from_rows(space, _edge_rows(space, np.exp(1j * phases)),
+                                      meta={"family": "magnetic"})
 
 
 def uniform_flux_phases(space: LatticeSpace, flux: float) -> np.ndarray:
@@ -526,10 +650,9 @@ def build_periodic_schrodinger(space: LatticeSpace, W) -> PeriodicGroundState:
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (space.n,):
         raise ValueError(f"potential has shape {W.shape}, expected ({space.n},)")
-    AW = _assemble_laplacian(space)
-    idx = np.arange(space.n)
-    AW[idx, idx] += space.measures * W
-    TW = KineticOperator(space, AW, meta={"family": "periodic"})
+    mW = space.measures * W
+    TW = KineticOperator._from_rows(space, _edge_rows(space, diagonals=(mW,)),
+                                    meta={"family": "periodic"})
     w, _ = TW.eigensystem()
     E = float(w[0])
     scale = TW.spectral_scale()
@@ -553,12 +676,11 @@ def build_periodic_schrodinger(space: LatticeSpace, W) -> PeriodicGroundState:
         raise RuntimeError("ground state failed strict positivity")
     omega = omega / np.max(omega)
 
-    A_shift = AW.copy()
-    A_shift[idx, idx] -= E * space.measures
-    shifted = KineticOperator(space, A_shift, meta={"family": "periodic-shifted", "energy": E,
-                                                    "ground_residual": float(resid)})
+    shifted = KineticOperator._from_rows(
+        space, _edge_rows(space, diagonals=(mW, -(E * space.measures))),
+        meta={"family": "periodic-shifted", "energy": E, "ground_residual": float(resid)})
     return PeriodicGroundState(space=space, potential=W, energy=E, omega=omega,
-                               shifted=shifted, full_form=AW)
+                               shifted=shifted, full_form=TW.form)
 
 
 def build_hardy_operator(space: LatticeSpace, s: float, *, origin=None,

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._specfun import exp_integral_e1
 from .lattice import as_potential
-from .operators import KineticOperator, abs_row_sums
+from .operators import abs_row_sums
 
 TIE_REL = 1e-9
 
@@ -109,20 +109,16 @@ def _block_size(T) -> int | None:
 
 
 def _band_blocks(T, V):
-    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them and the
-    k x m slices of the k x n potential stack V on each block, for
-    consecutive m-site blocks (``_block_size``), so that every
-    B - diag(V_j) is block tridiagonal; all three are views.  None when the
-    form takes no inertia route."""
+    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them
+    (``KineticOperator.sym_band``, from the row list) and the k x m slices
+    of the k x n potential stack V on each block, for consecutive m-site
+    blocks (``_block_size``), so that every B - diag(V_j) is block
+    tridiagonal.  None when the form takes no inertia route."""
     m = _block_size(T)
     if m is None:
         return None
-    B = T.sym()
-    starts = range(0, T.n, m)
-    diag = [B[i:i + m, i:i + m] for i in starts]
-    sub = [B[i:i + m, i - m:i] for i in starts[1:]]
-    pots = [V[:, i:i + m] for i in starts]
-    return diag, sub, pots
+    diag, sub = T.sym_band(m)
+    return diag, sub, [V[:, i:i + m] for i in range(0, T.n, m)]
 
 
 def _minus_diag(D, v) -> np.ndarray:
@@ -243,7 +239,8 @@ def _pencil_counts(T, V, couplings) -> list | None:
     """N(0, T - cV) for each c in ``couplings`` from one spectrum: a
     CountResult per coupling the certificate decides and None for the
     others, or None for all when V has a zero entry or a row of |W| does
-    not sum to a finite number.  Besides W, it makes no n x n temporary.
+    not sum to a finite number.  Besides W, it reads the dense T.sym(),
+    which builds the dense form of an operator built as a row list.
 
     With B = T.sym() and V > 0, B - cV = V^(1/2) (W - c) V^(1/2) for
     W = V^(-1/2) B V^(-1/2), so by Sylvester's law of inertia
@@ -401,7 +398,7 @@ def birman_schwinger(T, V, tau: float = 0.0) -> BirmanSchwingerOperator:
     half = (sq[:, None] * Q) / np.sqrt(wt)[None, :]
     K = half @ half.conj().T
     K = 0.5 * (K + K.conj().T)
-    if not np.iscomplexobj(T.sym()):
+    if T.is_real:
         K = np.real(K)
     return BirmanSchwingerOperator(tau=float(tau), matrix=K,
                                    eigenvalues=np.linalg.eigvalsh(K))
@@ -433,7 +430,7 @@ def liyau_upsilon(T, V):
         raise ValueError("requires a strictly positive potential; restrict the space first")
     if not T.is_positive_definite():
         raise ValueError("requires a positive definite operator")
-    return KineticOperator(T.space, T.form, measure=V * T.measure, meta={"family": "upsilon"})
+    return T.with_measure(V * T.measure, {"family": "upsilon"})
 
 
 def heat_kernel(T, s: float) -> np.ndarray:

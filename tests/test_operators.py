@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
@@ -14,9 +14,9 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      hardy_constant, make_lattice,
                      random_phases, ring_flux_phases, uniform_flux_phases,
                      weighted_transform)
-from ineqlab import cli, verify
+from ineqlab import cli, spectra, verify
 from ineqlab.operators import (ROW_ROUTE_FACTOR, SYM_TOL, TRANSFORM_MIN_SITES, BoxBasis,
-                               _scan, build_function_of_operator)
+                               _edge_rows, _scan, build_function_of_operator)
 
 
 def manual_quad_form(space, u):
@@ -497,12 +497,13 @@ def test_form_product_matches_dense_matrix(key, width, complex_input, seed):
 
 # --- the form scan and sym() ------------------------------------------------
 
-def padded_rows_reference(form):
-    """The padded row list by its own dense pass over the form."""
+def padded_rows_reference(form, route_only=True):
+    """The padded row list by its own dense pass over the form; None when
+    ``route_only`` and the form does not take the row route."""
     n = form.shape[0]
     counts = np.count_nonzero(form, axis=1)
     k = int(counts.max(initial=1))
-    if k * ROW_ROUTE_FACTOR >= n:
+    if route_only and k * ROW_ROUTE_FACTOR >= n:
         return None
     rows, cols = np.nonzero(form)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -577,6 +578,182 @@ def test_operator_reads_its_scan(key):
     if want is not None:
         assert all(same_bits(g, w) for g, w in zip(T._rows, want))
         assert T.bandwidth == int(np.max(np.abs(want[0] - np.arange(T.n))))
+
+
+# --- nearest-neighbour forms built from the edges ----------------------------
+
+def dense_assembly(space, edge_factors=None, diagonals=()):
+    """The reference dense nearest-neighbour form: np.add.at sums each
+    entry's edge terms in edge order into an n x n zero matrix, then the
+    Dirichlet ghost term and each diagonal are added to the diagonal in
+    turn (subtracting E m, as the periodic shift does, rounds as adding
+    -(E m))."""
+    n = space.n
+    complex_entries = edge_factors is not None and np.iscomplexobj(edge_factors)
+    A = np.zeros((n, n), dtype=np.complex128 if complex_entries else np.float64)
+    x, y = space.edges.T
+    w = space.edge_weights
+    if edge_factors is None:
+        hop = back = w
+    else:
+        hop, back = w * edge_factors, w * np.conj(edge_factors)
+    at = np.stack((x * (n + 1), y * (n + 1), x * n + y, y * n + x), axis=1)
+    np.add.at(A.reshape(-1), at.reshape(-1), np.stack((w, w, -hop, -back), axis=1).reshape(-1))
+    idx = np.arange(n)
+    A[idx, idx] += space.h ** (space.d - 2) * space.boundary_counts
+    for diagonal in diagonals:
+        A[idx, idx] += diagonal
+    return A
+
+
+def assert_rows_match_dense_assembly(T, A):
+    """Everything T reads from its edge-built row list equals what the dense
+    assembly A gives bit for bit: the row list, the scan's statistics, the
+    lazily built form and the inertia blocks of sym()."""
+    assert T._form is None                      # nothing dense read yet
+    peak, defect, offdiag, rows, bandwidth = _scan(A)
+    assert all(same_bits(g, w) for g, w in zip(T._row_form, padded_rows_reference(A, False)))
+    assert T.scale == max(1.0, peak) and T._defect == defect
+    assert T._offdiag == offdiag and T.bandwidth == bandwidth
+    assert T.is_real == (not np.iscomplexobj(A))
+    assert (T._rows is None) == (rows is None)
+    if rows is not None:
+        assert all(same_bits(g, w) for g, w in zip(T._rows, rows))
+    if spectra._block_size(T) is not None:
+        V = np.zeros((1, T.n))
+        diag, sub, pots = spectra._band_blocks(T, V)
+        m = spectra._block_size(T)
+        B = KineticOperator(T.space, A, measure=T.measure).sym()
+        starts = range(0, T.n, m)
+        assert len(diag) == len(starts) and len(sub) == len(starts) - 1
+        assert all(same_bits(g, np.ascontiguousarray(B[i:i + m, i:i + m]))
+                   for g, i in zip(diag, starts))
+        assert all(same_bits(g, np.ascontiguousarray(B[i:i + m, i - m:i]))
+                   for g, i in zip(sub, starts[1:]))
+        assert T._form is None                  # the blocks read no dense form
+    assert same_bits(T.form, A)
+    assert not T.form.flags.writeable
+
+
+def _bundled_edge_forms():
+    """(id, operator, dense assembly) of every nearest-neighbour form the
+    bundled suite builds, each rebuilt from its operator block."""
+    for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
+        space, T, T_A, bundle, _ = verify._build_instance(sc)
+        op, sid = sc["operator"], sc["id"]
+        if op["family"] in ("laplacian", "magnetic"):
+            yield sid, T, dense_assembly(space)
+        if op["family"] == "magnetic":
+            if op["phases"] == "random":
+                phases = random_phases(space, op["seed"])
+            else:
+                phases = (uniform_flux_phases if op["phases"] == "flux"
+                          else ring_flux_phases)(space, op["flux"])
+            yield f"{sid}-magnetic", T_A, dense_assembly(space, np.exp(1j * phases))
+        if op["family"] == "periodic":
+            mW = space.measures * bundle.potential
+            E = bundle.energy
+            yield sid, T, dense_assembly(space, diagonals=(mW, -(E * space.measures)))
+
+
+BUNDLED_EDGE_FORMS = {sid: (T, A) for sid, T, A in _bundled_edge_forms()}
+
+
+def test_bundled_edge_forms_cover_every_nearest_neighbour_family():
+    fams = {T.meta["family"] for T, _ in BUNDLED_EDGE_FORMS.values()}
+    assert fams == {"laplacian", "magnetic", "periodic-shifted"}
+    assert any(T._rows is not None for T, _ in BUNDLED_EDGE_FORMS.values())
+    # the form of T + W that the periodic bundle hands to gsrIdentity
+    for sc in verify.validate_config(cli._load_config("paper-suite"))["scenarios"]:
+        if sc["operator"]["family"] == "periodic":
+            space, _, _, bundle, _ = verify._build_instance(sc)
+            mW = space.measures * bundle.potential
+            assert same_bits(bundle.full_form, dense_assembly(space, diagonals=(mW,))), sc["id"]
+
+
+@pytest.mark.parametrize("sid", sorted(BUNDLED_EDGE_FORMS))
+def test_bundled_edge_rows_match_the_dense_assembly(sid):
+    T, A = BUNDLED_EDGE_FORMS[sid]
+    assert_rows_match_dense_assembly(T, A)
+
+
+@st.composite
+def edge_spaces(draw):
+    """Lattices of d = 1, 2, 3 (extent-1 and extent-2 periodic axes
+    included) with up to two exclusions, large enough on some draws for the
+    row route and the inertia blocks."""
+    d = draw(st.integers(1, 3))
+    extents = draw(st.lists(st.integers(1, {1: 300, 2: 20, 3: 8}[d]), min_size=d, max_size=d))
+    bc = draw(st.sampled_from(["dirichlet", "periodic"]))
+    h = draw(st.sampled_from([1.0, 0.5, 0.3]))
+    exclusions = draw(st.lists(st.tuples(*[st.integers(0, e - 1) for e in extents]),
+                               max_size=min(2, math.prod(extents) - 1)))
+    return make_lattice(d, extents, h=h, bc=bc, exclusions=exclusions)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(space=edge_spaces(), kind=st.sampled_from(["laplacian", "random", "flux", "periodic-W"]),
+       seed=st.integers(0, 2**16))
+# forms with inertia blocks, where sym() rounds (h != 1) or is complex
+@example(space=make_lattice(1, 300, h=0.3), kind="random", seed=1)
+@example(space=make_lattice(1, 256, h=0.5, exclusions=[(9,)]), kind="periodic-W", seed=2)
+@example(space=make_lattice(2, (16, 20), h=0.5), kind="flux", seed=3)
+@example(space=make_lattice(2, (20, 12), h=0.3, exclusions=[(3, 4)]), kind="random", seed=4)
+@example(space=make_lattice(3, 8, h=0.3), kind="random", seed=5)
+@example(space=make_lattice(3, (8, 8, 7), h=1.0), kind="periodic-W", seed=6)
+def test_edge_rows_match_the_dense_assembly(space, kind, seed):
+    """The edge-built row list of the Laplacian, of magnetic forms (random
+    phases; a uniform flux in d = 2, equal phases in d = 1) and of the
+    periodic W diagonal with a -E shift equals the dense assembly bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "laplacian" or (kind == "flux" and space.d == 3):
+        T, A = build_laplacian(space), dense_assembly(space)
+    elif kind in ("random", "flux"):
+        if kind == "random":
+            phases = random_phases(space, seed)
+        elif space.d == 2:
+            phases = uniform_flux_phases(space, float(rng.choice([0.7, np.pi / 2, np.pi])))
+        else:
+            phases = np.full(len(space.edges), float(rng.choice([0.3, np.pi])))
+        T = build_magnetic_laplacian(space, phases)
+        A = dense_assembly(space, np.exp(1j * phases))
+    else:
+        # some sites cancel the Laplacian's diagonal exactly, so the
+        # entry is dropped from the row list, and -E m may bring it back
+        diag = np.diag(dense_assembly(space)).copy()
+        W = rng.standard_normal(space.n)
+        cancel = rng.random(space.n) < 0.2
+        W[cancel] = -diag[cancel] / space.measures[cancel]
+        mW = space.measures * W
+        E = float(rng.choice([0.0, -0.0, 0.7]))
+        diagonals = (mW, -(E * space.measures))
+        T = KineticOperator._from_rows(space, _edge_rows(space, diagonals=diagonals))
+        A = dense_assembly(space, diagonals=diagonals)
+    assert_rows_match_dense_assembly(T, A)
+
+
+def test_large_box_reads_no_dense_form():
+    """A 64 x 64 Dirichlet box is minimized, counted and checked for its
+    heat bound without building its form, or any array as large as it."""
+    from ineqlab import heat_bound_check, sobolev_constant
+    from ineqlab.spectra import count_below
+
+    sp = make_lattice(d=2, extents=64)
+    dense_bytes = sp.n**2 * 8                         # 128 MiB
+    tracemalloc.start()
+    try:
+        T = build_laplacian(sp)
+        S, _ = sobolev_constant(T, 4.0)
+        V = np.random.default_rng(2).uniform(0.0, 4.0, size=(2, sp.n))
+        counts = count_below(T, V, 0.0)
+        heat_bound_check(T, 2.0, S, grid_points=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T._form is None and T._sym is None and T._eig is None
+    assert len(counts) == 2 and all(c.tie is None for c in counts)
+    assert peak < dense_bytes, peak
 
 
 @pytest.mark.parametrize("route", ["dense", "row-route"])
