@@ -23,13 +23,15 @@ shared solve does not, so a row matches its one-row run only to
 rounding; for a fixed BLAS build and thread count the result is
 deterministic to the last bit.
 
-The interpolation constant runs the same fixed point jointly in (u, tau):
-every row carries its own shift tau, the solve divides by w + tau in the
-cached eigenbasis of A, and after each accepted round tau moves to its
-closed-form best value for the row's new point.  At tau = 0 with no tau
-step this is the Sobolev path, bit for bit.  It is the only route to the
-interpolation constant; its value is an upper bound, attained at the
-reported minimizer.
+The interpolation constant runs the same fixed point jointly in (u, tau),
+from the same 17 starts: every row carries its own shift tau, the solve
+divides by w + tau in the cached eigenbasis of A, and after each accepted
+round tau moves to its closed-form best value for the row's new point.
+At tau = 0 with no tau step this is the Sobolev path, bit for bit.  It is
+the only route to the interpolation constant; its value is an upper
+bound, attained at the reported minimizer.  Neither minimizer takes an
+option: each is one fixed search.  So is the Lieb bound, whose minimizer
+is the root of one increasing function, found by bisection.
 
 The seeded starts are the only random numbers drawn here.  The Nash bound
 that S implies is tested on a fixed ladder of powers |u|^k of the Sobolev
@@ -39,6 +41,7 @@ minimizer u (``nash_check``), where a too large S shows first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,22 +203,23 @@ def _polish(T, q, U, *, tau=0.0, theta=None, max_iter=500):
     return t, U, res, rounds
 
 
-def _seeded_starts(n: int, restarts: int, seed: int) -> np.ndarray:
-    """``restarts`` seeded standard normal rows plus one positive row."""
-    return np.array([np.random.default_rng(seed + k).standard_normal(n)
-                     for k in range(restarts)] + [np.ones(n)])
+def _seeded_starts(n: int) -> np.ndarray:
+    """The start block of both minimizers: 16 standard normal rows, row k
+    seeded with k, plus one positive row."""
+    return np.array([np.random.default_rng(k).standard_normal(n) for k in range(16)]
+                    + [np.ones(n)])
 
 
-def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0):
+def sobolev_constant(T, q: float):
     """Best found value of inf t[u]/||u||_q^2 with a minimization trace.
 
     Returns (S, trace).  S is an upper bound on the infimum, attained at
     the trace's minimizer; the trace also carries the fixed-point rounds
     summed over the starts (``trace.iterations``) and the first-order
-    residual.  The starts are ``restarts`` seeded random rows plus one
-    positive row, polished as one block by ``_polish``; a start stops early
-    once it lies within ``MERGE_REL`` of a settled start, up to sign, with
-    a value no lower than that start's.  Nothing here bounds the infimum from below;
+    residual.  The starts are the 17 rows of ``_seeded_starts``, polished
+    as one block by ``_polish``; a start stops early once it lies within
+    ``MERGE_REL`` of a settled start, up to sign, with a value no lower
+    than that start's.  Nothing here bounds the infimum from below;
     ``nash_check`` on the minimizer is the check that a too large S fails.
     Operators with nontrivial kernel return S = 0 immediately (the
     infimum vanishes on kernel vectors) with trace.vacuous set.
@@ -231,7 +235,7 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0):
         return 0.0, MinimizationTrace(value=0.0, minimizer=kern, restarts=0,
                                       iterations=0, residual=0.0, vacuous=True)
 
-    U0 = _seeded_starts(T.n, restarts, seed)
+    U0 = _seeded_starts(T.n)
     t_p, U_p, res, rounds = _polish(T, q, U0 / _norm_q(U0, T.measure, q)[:, None])
     i = int(np.argmin(t_p))         # the first of equal minima
     best_t = float(t_p[i])
@@ -244,28 +248,6 @@ def sobolev_constant(T, q: float, *, restarts: int = 16, seed: int = 0):
 def _xpowx(x: float) -> float:
     """x^x with the limit value 1 at x = 0."""
     return 1.0 if x <= 0.0 else math.exp(x * math.log(x))
-
-
-def _golden_log(f, lo: float, hi: float, *, iterations: int):
-    """Golden-section search for the minimum of f over [lo, hi] on a log scale.
-
-    Returns the midpoint (geometric) of the final bracket and the smaller
-    of the two final probe values.
-    """
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(math.exp(d))
-    return math.exp(0.5 * (a + b)), min(fc, fd)
 
 
 @dataclass
@@ -281,15 +263,13 @@ class InterpConstant:
     vacuous: bool = False
 
 
-def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
-                            seed: int = 0) -> InterpConstant:
+def sobolev_interp_constant(T, q: float, theta: float) -> InterpConstant:
     """Interpolation constant inf t[u]^theta ||u||^(2(1-theta)) / ||u||_q^2.
 
     Computed through the scaling equivalence
     S_interp = theta^theta (1-theta)^(1-theta) * inf_tau tau^(theta-1) S(T + tau, q)
-    as one joint fixed point in (u, tau).  Its start block is the first
-    ``restarts`` seeded random rows of ``sobolev_constant``'s block plus its
-    positive row, 8 + 1 by default against 16 + 1 there.  Every row
+    as one joint fixed point in (u, tau), from the 17 starts of
+    ``sobolev_constant`` (``_seeded_starts``).  Every row
     carries its own shift, first the best one for its start,
     tau = t[u] (1-theta) / (theta ||u||^2) (``tau_min_value``).
     Each round of ``_polish`` takes one guarded fixed-point step of S(T + tau)
@@ -318,7 +298,7 @@ def sobolev_interp_constant(T, q: float, theta: float, *, restarts: int = 8,
         # t[u] and ||u||^2 of each row
         return _rowdot(U, T.form_product(U)), _rowdot(U, m * U)
 
-    U0 = _seeded_starts(T.n, restarts, seed)
+    U0 = _seeded_starts(T.n)
     U0 /= _norm_q(U0, m, q)[:, None]
     _, U, _, _ = _polish(T, q, U0, tau=tau_min_value(*parts(U0), theta).tau_star,
                          theta=theta)
@@ -481,61 +461,56 @@ def lieb_objective(a: float, K: float, kappa: float) -> float:
 class LiebBound:
     value: float
     a_star: float
-    unimodal: bool
+
+
+def _lieb_stationarity(a: float) -> float:
+    """h(a) = a + a (e^a E1(a) (1 + a) - 1) / (1 - a e^a E1(a)).
+
+    a f'(a)/f(a) = h(a) - (kappa - 1) for the objective f of
+    ``lieb_objective``, so f is stationary where h(a) = kappa - 1.  h is
+    increasing with a < h(a) < a + 1: h(a) - a is
+    int a t e^-t/(a+t)^2 dt / int t e^-t/(a+t) dt, and 0 < a/(a+t) < 1.
+    """
+    g = e1_scaled(a)
+    return a + a * (g * (1.0 + a) - 1.0) / (1.0 - a * g)
 
 
 def lieb_bound_from_K(K: float, kappa: float) -> LiebBound:
     """Semigroup-method eigenvalue-counting constant from the heat constant K.
 
     Minimizes the closed-form objective over a > 0 (the inner integral
-    int_0^inf e^-lambda/(lambda+a) dlambda equals e^a E1(a)) by a log
-    grid bracket plus golden-section refinement.  The grid spans
-    [1e-4, 30] and is extended geometrically past an end that holds the
-    minimum until the minimum is interior.  Where the objective overflows
-    (a^(1-kappa) near a = 0 at large kappa) the search reads it as +inf;
-    a minimum that is not a finite positive double, or a starting grid
-    with no finite value, raises ValueError.
+    int_0^inf e^-lambda/(lambda+a) dlambda equals e^a E1(a)).  Its one
+    minimum a* is the root of h(a) = kappa - 1 (``_lieb_stationarity``),
+    which depends on kappa alone and lies in [kappa - 2, kappa - 1] since
+    a < h(a) < a + 1; a* is found by bisecting that bracket in log a
+    (below at the smallest normal double) until it stops shrinking, and
+    the objective is evaluated once, at a*.  A minimum that is not a
+    finite positive double raises ValueError.
     """
     if not kappa > 1.0:
         raise ValueError(f"requires kappa > 1, got {kappa}")
     if not K > 0.0:
         raise ValueError(f"requires K > 0, got {K}")
-
-    def f(a: float) -> float:
-        try:
-            return lieb_objective(a, K, kappa)
-        except ArithmeticError:     # overflow, or a nonpositive denominator
-            return math.inf
-
-    def out_of_range(value):
-        return ValueError(f"the Lieb bound for kappa = {kappa} lies outside the "
-                          f"double range (computed {value})")
-
-    grid = [float(a) for a in np.geomspace(1e-4, 30.0, 160)]
-    vals = [f(a) for a in grid]
-    if not any(map(math.isfinite, vals)):
-        # K so large that the objective overflows everywhere: the bracket
-        # would only ever grow toward a = 0
-        raise out_of_range(min(vals))
-    ratio = grid[1] / grid[0]
-    i = int(np.argmin(vals))
-    while i in (0, len(grid) - 1):
-        at, a = (0, grid[0] / ratio) if i == 0 else (len(grid), grid[-1] * ratio)
-        grid.insert(at, a)
-        vals.insert(at, f(a))
-        i = int(np.argmin(vals))
-    with np.errstate(invalid="ignore"):     # inf - inf where it overflows
-        diffs = np.sign(np.diff(vals))
-    changes = int(np.count_nonzero(np.diff(diffs[np.abs(diffs) == 1.0])))
-    unimodal = changes <= 1
-    a_lo, a_hi = grid[i - 1], grid[i + 1]
-    # 40 steps shrink the interior bracket (two grid cells, width 0.159 in
-    # log a) below 1e-9
-    a_star, _ = _golden_log(f, a_lo, a_hi, iterations=40)
-    value = f(a_star)
+    lo = math.log(max(kappa - 2.0, sys.float_info.min))
+    hi = math.log(kappa - 1.0)
+    try:
+        # the widest bracket, 708 in log a, is below 4e-17 after 64 halvings
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if _lieb_stationarity(math.exp(mid)) < kappa - 1.0:
+                lo = mid
+            else:
+                hi = mid
+        a_star = math.exp(0.5 * (lo + hi))
+        value = lieb_objective(a_star, K, kappa)
+    except ArithmeticError:     # overflow, or 1 - a e^a E1(a) lost to rounding
+        value = math.inf
     if not (value > 0.0 and math.isfinite(value)):
-        raise out_of_range(value)
-    return LiebBound(value=value, a_star=a_star, unimodal=unimodal)
+        raise ValueError(f"the Lieb bound for kappa = {kappa} lies outside the "
+                         f"double range (computed {value})")
+    return LiebBound(value=value, a_star=a_star)
 
 
 def aizenman_lieb_factor(gamma: float, gamma_tilde: float, kappa: float) -> float:

@@ -125,16 +125,17 @@ def test_sobolev_nearly_singular_form():
 def test_sobolev_row_route_matches_dense_route(monkeypatch):
     T = build_laplacian(make_lattice(d=1, extents=256))
     assert T._rows is not None
-    S_row, trace = sobolev_constant(T, 6.0, restarts=4)
+    S_row, trace = sobolev_constant(T, 6.0)
     dense = build_laplacian(make_lattice(d=1, extents=256))
     monkeypatch.setattr(dense, "_rows", None)
-    S_dense, _ = sobolev_constant(dense, 6.0, restarts=4)
+    S_dense, _ = sobolev_constant(dense, 6.0)
     assert S_row == pytest.approx(S_dense, rel=1e-10)
     assert _ladder_holds(T, 6.0, S_row, trace)
 
 
 def _starts(n, restarts=16):
-    # the seeded starts and the positive start of sobolev_constant
+    # the first `restarts` seeded starts and the positive start of
+    # sobolev_constant and sobolev_interp_constant, whose block is _starts(n)
     return np.array([np.random.default_rng(k).standard_normal(n) for k in range(restarts)]
                     + [np.ones(n)])
 
@@ -266,7 +267,9 @@ def test_sobolev_default_starts_reach_the_lowest_basin():
     # descent from the same starts settles at 1.98428 (+3.7 %)
     T = build_laplacian(make_lattice(d=2, extents=(8, 8)))
     S, trace = sobolev_constant(T, 6.0)
-    S_wide, _ = sobolev_constant(T, 6.0, restarts=64)
+    U0 = _starts(T.n, 64)
+    t_wide, *_ = functional._polish(T, 6.0, U0 / functional._norm_q(U0, T.measure, 6.0)[:, None])
+    S_wide = float(t_wide.min())
     assert S == pytest.approx(1.913880, rel=1e-6)
     assert S == pytest.approx(S_wide, rel=1e-6)
     assert trace.residual <= 1e-10
@@ -302,21 +305,21 @@ def test_interp_matches_benchmark_reference(sid):
     assert ic.value == pytest.approx(want["S_interp"], rel=1e-10)
 
 
-@pytest.mark.parametrize("restarts, shift", [(16, 0.0), (8, 1.5)],
-                         ids=["default", "first-tau-solve"])
-def test_sobolev_given_seeded_starts_is_the_default_call(restarts, shift):
+@pytest.mark.parametrize("shift", [0.0, 1.5], ids=["default", "first-tau-solve"])
+def test_sobolev_given_seeded_starts_is_the_default_call(shift):
     # the fixed point from the seeded block at one shift, solved in the
-    # eigenbasis of T, is the default call on T + shift: bit for bit at
-    # shift 0, where the S path adds +0.0, and to rounding otherwise, where
+    # eigenbasis of T, is the call on T + shift: bit for bit at shift 0,
+    # where the S path adds +0.0, and to rounding otherwise, where
     # w + shift stands for the eigenvalues of the shifted form
     T = build_laplacian(make_lattice(d=1, extents=32))
     q = 6.0
-    S, trace = sobolev_constant(T.shifted(shift) if shift else T, q, restarts=restarts)
-    U0 = _starts(T.n, restarts)
+    S, trace = sobolev_constant(T.shifted(shift) if shift else T, q)
+    U0 = _starts(T.n)
+    assert np.array_equal(U0, functional._seeded_starts(T.n))
     t, P, res, rounds = functional._polish(
         T, q, U0 / functional._norm_q(U0, T.measure, q)[:, None], tau=shift)
     i = int(np.argmin(t))
-    assert trace.restarts == restarts + 1
+    assert trace.restarts == 17
     if shift:
         assert t[i] == pytest.approx(S, rel=1e-12)
         # the two routes may settle on u and -u
@@ -378,13 +381,35 @@ def test_interp_limit_recovers_sobolev():
     assert ic.value == pytest.approx(S, rel=1e-3)
 
 
+def _golden_log(f, lo, hi, *, iterations):
+    """Golden-section search for the minimum of f over [lo, hi] on a log scale.
+
+    Returns the midpoint (geometric) of the final bracket and the smaller
+    of the two final probe values.
+    """
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    for _ in range(iterations):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(math.exp(d))
+    return math.exp(0.5 * (a + b)), min(fc, fd)
+
+
 def _nested_interp(T, q, theta):
     # the scaling identity S_interp = c_theta min_tau tau^(theta-1) S(T + tau),
     # c_theta = theta^theta (1-theta)^(1-theta), in nested form: a golden
     # section over tau in [1e-2, 1e2] lambda_1(T), each S(T + tau) its own
     # Sobolev solve of the shifted form; returns (value, tau)
     lam1 = float(T.eigenvalues()[0])
-    tau, J = functional._golden_log(
+    tau, J = _golden_log(
         lambda tau: tau ** (theta - 1.0)
         * sobolev_constant(T.shifted(tau), q)[0],
         1e-2 * lam1, 1e2 * lam1, iterations=60)
@@ -499,10 +524,10 @@ def test_interp_tau_step_stops_at_cap(monkeypatch):
     taus = itertools.cycle([1.0, 2.0])
     monkeypatch.setattr(functional, "tau_min_value",
                         lambda a, b, th: functional.TauMinimum(a, np.full_like(a, next(taus))))
-    sobolev_interp_constant(T, 4.0, 0.5, restarts=1)
+    sobolev_interp_constant(T, 4.0, 0.5)
     [(kwargs, (_, _, _, rounds))] = seen
     assert kwargs["theta"] == 0.5
-    assert rounds.tolist() == [500, 500]
+    assert rounds.tolist() == [500] * 17
 
 
 @pytest.mark.parametrize("lat, gamma, kappa, parent_products",
@@ -572,9 +597,55 @@ def test_interp_tau_step_beats_global_tau_grid(lat, gamma, kappa):
     ic = sobolev_interp_constant(T, e.q, e.theta)
     coef = e.theta**e.theta * (1.0 - e.theta) ** (1.0 - e.theta)
     grid = [coef * tau ** (e.theta - 1.0)
-            * sobolev_constant(T.shifted(tau), e.q, restarts=8)[0]
+            * sobolev_constant(T.shifted(tau), e.q)[0]
             for tau in np.geomspace(1e-4, 1e4, 9) * T.eigenvalues()[-1]]
     assert ic.value <= (1.0 + 1e-10) * min(grid)
+
+
+def _interp_from_block(T, q, theta, U0):
+    # sobolev_interp_constant's value from the start block U0: the joint
+    # fixed point from each row at its best shift, the least J scaled by
+    # theta^theta (1-theta)^(1-theta)
+    m = T.measure
+    U0 = U0 / functional._norm_q(U0, m, q)[:, None]
+
+    def parts(U):
+        return functional._rowdot(U, T.form_product(U)), functional._rowdot(U, m * U)
+
+    _, U, _, _ = functional._polish(T, q, U0, tau=tau_min_value(*parts(U0), theta).tau_star,
+                                    theta=theta)
+    t, n2 = parts(U)
+    tau = tau_min_value(t, n2, theta).tau_star
+    J = tau ** (theta - 1.0) * (t + tau * n2)
+    return theta**theta * (1.0 - theta) ** (1.0 - theta) * float(J.min())
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+# the first 8 seeded starts and the positive one settle at 1.639243869
+# here, the 17 starts at 1.501426622
+@example(family="hardy", d=2, side=5, seed=1137, q=6.0, varying=True, theta=0.5)
+@given(family=st.sampled_from(["laplacian", "fractional", "hardy"]),
+       d=st.integers(1, 2), side=st.integers(3, 6), seed=st.integers(0, 2**16),
+       q=st.sampled_from([3.0, 4.0, 6.0]), varying=st.booleans(),
+       theta=st.sampled_from([0.25, 0.5, 0.75]))
+def test_interp_block_is_never_above_its_first_nine_rows(family, d, side, seed, q, varying,
+                                                        theta):
+    """S_interp polishes the 17 starts of sobolev_constant; the merge only
+    stops a row in a basin that has settled, so no basin that the first 8
+    seeded starts and the positive one reach is lost."""
+    T = _small_form(family, d, side, np.random.default_rng(seed) if varying else None)
+    ic = sobolev_interp_constant(T, q, theta)
+    assert ic.value <= (1.0 + 1e-12) * _interp_from_block(T, q, theta, _starts(T.n, 8))
+
+
+def test_interp_all_seventeen_starts_reach_a_lower_basin():
+    # on this form the rows that S_interp polished before the blocks were
+    # shared, the first 8 seeded starts and the positive one, miss the
+    # lowest basin that the 17 starts of sobolev_constant reach
+    T = _small_form("hardy", 2, 5, np.random.default_rng(1137))
+    assert _interp_from_block(T, 6.0, 0.5, _starts(T.n, 8)) == pytest.approx(1.639243869,
+                                                                            rel=1e-9)
+    assert sobolev_interp_constant(T, 6.0, 0.5).value == pytest.approx(1.501426622, rel=1e-9)
 
 
 def test_interp_vacuous_on_kernel():
@@ -738,7 +809,6 @@ def test_lieb_bound_matches_scalar_oracle():
             options={"xatol": 1e-13})
         assert lb.value == pytest.approx(res.fun, rel=1e-9)
         assert lb.a_star == pytest.approx(math.exp(res.x), rel=1e-6)
-        assert lb.unimodal
         # linear in K
         lb2 = lieb_bound_from_K(2.0 * K, kappa)
         assert lb2.value == pytest.approx(2.0 * lb.value, rel=1e-10)
@@ -748,9 +818,9 @@ def test_lieb_bound_matches_scalar_oracle():
         lieb_bound_from_K(0.0, 1.5)
 
 
-def test_lieb_bound_extends_grid_past_either_edge():
-    # minima beyond the initial grid [1e-4, 30]: large kappa above it,
-    # kappa -> 1 below it
+def test_lieb_bound_at_small_and_large_a_star():
+    # minima far from a = 1: above 10 at large kappa, below 1e-4 as
+    # kappa -> 1
     for kappa, lo, hi in ((40.0, 10.0, 100.0), (1.00001, 1e-8, 1e-4)):
         lb = lieb_bound_from_K(1.0, kappa)
         res = scipy.optimize.minimize_scalar(
@@ -760,9 +830,11 @@ def test_lieb_bound_extends_grid_past_either_edge():
         assert lo < lb.a_star < hi
         assert lb.value == pytest.approx(res.fun, rel=1e-9)
         assert lb.a_star == pytest.approx(math.exp(res.x), rel=1e-5)
-        assert lb.unimodal
     with pytest.raises(ValueError, match="kappa = 700"):
         lieb_bound_from_K(1.0, 700.0)
+    # past kappa = 9e15, 1 - a e^a E1(a) rounds to 0 inside the bracket
+    with pytest.raises(ValueError, match=r"kappa = 1e\+17"):
+        lieb_bound_from_K(1.0, 1e17)
 
 
 def test_lieb_bound_at_large_kappa():
@@ -772,13 +844,57 @@ def test_lieb_bound_at_large_kappa():
     assert math.isfinite(lb.value) and lb.value > 0.0
     assert lb.a_star == pytest.approx(78.0, abs=0.1)
     assert lb.value <= lieb_objective(78.0, 1.0, 80.0)
-    assert lb.unimodal
     # at kappa = 150 a^(1 - kappa) underflows near the minimum, 5.4e-262
     lb = lieb_bound_from_K(1.0, 150.0)
     a = mpmath.mpf(lb.a_star)
     want = a ** -149 * mpmath.exp(a) / (1 - a * mpmath.exp(a) * mpmath.e1(a)) / (150 * 149)
     assert lb.value == pytest.approx(float(want), rel=1e-12)
     assert lb.a_star == pytest.approx(148.0, abs=0.1)
+
+
+def _lieb_h(a):
+    # h(a) = a + a (g (1 + a) - 1) / (1 - a g), g = e^a E1(a), in mpmath:
+    # the Lieb objective is stationary where h(a) = kappa - 1
+    a = mpmath.mpf(a)
+    g = mpmath.exp(a) * mpmath.e1(a)
+    return a + a * (g * (1 + a) - 1) / (1 - a * g)
+
+
+def test_lieb_stationarity_is_increasing_within_one_of_a():
+    # so the one root of h(a) = kappa - 1 lies in [kappa - 2, kappa - 1]
+    a = [mpmath.mpf(10) ** e for e in mpmath.linspace(-15, 3, 181)]
+    h = [_lieb_h(x) for x in a]
+    assert all(x < y < x + 1 for x, y in zip(a, h))
+    assert all(y0 < y1 for y0, y1 in zip(h, h[1:]))
+
+
+@pytest.mark.parametrize("kappa", [1.00001, 4.0 / 3.0, 1.5, 2.0, 2.5, 40.0, 80.0, 150.0])
+def test_lieb_bound_a_star_is_the_stationarity_root(kappa):
+    root = mpmath.findroot(lambda a: _lieb_h(a) - (kappa - 1),
+                           (max(kappa - 2, 1e-300), kappa - 1), solver="anderson")
+    assert lieb_bound_from_K(1.0, kappa).a_star == pytest.approx(float(root), rel=1e-12)
+
+
+def test_lieb_bound_is_one_objective_evaluation(monkeypatch):
+    # the root search evaluates h alone, at most 64 times, and the
+    # objective once, at a*
+    calls = {"h": 0, "f": 0}
+    h, f = functional._lieb_stationarity, functional.lieb_objective
+
+    def counted_h(a):
+        calls["h"] += 1
+        return h(a)
+
+    def counted_f(*args):
+        calls["f"] += 1
+        return f(*args)
+
+    monkeypatch.setattr(functional, "_lieb_stationarity", counted_h)
+    monkeypatch.setattr(functional, "lieb_objective", counted_f)
+    for kappa in (1.0 + 2.0**-52, 1.00001, 1.5, 2.0, 2.5, 80.0, 150.0):
+        calls.update(h=0, f=0)
+        lieb_bound_from_K(1.0, kappa)
+        assert calls["f"] == 1 and 1 <= calls["h"] <= 64, (kappa, calls)
 
 
 def test_lieb_bound_reference_point():
