@@ -1,7 +1,7 @@
 """Scalar special functions implemented from scratch.
 
 The constant formulas downstream (Hardy couplings, hinge-profile
-transforms, semigroup bounds, beta-function factors) must not depend on
+transforms, semigroup bounds, lifting factors) must not depend on
 an external library silently changing values, so everything here is
 self-contained double-precision code:
 
@@ -12,7 +12,6 @@ self-contained double-precision code:
   continued fraction for x >= 1; target relative accuracy 1e-12.
   ``e1_scaled`` returns exp(x)*E1(x) without intermediate under/overflow,
   which the semigroup-bound objective needs for large arguments.
-* ``beta_fn`` -- via log-gamma.
 
 Tests compare each routine against mpmath/scipy oracles.
 """
@@ -54,13 +53,6 @@ def lgamma(x: float) -> float:
         acc += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Euler beta B(a, b) for a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta_fn requires positive arguments, got {a!r}, {b!r}")
-    return math.exp(lgamma(a) + lgamma(b) - lgamma(a + b))
 
 
 def _e1_series(x: float) -> float:

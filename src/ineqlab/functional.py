@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._specfun import beta_fn, e1_scaled, hardy_constant, lgamma
+from ._specfun import e1_scaled, hardy_constant, lgamma
 from .spectra import heat_norms
 
 __all__ = [
@@ -54,16 +54,14 @@ __all__ = [
     "sobolev_interp_constant", "tau_min_value", "nash_check",
     "heat_bound_check", "hardy_constant", "clr_bounds_from_S",
     "ltw_bounds_from_S", "lieb_bound_from_K", "lieb_objective",
-    "aizenman_lieb_factor", "aizenman_lieb_unminimized",
-    "continuum_sobolev_d3",
+    "aizenman_lieb_factor",
 ]
 
 
 @dataclass
 class MinimizationTrace:
     value: float
-    minimizer: np.ndarray | None
-    restarts: int
+    minimizer: np.ndarray | None     # None when the constant is vacuous
     iterations: int
     residual: float              # ||grad||_2 / max(1, |value|) at the reported minimizer
     vacuous: bool = False
@@ -222,25 +220,22 @@ def sobolev_constant(T, q: float):
     than that start's.  Nothing here bounds the infimum from below;
     ``nash_check`` on the minimizer is the check that a too large S fails.
     Operators with nontrivial kernel return S = 0 immediately (the
-    infimum vanishes on kernel vectors) with trace.vacuous set.
+    infimum vanishes on kernel vectors) with trace.vacuous set and no
+    minimizer.
     """
     if not q > 2.0:
         raise ValueError(f"requires q > 2, got {q}")
     if not T.is_real:
         raise ValueError("Sobolev minimization handles real symmetric forms only")
     if not T.is_positive_definite():
-        _, Q = T.eigensystem()
-        kern = Q[:, 0] / np.sqrt(T.measure)
-        kern = kern / _norm_q(kern, T.measure, q)
-        return 0.0, MinimizationTrace(value=0.0, minimizer=kern, restarts=0,
-                                      iterations=0, residual=0.0, vacuous=True)
+        return 0.0, MinimizationTrace(value=0.0, minimizer=None, iterations=0,
+                                      residual=0.0, vacuous=True)
 
     U0 = _seeded_starts(T.n)
     t_p, U_p, res, rounds = _polish(T, q, U0 / _norm_q(U0, T.measure, q)[:, None])
     i = int(np.argmin(t_p))         # the first of equal minima
     best_t = float(t_p[i])
-    trace = MinimizationTrace(value=best_t, minimizer=U_p[i],
-                              restarts=U0.shape[0], iterations=int(rounds.sum()),
+    trace = MinimizationTrace(value=best_t, minimizer=U_p[i], iterations=int(rounds.sum()),
                               residual=float(res[i]) / max(1.0, abs(best_t)))
     return best_t, trace
 
@@ -527,25 +522,3 @@ def aizenman_lieb_factor(gamma: float, gamma_tilde: float, kappa: float) -> floa
                - (gt - g) * math.log(gt - g)
                + lgamma(g + k + 1.0) + lgamma(gt - g) - lgamma(gt + k + 1.0))
     return math.exp(log_val)
-
-
-def aizenman_lieb_unminimized(gamma: float, gamma_tilde: float, kappa: float,
-                              s: float) -> float:
-    """The s-dependent expression gt (1-s)^-g s^-(gt-g) B(g+k+1, gt-g)."""
-    g, gt, k = float(gamma), float(gamma_tilde), float(kappa)
-    if not (gt > g > 0.0):
-        raise ValueError(f"requires gamma_tilde > gamma > 0, got {g}, {gt}")
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"requires s in (0, 1), got {s}")
-    return (gt * (1.0 - s) ** (-g) * s ** (-(gt - g))
-            * beta_fn(g + k + 1.0, gt - g))
-
-
-def continuum_sobolev_d3() -> float:
-    """Sharp constant of the d = 3, q = 6 gradient-vs-L6 inequality: 3 (pi/2)^(4/3).
-
-    Used as a configured input in the factor comparison against the
-    semigroup-method constant; validated in tests by radial quadrature
-    of the trial profile (1+|x|^2)^(-1/2).
-    """
-    return 3.0 * (math.pi / 2.0) ** (4.0 / 3.0)

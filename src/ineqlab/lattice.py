@@ -1,4 +1,4 @@
-"""Finite lattice measure spaces, weighted norms, and exponent algebra.
+"""Finite lattice measure spaces, weighted integrals, and exponent algebra.
 
 A lattice space is a finite set of integer-coordinate sites with cell
 measure h^d per site and nearest-neighbor adjacency.  All integrals are
@@ -43,14 +43,6 @@ class LatticeSpace:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
-
-    def index_of(self, coord) -> int:
-        """Index of a site given its integer coordinates."""
-        key = tuple(int(c) for c in coord)
-        hit = np.flatnonzero(np.all(self.coords == key, axis=1)) if len(key) == self.d else []
-        if len(hit) == 0:
-            raise KeyError(f"no live site at coordinates {key}")
-        return int(hit[0])
 
 
 def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpace:
@@ -113,13 +105,6 @@ def make_lattice(d, extents, h=1.0, bc="dirichlet", exclusions=()) -> LatticeSpa
                         boundary_counts=boundary, excluded=excl)
 
 
-def _measure_vector(space: LatticeSpace, measure) -> np.ndarray:
-    m = space.measures if measure is None else np.asarray(measure, dtype=np.float64)
-    if m.shape != (space.n,):
-        raise ValueError(f"measure has shape {m.shape}, expected ({space.n},)")
-    return m
-
-
 def as_potential(space: LatticeSpace, values) -> np.ndarray:
     """Validate values as a nonnegative real potential."""
     v = np.asarray(values, dtype=np.float64)
@@ -144,23 +129,11 @@ def as_weight(space: LatticeSpace, values) -> np.ndarray:
     return w
 
 
-def lp_norm(u, p, space: LatticeSpace, *, measure=None) -> float:
-    """Weighted L^p norm (sum_x m_x |u_x|^p)^(1/p); p = inf gives max |u|."""
-    m = _measure_vector(space, measure)
-    u = np.asarray(u)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("lp_norm requires finite values")
-    if np.isinf(p):
-        return float(np.max(np.abs(u))) if u.size else 0.0
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    return float(np.sum(m * np.abs(u) ** p) ** (1.0 / p))
-
-
 def integral(V, p, space: LatticeSpace, *, measure=None) -> float:
     """Weighted power integral sum_x m_x V_x^p for p > 0."""
-    m = _measure_vector(space, measure)
+    m = space.measures if measure is None else np.asarray(measure, dtype=np.float64)
+    if m.shape != (space.n,):
+        raise ValueError(f"measure has shape {m.shape}, expected ({space.n},)")
     V = np.asarray(V, dtype=np.float64)
     if not np.all(np.isfinite(V)):
         raise ValueError("integral requires finite values")
@@ -226,16 +199,4 @@ def exponents_from_gamma_kappa(gamma, kappa) -> ExponentSet:
         )
     q = 2.0 * (gamma + kappa) / (gamma + kappa - 1.0)
     theta = kappa / (gamma + kappa)
-    return ExponentSet(gamma, kappa, q, theta)
-
-
-def exponents_from_q_theta(q, theta) -> ExponentSet:
-    q = float(q)
-    theta = float(theta)
-    if not q > 2.0:
-        raise ValueError(f"q must be > 2, got {q}")
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    gamma = q * (1.0 - theta) / (q - 2.0)
-    kappa = q * theta / (q - 2.0)
     return ExponentSet(gamma, kappa, q, theta)

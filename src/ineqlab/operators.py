@@ -14,12 +14,13 @@ The Laplacian, magnetic and periodic Schroedinger forms are built as a
 padded row list straight from the lattice edges (``_edge_rows``): per
 row, the column indices and values of its nonzeros, padded to the k
 slots of the fullest row.  Every other form is handed over dense, and
-the constructor reads it once, in blocks of rows (``_scan``), for the
-same row list where the form qualifies.  Either way the constructor
-rejects a form with an entry that is not finite, or with
-||A - A^H||_inf above SYM_TOL max(1, max|A_ij|), and a form whose
-fullest row holds k nonzeros with k * ROW_ROUTE_FACTOR < n keeps its row
-list and bandwidth, which the inertia count in ``spectra`` reads.
+the constructor reads it once, in blocks of rows (``_scan``), for its
+peak, its Hermitian defect and its largest off-diagonal entry; a form
+handed over dense stays dense.  Either way the constructor rejects a
+form with an entry that is not finite, or with ||A - A^H||_inf above
+SYM_TOL max(1, max|A_ij|).  A row list whose fullest row holds k
+nonzeros with k * ROW_ROUTE_FACTOR < n is kept with its bandwidth, which
+the inertia count in ``spectra`` reads.
 form_product (A @ u for each row u of a b x n block, a vector being the
 one-row block; no row depends on the rows beside it) applies such a form
 in O(k n) work per row, and any other form by one dense matrix-vector
@@ -59,8 +60,8 @@ from .lattice import LatticeSpace, as_weight
 
 SYM_TOL = 1e-12
 
-# A form takes the row route when its fullest row has k nonzeros with
-# k * ROW_ROUTE_FACTOR < n.  Measured for one vector at one OpenBLAS
+# A form built as a row list takes the row route when its fullest row has
+# k nonzeros with k * ROW_ROUTE_FACTOR < n.  Measured for one vector at one OpenBLAS
 # thread (numpy 2.4.6, OpenBLAS 0.3.31, x86-64): the dense matvec costs
 # 2-3 us for n <= 81, 4 us at n = 128 and 440 us at n = 1024, while the
 # row route costs 4-6 us at every n up to 256 and 13 us at n = 1024; the
@@ -116,14 +117,10 @@ def _pad_rows(i: np.ndarray, j: np.ndarray, v: np.ndarray, n: int):
 
 
 def _scan(form: np.ndarray):
-    """(max|A_ij|, ||A - A^H||_inf, (max Re(A - diag A), its first (i, j)),
-    padded row list or None, bandwidth or None) from one pass over the rows.
-    The row list (``_pad_rows``) is kept while the rows read so far qualify
-    for the row route.
-    """
+    """(max|A_ij|, ||A - A^H||_inf, (max Re(A - diag A), its first (i, j)))
+    from one pass over the rows."""
     n = form.shape[0]
-    peaks, offs, defects, nonzeros = [], [], [], []
-    counts = np.zeros(n, dtype=np.int64)
+    peaks, offs, defects = [], [], []
     for r in _row_blocks(n):
         blk = form[r]
         # column sums of A[:, r] - A[r]^H: the short block is transposed
@@ -133,28 +130,16 @@ def _scan(form: np.ndarray):
         np.fill_diagonal(off[:, r], 0.0)             # Re(A - diag A)
         at = int(np.argmax(off))
         offs.append((float(off.flat[at]), divmod(r.start * n + at, n)))
-        if nonzeros is not None:
-            nz = blk != 0
-            counts[r] = np.count_nonzero(nz, axis=1)
-            if max(1, int(counts.max())) * ROW_ROUTE_FACTOR < n:
-                nonzeros.append(np.flatnonzero(nz) + r.start * n)
-            else:
-                nonzeros = None
-    peak, defect = float(np.max(peaks)), float(max(defects))
     offdiag = max(offs, key=lambda o: o[0])     # the first maximum
-    if nonzeros is None:
-        return peak, defect, offdiag, None, None
-    i, j = np.divmod(np.concatenate(nonzeros), n)
-    return (peak, defect, offdiag, _pad_rows(i, j, form[i, j], n),
-            int(np.max(np.abs(j - i), initial=0)))
+    return float(np.max(peaks)), float(max(defects)), offdiag
 
 
 def _row_stats(rows):
     """What ``_scan`` reads from a dense form, read from its padded row list
     (cols, vals) instead, with the same values: the peak, the defect
-    ||A - A^H||_inf (each entry matched with its transposed entry), the
+    ||A - A^H||_inf (each entry matched with its transposed entry) and the
     largest Re(A - diag A) with its first (i, j) in row-major order (the
-    zeroed diagonal included), and the row list and bandwidth, or None
+    zeroed diagonal included); then the row list and bandwidth, or None
     for both when the form does not take the row route."""
     cols, vals = rows
     n = cols.shape[1]
@@ -182,13 +167,13 @@ class KineticOperator:
     """Symmetric (or Hermitian) kinetic operator over a lattice space.
 
     measure defaults to the space's cell measures but may differ (the
-    weighted transform and the L^2(V dx) realization both reuse this
-    class with a modified measure).  The constructor marks the form array
-    it is given read-only, without copying it; ``_from_rows`` builds the
-    operator of a padded row list instead, whose dense ``form`` is made on
-    first read.  ``transform`` is the ``BoxBasis`` of sym() that the
-    builder hands on when the operator takes the transform route
-    (``build_laplacian``), else None.
+    L^2(V dx) realization of ``spectra.liyau_upsilon`` reuses this class
+    with a modified measure).  The constructor marks the form array it is
+    given read-only, without copying it, and applies it densely;
+    ``_from_rows`` builds the operator of a padded row list instead, whose
+    dense ``form`` is made on first read.  ``transform`` is the
+    ``BoxBasis`` of sym() that the builder hands on when the operator
+    takes the transform route (``build_laplacian``), else None.
     """
 
     def __init__(self, space: LatticeSpace, form: np.ndarray, *, measure=None,
@@ -198,7 +183,7 @@ class KineticOperator:
             raise ValueError(f"form matrix has shape {form.shape}, expected square of size {space.n}")
         form.setflags(write=False)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite forms fail below
-            stats = _scan(form)
+            stats = (*_scan(form), None, None)
         self._setup(space, form, None, stats, measure, meta, transform)
 
     @classmethod
@@ -364,32 +349,12 @@ class KineticOperator:
         w, Q = self.eigensystem()
         return rs * np.matmul(np.matmul(rs * B, Q) / (w + shift), Q.T)
 
-    def quad_form(self, u) -> float:
-        u = np.asarray(u)
-        return float(np.real(np.conj(u) @ self.form_product(u)))
-
     def with_measure(self, measure, meta: dict) -> "KineticOperator":
         """The same form on another measure; a form built as a row list
         stays one."""
         if self._row_form is None:
             return KineticOperator(self.space, self.form, measure=measure, meta=meta)
         return KineticOperator._from_rows(self.space, self._row_form, measure=measure, meta=meta)
-
-    def shifted(self, tau: float) -> "KineticOperator":
-        """Operator T + tau (form A + tau * diag(m))."""
-        tau = float(tau)
-        form = self.form.copy()
-        idx = np.arange(self.n)
-        form[idx, idx] += tau * self.measure
-        return KineticOperator(self.space, form, measure=self.measure, meta=dict(self.meta))
-
-    def scaled(self, c: float) -> "KineticOperator":
-        """Operator c*T (form c*A), c > 0."""
-        c = float(c)
-        if not c > 0.0:
-            raise ValueError(f"scale factor must be positive, got {c}")
-        return KineticOperator(self.space, c * self.form, measure=self.measure,
-                               meta=dict(self.meta))
 
 
 def _edge_rows(space: LatticeSpace, edge_factors=None, diagonals=()):
@@ -718,42 +683,6 @@ def build_hardy_operator(space: LatticeSpace, s: float, *, origin=None,
     op.meta["lambda_min"] = lam_min
     op.meta["hardy_shift"] = max(0.0, -lam_min)
     return op
-
-
-@dataclass
-class WeightedTransform:
-    """Result of the ground-state-type change of variables u = omega * v."""
-
-    operator: KineticOperator    # form t[omega v] in L^2 with the new measure
-    measure: np.ndarray          # mu = omega^(2 kappa / (kappa - 1)) * m
-    weight: np.ndarray
-    kappa: float
-
-    def potential_map(self, V) -> np.ndarray:
-        """V -> omega^(-2/(kappa-1)) V, which preserves int V^kappa dx."""
-        V = np.asarray(V, dtype=np.float64)
-        return self.weight ** (-2.0 / (self.kappa - 1.0)) * V
-
-
-def weighted_transform(T: KineticOperator, omega, kappa: float) -> WeightedTransform:
-    """Conjugate the form by a positive weight and rescale the measure.
-
-    t_omega[v] = t[omega v] realized in L^2 with measure
-    mu = omega^(2 kappa/(kappa-1)) m; potentials map so that the kappa
-    integral is preserved exactly and negative-eigenvalue counts at
-    threshold zero are unchanged.  Requires kappa > 1 and T positive
-    definite (shift first if needed).
-    """
-    kappa = float(kappa)
-    if not kappa > 1.0:
-        raise ValueError(f"weighted transform requires kappa > 1, got {kappa}")
-    omega = as_weight(T.space, omega)
-    if not T.is_positive_definite():
-        raise ValueError("weighted transform requires a positive definite operator; apply a shift first")
-    A_w = omega[:, None] * T.form * omega[None, :]
-    mu = omega ** (2.0 * kappa / (kappa - 1.0)) * T.measure
-    op = KineticOperator(T.space, A_w, measure=mu, meta={"family": "weighted", "kappa": kappa})
-    return WeightedTransform(operator=op, measure=mu, weight=omega, kappa=kappa)
 
 
 @dataclass

@@ -483,8 +483,7 @@ def heat_norms(T, s) -> tuple[np.ndarray, np.ndarray]:
 class ProfileFunction:
     """Hinge profile f(mu) = max(mu - a, 0) (convex, f(0) = 0) with its
     exponential transform F(lam) = int_0^inf f(mu) exp(-mu/lam) dmu/mu,
-    in closed form lam*exp(-a/lam) - a*E1(a/lam), and its moment
-    int f(mu) mu^(-kappa-1) dmu = a^(1-kappa)/(kappa(kappa-1)).
+    in closed form lam*exp(-a/lam) - a*E1(a/lam).
     """
 
     a: float
@@ -499,12 +498,6 @@ class ProfileFunction:
         if x > 700.0:
             return 0.0
         return lam * math.exp(-x) - self.a * exp_integral_e1(x)
-
-    def moment(self, kappa: float) -> float:
-        """int_0^inf f(mu) mu^(-kappa-1) dmu."""
-        if not kappa > 1.0:
-            raise ValueError(f"hinge moment requires kappa > 1, got {kappa}")
-        return self.a ** (1.0 - kappa) / (kappa * (kappa - 1.0))
 
 
 def hinge_profile(a: float) -> ProfileFunction:

@@ -316,14 +316,6 @@ def verify_diamagnetic(T, T_A, t_grid, *, scenario_id: str = "") -> Verification
                        assumptions={"status": "passed"}, extras=extras)
 
 
-def verify_magnetic_clr(T_A, V, kappa: float, S_nonmagnetic: float, *,
-                        scenario_id: str = "", bd=None) -> VerificationReport:
-    """Counting bound for the magnetic operator with the non-magnetic
-    constant; T_A - V gets its own spectrum."""
-    return verify_clr(T_A, V, kappa, S_nonmagnetic, scenario_id=scenario_id,
-                      bd=bd, tag="magneticCLR")
-
-
 def verify_liyau_trace(T, V, S: float, kappa: float, s_grid, *,
                        scenario_id: str = "", bd=None) -> VerificationReport:
     """Trace bound sum_j exp(-2 s u_j)/(2 u_j) <= (k-1)^(k-1) (2S)^-k int V^k s^(1-k)
@@ -858,8 +850,7 @@ def run_scenario(sc: dict) -> ScenarioResult:
         S, S_trace = functional.sobolev_constant(T, q)
         constants.S = S
         constants.provenance["S"] = "minimized"
-        extras["sobolev"] = {"residual": S_trace.residual,
-                             "restarts": S_trace.restarts, "vacuous": S_trace.vacuous}
+        extras["sobolev"] = {"residual": S_trace.residual, "vacuous": S_trace.vacuous}
         if S > 0.0:
             lo, up = functional.clr_bounds_from_S(S, kappa)
             constants.L_lower, constants.L_upper = lo, up
@@ -893,7 +884,9 @@ def run_scenario(sc: dict) -> ScenarioResult:
                 r = verify_lt_moments(T, V, gamma_tilde, gamma, kappa, L_weak,
                                       scenario_id=sid, bd=bd, spectrum=spectrum)
             elif check == "magneticCLR":
-                r = verify_magnetic_clr(T_A, V, kappa, constants.S, scenario_id=sid, bd=bd)
+                # T_A - V gets its own spectrum
+                r = verify_clr(T_A, V, kappa, constants.S, scenario_id=sid, bd=bd,
+                               tag="magneticCLR")
             else:  # liyauTrace
                 r = verify_liyau_trace(T, V, constants.S, kappa, LIYAU_S_GRID,
                                        scenario_id=sid, bd=bd)

@@ -1,16 +1,21 @@
-"""Lattice construction, norms, and the exponent relations."""
+"""Lattice construction, integrals, and the exponent relations."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ineqlab import (ExponentSet, build_laplacian, build_magnetic_laplacian,
-                     exponents_from_gamma_kappa, exponents_from_q_theta, integral,
-                     lp_norm, make_lattice, random_phases, uniform_flux_phases)
+                     exponents_from_gamma_kappa, integral, make_lattice, random_phases,
+                     uniform_flux_phases)
 from ineqlab.lattice import as_potential, as_weight
+from oracles import exponents_from_q_theta
+
+
+def site_index(sp):
+    """Site index by integer coordinates."""
+    return {tuple(c): i for i, c in enumerate(sp.coords.tolist())}
 
 
 def test_path_counts():
@@ -48,8 +53,8 @@ def test_grid_2d_counts():
     sp = make_lattice(d=2, extents=3)
     assert sp.n == 9
     assert len(sp.edges) == 12
-    corner = sp.index_of((0, 0))
-    center = sp.index_of((1, 1))
+    corner = site_index(sp)[(0, 0)]
+    center = site_index(sp)[(1, 1)]
     assert sp.boundary_counts[corner] == 2
     assert sp.boundary_counts[center] == 0
 
@@ -58,11 +63,11 @@ def test_exclusion_becomes_ghost_under_both_bcs():
     for bc in ("dirichlet", "periodic"):
         sp = make_lattice(d=2, extents=3, bc=bc, exclusions=[(1, 1)])
         assert sp.n == 8
-        with pytest.raises(KeyError):
-            sp.index_of((1, 1))
+        index = site_index(sp)
+        assert (1, 1) not in index
         # each edge-neighbor of the removed site picks up one penalty slot
         for c in [(0, 1), (2, 1), (1, 0), (1, 2)]:
-            i = sp.index_of(c)
+            i = index[c]
             if bc == "periodic":
                 assert sp.boundary_counts[i] == 1
             else:
@@ -95,19 +100,6 @@ def test_make_lattice_rejects_bad_input():
         make_lattice(d=1, extents=1, exclusions=[(0,)])
     with pytest.raises(ValueError):
         make_lattice(d=2, extents=(2, 2, 2))
-
-
-def test_index_roundtrip():
-    sp = make_lattice(d=2, extents=(3, 4), exclusions=[(2, 3)])
-    for i, c in enumerate(sp.coords):
-        assert sp.index_of(tuple(c)) == i
-
-
-def test_index_of_rejects_missing_sites():
-    sp = make_lattice(d=2, extents=(3, 4), exclusions=[(2, 3)])
-    for coord in [(2, 3), (3, 0), (-1, 0), (0, 4), (0,), (0, 0, 0)]:
-        with pytest.raises(KeyError):
-            sp.index_of(coord)
 
 
 # --- array builds against the per-site and per-edge loops they replaced ---
@@ -201,8 +193,6 @@ def test_array_builds_match_the_loops_bit_for_bit(case, seed):
     assert same_bits(sp.boundary_counts, boundary)
     assert same_bits(sp.measures, np.full(len(coords), h**d))
     assert same_bits(sp.edge_weights, np.full(len(edges), h ** (d - 2)))
-    for i, c in enumerate(coords):
-        assert sp.index_of(c) == i
     # real forms, and complex forms with random and with zero phases, whose
     # diagonal and doubled periodic bonds each sum several edges
     assert same_bits(build_laplacian(sp).form, loop_form(sp))
@@ -216,23 +206,20 @@ def test_array_builds_match_the_loops_bit_for_bit(case, seed):
 
 
 def test_lp_norm_and_integral():
+    # ||u||_p = (int |u|^p)^(1/p)
     sp = make_lattice(d=2, extents=(2, 3), h=0.5)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(sp.n)
     m = sp.measures
     for p in (1.0, 2.0, 3.5):
         want = (m * np.abs(u) ** p).sum() ** (1.0 / p)
-        assert lp_norm(u, p, sp) == pytest.approx(want, rel=1e-14)
-    assert lp_norm(u, math.inf, sp) == pytest.approx(np.abs(u).max())
+        assert integral(np.abs(u), p, sp) ** (1.0 / p) == pytest.approx(want, rel=1e-14)
     V = np.abs(u)
     assert integral(V, 1.5, sp) == pytest.approx((m * V**1.5).sum(), rel=1e-14)
-    assert integral(V, 1.5, sp) == pytest.approx(lp_norm(V, 1.5, sp) ** 1.5, rel=1e-13)
-    with pytest.raises(ValueError):
-        lp_norm(u, 0.5, sp)
     with pytest.raises(ValueError):
         integral(V, 0.0, sp)
     with pytest.raises(ValueError):
-        lp_norm(np.full(sp.n, np.nan), 2, sp)
+        integral(np.full(sp.n, np.nan), 2, sp)
 
 
 def test_potential_and_weight_validation():

@@ -12,11 +12,11 @@ from ineqlab import (KineticOperator, beurling_deny_check, build_laplacian,
                      build_magnetic_laplacian, build_periodic_schrodinger,
                      build_hardy_operator, fractional_laplacian,
                      hardy_constant, make_lattice,
-                     random_phases, ring_flux_phases, uniform_flux_phases,
-                     weighted_transform)
+                     random_phases, ring_flux_phases, uniform_flux_phases)
 from ineqlab import cli, spectra, verify
 from ineqlab.operators import (ROW_ROUTE_FACTOR, SYM_TOL, TRANSFORM_MIN_SITES, BoxBasis,
                                _edge_rows, _scan, build_function_of_operator)
+from oracles import weighted_transform
 
 
 def manual_quad_form(space, u):
@@ -26,6 +26,11 @@ def manual_quad_form(space, u):
     w_edge = space.h ** (space.d - 2)
     t += w_edge * float(np.sum(space.boundary_counts * np.abs(u) ** 2))
     return t
+
+
+def quad_form(T, u):
+    """t[u] = u* A u, real for a Hermitian form."""
+    return float(np.real(np.conj(u) @ T.form_product(u)))
 
 
 def test_path_laplacian_matrix():
@@ -64,10 +69,10 @@ def test_quad_form_matches_edge_sum():
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = rng.standard_normal(sp.n)
-        assert T.quad_form(u) == pytest.approx(manual_quad_form(sp, u), rel=1e-12)
+        assert quad_form(T, u) == pytest.approx(manual_quad_form(sp, u), rel=1e-12)
     # complex arguments: the form is real symmetric, t[u] stays real
     w = rng.standard_normal(sp.n) + 1j * rng.standard_normal(sp.n)
-    assert T.quad_form(w) == pytest.approx(manual_quad_form(sp, w), rel=1e-12)
+    assert quad_form(T, w) == pytest.approx(manual_quad_form(sp, w), rel=1e-12)
 
 
 def test_excluded_site_penalized_in_form():
@@ -75,7 +80,7 @@ def test_excluded_site_penalized_in_form():
     T = build_laplacian(sp)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(sp.n)
-    assert T.quad_form(u) == pytest.approx(manual_quad_form(sp, u), rel=1e-12)
+    assert quad_form(T, u) == pytest.approx(manual_quad_form(sp, u), rel=1e-12)
     # diagonal keeps the full 2d neighbor count at every site
     np.testing.assert_allclose(np.diag(T.form), 4.0)
 
@@ -88,9 +93,16 @@ def test_operator_rejects_nonsymmetric_form():
         KineticOperator(sp, np.eye(3))
 
 
-@pytest.mark.parametrize("n", [4, 256], ids=["dense", "row-route"])
+def operator_on_route(sp, B, route):
+    """The operator of the form B, handed over dense or as its row list."""
+    if route == "dense":
+        return KineticOperator(sp, B)
+    return KineticOperator._from_rows(sp, padded_rows_reference(B, False))
+
+
+@pytest.mark.parametrize("n, route", [(4, "dense"), (256, "row-route")], ids=["dense", "row-route"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_operator_rejects_non_finite_form(bad, n):
+def test_operator_rejects_non_finite_form(bad, n, route):
     sp = make_lattice(d=1, extents=n)
     A = build_laplacian(sp).form.copy()
     for entries in ([(1, 1)], [(0, 1), (1, 0)]):
@@ -98,20 +110,7 @@ def test_operator_rejects_non_finite_form(bad, n):
         for ij in entries:
             B[ij] = bad
         with pytest.raises(ValueError, match="not finite"):
-            KineticOperator(sp, B)
-
-
-def test_shift_and_scale():
-    T = build_laplacian(make_lattice(d=1, extents=6))
-    w = T.eigenvalues()
-    Ts = T.shifted(0.3)
-    np.testing.assert_allclose(Ts.eigenvalues(), w + 0.3, rtol=1e-12)
-    Tc = T.scaled(2.5)
-    np.testing.assert_allclose(Tc.eigenvalues(), 2.5 * w, rtol=1e-12)
-    with pytest.raises(ValueError):
-        T.scaled(0.0)
-    with pytest.raises(ValueError):
-        T.scaled(-1.0)
+            operator_on_route(sp, B, route)
 
 
 def test_function_of_operator_matches_expm():
@@ -164,12 +163,11 @@ def test_uniform_flux_plaquette_holonomy():
     for e, (i, j) in enumerate(sp.edges.tolist()):
         phase_of[(i, j)] = phases[e]
         phase_of[(j, i)] = -phases[e]
+    index = {tuple(c): i for i, c in enumerate(sp.coords.tolist())}
     for x in range(3):          # interior plaquettes are unambiguous
         for y in range(3):
-            a = sp.index_of((x, y))
-            b = sp.index_of((x + 1, y))
-            c = sp.index_of((x + 1, y + 1))
-            d = sp.index_of((x, y + 1))
+            a, b = index[(x, y)], index[(x + 1, y)]
+            c, d = index[(x + 1, y + 1)], index[(x, y + 1)]
             hol = (phase_of[(a, b)] + phase_of[(b, c)]
                    - phase_of[(d, c)] - phase_of[(a, d)])
             assert math.remainder(hol - flux, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
@@ -293,8 +291,7 @@ def test_weighted_transform_invariants():
         wt = weighted_transform(T, omega, kappa)
         # the conjugated form evaluates t[omega v]
         v = rng.standard_normal(sp.n)
-        assert wt.operator.quad_form(v) == pytest.approx(T.quad_form(omega * v),
-                                                         rel=1e-12)
+        assert quad_form(wt.operator, v) == pytest.approx(quad_form(T, omega * v), rel=1e-12)
         # the potential map preserves the kappa integral exactly
         V = np.abs(rng.standard_normal(sp.n))
         Vt = wt.potential_map(V)
@@ -307,8 +304,8 @@ def test_weighted_transform_requires_positive_definite():
     T = build_laplacian(make_lattice(d=1, extents=8, bc="periodic"))
     with pytest.raises(ValueError):
         weighted_transform(T, np.ones(8), 1.5)
-    with pytest.raises(ValueError):
-        weighted_transform(T.shifted(1.0), np.ones(8), 1.0)
+    with pytest.raises(ValueError, match="kappa"):
+        weighted_transform(build_laplacian(make_lattice(d=1, extents=8)), np.ones(8), 1.0)
 
 
 def test_beurling_deny_detects_positive_offdiagonal():
@@ -323,7 +320,7 @@ def test_beurling_deny_detects_positive_offdiagonal():
     assert not rep.passed and not rep.cond2_pass
     assert rep.cond2_witness is not None
     u = rep.cond2_witness
-    assert bad.quad_form(np.abs(u)) > bad.quad_form(u)
+    assert quad_form(bad, np.abs(u)) > quad_form(bad, u)
 
 
 def sampled_beurling_deny(T, omega=None, *, n_samples=100, seed=20240801):
@@ -338,12 +335,12 @@ def sampled_beurling_deny(T, omega=None, *, n_samples=100, seed=20240801):
         u = rng.standard_normal(n)
         if i % 2:
             u = u + 1j * rng.standard_normal(n)
-        cond2 = max(cond2, T.quad_form(np.abs(u)) - T.quad_form(u))
+        cond2 = max(cond2, quad_form(T, np.abs(u)) - quad_form(T, u))
     w = np.ones(n) if omega is None else np.asarray(omega)
     cond3 = -np.inf
     for _ in range(n_samples):
         u = np.abs(rng.standard_normal(n)) * float(rng.uniform(0.2, 2.0))
-        cond3 = max(cond3, T.quad_form(np.minimum(u, w)) - T.quad_form(u))
+        cond3 = max(cond3, quad_form(T, np.minimum(u, w)) - quad_form(T, u))
     return cond2 <= 1e-10 * scale, cond3 <= 1e-10 * scale
 
 
@@ -391,7 +388,8 @@ def test_beurling_deny_complex_form_fails_condition_one():
 
 def _row_route_operators(size):
     """Nearest-neighbour forms at one lattice size ("small": n = 16,
-    dense route; "large": n = 256, row route), keyed by family."""
+    dense route; "large": n = 256, row route), keyed by family, each built
+    from its row list."""
     n1, e2 = (16, (4, 4)) if size == "small" else (256, (16, 16))
     path = make_lattice(d=1, extents=n1)
     ring = make_lattice(d=1, extents=n1, bc="periodic")
@@ -406,7 +404,8 @@ def _row_route_operators(size):
         "laplacian-2d": build_laplacian(grid),
         "periodic-2d": build_laplacian(torus),
         "magnetic-2d": build_magnetic_laplacian(grid, uniform_flux_phases(grid, 0.7)),
-        "shifted": lap.shifted(0.3),
+        "shifted": KineticOperator._from_rows(
+            path, _edge_rows(path, diagonals=(0.3 * path.measures,))),
         "weighted": weighted_transform(lap, omega, 1.5).operator,
         "periodic-shifted": build_periodic_schrodinger(ring, W).shifted,
     }
@@ -492,7 +491,7 @@ def test_form_product_matches_dense_matrix(key, width, complex_input, seed):
             assert np.array_equal(got[r], T.form_product(U[r].copy()))
     if width is None:
         qf = float(np.real(np.conj(U) @ want))
-        assert T.quad_form(U) == pytest.approx(qf, rel=1e-14, abs=1e-14 * scale * T.n)
+        assert quad_form(T, U) == pytest.approx(qf, rel=1e-14, abs=1e-14 * scale * T.n)
 
 
 # --- the form scan and sym() ------------------------------------------------
@@ -528,8 +527,8 @@ def same_bits(got, want):
 
 def scan_cases():
     """Forms for the scan, keyed by name: every FORM_OPERATORS form, and
-    matrices no operator accepts (not Hermitian, or leaving the row route
-    after several blocks of rows)."""
+    matrices no operator accepts (not Hermitian), or whose one full row or
+    worst entry sits in a late block of rows."""
     cases = {"-".join(k): np.array(T.form) for k, T in FORM_OPERATORS.items()}
     rng = np.random.default_rng(3)
     for n in (8, 256, 600):
@@ -555,17 +554,27 @@ SCAN_CASES = scan_cases()
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_matches_dense_passes(name):
     A = SCAN_CASES[name]
-    peak, defect, offdiag, rows, bandwidth = _scan(A)
+    peak, defect, offdiag = _scan(A)
     assert peak == np.max(np.abs(A))
     want_defect = np.linalg.norm(A - A.conj().T, ord=np.inf)
     assert defect == pytest.approx(want_defect, rel=1e-12, abs=0.0)
     assert offdiag == offdiag_reference(A)
-    want = padded_rows_reference(A)
-    if want is None:
-        assert rows is None and bandwidth is None
-    else:
-        assert same_bits(rows[0], want[0]) and same_bits(rows[1], want[1])
-        assert bandwidth == int(np.max(np.abs(want[0] - np.arange(len(A)))))
+
+
+def test_dense_nearest_neighbour_form_takes_the_dense_route():
+    # a form handed over dense is applied densely, whatever its sparsity,
+    # and multiplies and counts as its edge-built twin does
+    T = build_laplacian(make_lattice(d=1, extents=256))
+    D = KineticOperator(T.space, np.array(T.form))
+    assert T._rows is not None and D._rows is None and D.bandwidth is None
+    rng = np.random.default_rng(9)
+    U = rng.standard_normal((3, T.n))
+    np.testing.assert_allclose(D.form_product(U), T.form_product(U),
+                               rtol=1e-14, atol=1e-14 * 2.0 * float(np.max(np.abs(U))))
+    V = rng.uniform(0.0, 2.0, size=(4, T.n))
+    counts = spectra.count_below(T, V, 0.0)
+    assert all(c.tie is None for c in counts)
+    assert spectra.count_below(D, V, 0.0) == counts
 
 
 @pytest.mark.parametrize("key", sorted(FORM_OPERATORS), ids="-".join)
@@ -611,14 +620,15 @@ def assert_rows_match_dense_assembly(T, A):
     assembly A gives bit for bit: the row list, the scan's statistics, the
     lazily built form and the inertia blocks of sym()."""
     assert T._form is None                      # nothing dense read yet
-    peak, defect, offdiag, rows, bandwidth = _scan(A)
+    peak, defect, offdiag = _scan(A)
     assert all(same_bits(g, w) for g, w in zip(T._row_form, padded_rows_reference(A, False)))
-    assert T.scale == max(1.0, peak) and T._defect == defect
-    assert T._offdiag == offdiag and T.bandwidth == bandwidth
+    assert T.scale == max(1.0, peak) and T._defect == defect and T._offdiag == offdiag
     assert T.is_real == (not np.iscomplexobj(A))
-    assert (T._rows is None) == (rows is None)
+    rows = padded_rows_reference(A)
+    assert (T._rows is None) == (rows is None) == (T.bandwidth is None)
     if rows is not None:
         assert all(same_bits(g, w) for g, w in zip(T._rows, rows))
+        assert T.bandwidth == int(np.max(np.abs(rows[0] - np.arange(T.n))))
     if spectra._block_size(T) is not None:
         V = np.zeros((1, T.n))
         diag, sub, pots = spectra._band_blocks(T, V)
@@ -768,10 +778,10 @@ def test_hermitian_defect_threshold(route, dtype):
         B = A.copy()
         B[0, 1] += factor * SYM_TOL * scale * step
         if accepted:
-            assert KineticOperator(sp, B)._defect > 0.0
+            assert operator_on_route(sp, B, route)._defect > 0.0
         else:
             with pytest.raises(ValueError, match="not self-adjoint"):
-                KineticOperator(sp, B)
+                operator_on_route(sp, B, route)
 
 
 def test_beurling_deny_reads_the_dense_offdiagonal():
@@ -919,7 +929,7 @@ def test_box_transforms_match_the_dense_basis(extents, bc, h, shifts, seed):
 def test_box_laplacian_routes_by_size():
     # a box Laplacian takes the transform route from TRANSFORM_MIN_SITES
     # sites on and carries no BoxBasis below it; a box with an exclusion,
-    # a shifted box and a function of a box stay on the dense route
+    # a shifted box handed over dense and a function of a box do not
     for extents in [(TRANSFORM_MIN_SITES - 1,), (TRANSFORM_MIN_SITES,), (16, 32), (8, 8)]:
         T = build_laplacian(make_lattice(d=len(extents), extents=extents))
         assert (T.transform is not None) == (T.n >= TRANSFORM_MIN_SITES), extents
@@ -928,7 +938,7 @@ def test_box_laplacian_routes_by_size():
     big = make_lattice(d=2, extents=(16, 32), exclusions=[(3, 3)])
     assert build_laplacian(big).transform is None
     T = build_laplacian(make_lattice(d=1, extents=TRANSFORM_MIN_SITES))
-    assert T.shifted(0.5).transform is None
+    assert KineticOperator(T.space, T.form + 0.5 * np.eye(T.n)).transform is None
     assert build_function_of_operator(T, np.sqrt).transform is None
 
 
@@ -936,10 +946,9 @@ def test_box_laplacian_routes_by_size():
                                          ((32, 32), "periodic")])
 def test_large_box_eigenvector_readers_match_the_form_without_a_basis(extents, bc):
     # no workload reads a large box's eigenvectors: heat_kernel,
-    # birman_schwinger, a function of T and the vacuous kernel vector of the
-    # Sobolev minimization read them from eigh, as on the same form built
-    # without a BoxBasis, while T reads its eigenvalues from the basis
-    from ineqlab import sobolev_constant
+    # birman_schwinger and a function of T read them from eigh, as on the
+    # same form built without a BoxBasis, while T reads its eigenvalues
+    # from the basis
     from ineqlab.spectra import birman_schwinger, heat_kernel
 
     sp = make_lattice(d=len(extents), extents=extents, bc=bc)
@@ -958,9 +967,3 @@ def test_large_box_eigenvector_readers_match_the_form_without_a_basis(extents, b
     assert close(bs.matrix, bs_bare.matrix) and close(bs.eigenvalues, bs_bare.eigenvalues)
     assert close(build_function_of_operator(T, np.sqrt).form,
                  build_function_of_operator(bare, np.sqrt).form)
-    if bc == "periodic":
-        (S, trace), (S_bare, trace_bare) = (sobolev_constant(op, 4.0) for op in (T, bare))
-        assert S == S_bare == 0.0 and trace.vacuous and trace_bare.vacuous
-        assert close(trace.minimizer, trace_bare.minimizer)
-        # the constant vector, normalized in L^4
-        np.testing.assert_allclose(np.abs(trace.minimizer), sp.n ** -0.25, rtol=1e-12)

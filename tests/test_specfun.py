@@ -7,8 +7,7 @@ import pytest
 import scipy.special as sps
 from hypothesis import given, strategies as st
 
-from ineqlab._specfun import (beta_fn, e1_scaled, exp_integral_e1, hardy_constant,
-                              lgamma)
+from ineqlab._specfun import e1_scaled, exp_integral_e1, hardy_constant, lgamma
 
 mpmath.mp.dps = 40
 
@@ -39,17 +38,6 @@ def test_gamma_values():
         assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)
     for x in [0.1, 0.731, 2.5, 7.25, 19.0]:
         assert gamma_fn(x) == pytest.approx(float(sps.gamma(x)), rel=1e-12)
-
-
-def test_beta_against_scipy():
-    pairs = [(0.5, 0.5), (1.0, 1.0), (2.5, 1.5), (1.0, 7.0), (3.5, 0.25),
-             (10.0, 10.0), (0.01, 5.0)]
-    for a, b in pairs:
-        assert beta_fn(a, b) == pytest.approx(float(sps.beta(a, b)), rel=1e-12)
-        assert beta_fn(a, b) == pytest.approx(beta_fn(b, a), rel=1e-14)
-    # B(a, 1) = 1/a
-    for a in [0.25, 1.0, 3.0, 11.5]:
-        assert beta_fn(a, 1.0) == pytest.approx(1.0 / a, rel=1e-12)
 
 
 def test_e1_against_mpmath():

@@ -15,10 +15,13 @@ from ineqlab import (birman_schwinger, birman_schwinger_check, build_laplacian,
                      fractional_laplacian, heat_kernel, heat_norms, hinge_profile, integral,
                      liyau_upsilon, make_lattice, riesz_mean,
                      riesz_mean_from_counts, schrodinger_eigenvalues, spectra,
-                     trotter_trace, weighted_transform)
-from ineqlab.operators import (KineticOperator, build_hardy_operator,
+                     trotter_trace)
+from ineqlab._specfun import e1_scaled
+from ineqlab.functional import lieb_objective
+from ineqlab.operators import (KineticOperator, _pad_rows, build_hardy_operator,
                                build_magnetic_laplacian, random_phases,
                                uniform_flux_phases)
+from oracles import weighted_transform
 
 
 def single_site(t0=2.0, m0=1.0):
@@ -241,8 +244,14 @@ def test_count_monotone_in_coupling_and_threshold(route, size, seed, kind, quart
 
 
 def _relabelled(T, p):
-    """T with site i relabelled p^-1(i): form P A P^T and measure P m."""
-    return KineticOperator(T.space, T.form[np.ix_(p, p)], measure=T.measure[p])
+    """T with site i relabelled p^-1(i): form P A P^T and measure P m, as a
+    row list of its nonzeros when T has one."""
+    A = T.form[np.ix_(p, p)]
+    if T._row_form is None:
+        return KineticOperator(T.space, A, measure=T.measure[p])
+    i, j = np.nonzero(A)
+    return KineticOperator._from_rows(T.space, _pad_rows(i, j, A[i, j], T.n),
+                                      measure=T.measure[p])
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -272,7 +281,7 @@ def test_counts_invariant_under_site_relabelling(route, family, size, seed, n_ra
                                         0.5)
         p = rng.permutation(base.n)
     # a measure off the lattice's own, so that no relabelling is a symmetry
-    T = KineticOperator(base.space, base.form, measure=rng.uniform(0.5, 2.0, base.n))
+    T = base.with_measure(rng.uniform(0.5, 2.0, base.n), {})
     Tp = _relabelled(T, p)
     members = [np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n)) for _ in range(n_random)]
     # T - V has the eigenvalue lambda_j - lambda_j - tau = -tau up to rounding
@@ -665,13 +674,14 @@ def test_hinge_profile_transform_against_quadrature():
 
 
 def test_hinge_profile_moment_against_quadrature():
-    prof = hinge_profile(0.7)
+    # the moment int f(mu) mu^(-kappa-1) dmu of the hinge at a is the factor
+    # a^(1-kappa)/(kappa(kappa-1)) of the Lieb objective at K = 1
+    a = 0.7
     for kappa in (1.5, 2.0, 3.2):
         want, err = scipy.integrate.quad(
-            lambda mu: (mu - 0.7) * mu ** (-kappa - 1.0), 0.7, np.inf)
-        assert prof.moment(kappa) == pytest.approx(want, rel=1e-10)
-    with pytest.raises(ValueError):
-        prof.moment(1.0)
+            lambda mu: (mu - a) * mu ** (-kappa - 1.0), a, np.inf)
+        moment = lieb_objective(a, 1.0, kappa) * (1.0 - a * e1_scaled(a)) / math.exp(a)
+        assert moment == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
         hinge_profile(0.0)
 
@@ -734,7 +744,7 @@ def test_cycle_sum_matches_path_enumeration(ns, r):
     prod_j P[x_(j+1), x_j] at its per-class visit counts."""
     rng = np.random.default_rng(100 * ns + r)
     space = make_lattice(d=1, extents=ns)
-    T = KineticOperator(space, build_laplacian(space).form, measure=rng.uniform(0.5, 2.0, ns))
+    T = build_laplacian(space).with_measure(rng.uniform(0.5, 2.0, ns), {})
     P = heat_kernel(T, 0.3) * T.measure[None, :]
     classes = rng.permutation(np.arange(ns) % r)
     for n in range(1, 5):
