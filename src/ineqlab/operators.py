@@ -216,6 +216,7 @@ class KineticOperator:
         self._sym = None
         self._eig = None
         self._band = None
+        self._tri = None
         self.transform = transform
 
     @property
@@ -285,6 +286,31 @@ class KineticOperator:
         sub = [sym_block(r, c) for c, r in zip(cuts, cuts[1:])]
         self._band = (m, diag, sub)
         return diag, sub
+
+    def sym_tridiagonal(self):
+        """The diagonal a (real) and the subdiagonal e, e_i = sym()[i + 1, i],
+        of sym() for a form of bandwidth 1, made from the row list and
+        cached, read-only; bit for bit the entries of sym(), which is not
+        formed."""
+        if self._tri is None:
+            cols, vals = self._rows
+            slot, i = np.nonzero(vals)
+            X = np.zeros((3, self.n), dtype=self.dtype)    # X[1 + j - i, i] = A_ij
+            X[1 + cols[slot, i] - i, i] = vals[slot, i]
+            e = X[0, 1:]
+            if not (self._defect == 0.0 and np.all(self.measure == 1.0)):
+                rs = 1.0 / np.sqrt(self.measure)
+                X = X * rs                                  # (A_ij rs_i) rs_j, as in sym()
+                X[0, 1:] *= rs[:-1]
+                X[1] *= rs
+                X[2, :-1] *= rs[1:]
+                e = X[0, 1:] + X[2, :-1].conj()             # B_(i+1)i + conj(B_i(i+1))
+                e *= 0.5
+            a = X[1].real           # 0.5 (B_ii + conj(B_ii)) is Re B_ii exactly
+            a.setflags(write=False)
+            e.setflags(write=False)
+            self._tri = (a, e)
+        return self._tri
 
     def eigensystem(self):
         """Cached (eigenvalues ascending, eigenvectors) of the symmetrized

@@ -6,26 +6,30 @@ tie guard of 1e-9: ties are reported, never silently miscounted.  A
 scenario's checks share one T - V spectrum per potential draw
 (``shared_spectrum``), computed only when a check reads it.  A count on a
 banded form (``KineticOperator.bandwidth``) is taken by Sylvester's law
-of inertia from a block LDL^H factorization of T - V + tau, in O(n m^2)
-work for blocks of m sites, whether or not the draw has a spectrum to
-share; it returns the dense count unchanged and hands every tie or
-doubtful pivot to the dense spectrum, the shared one when there is one.
-So a count reads a dense spectrum only where the form has no inertia
-route or the pass leaves the row undecided.  ``count_below`` counts a
-k x n stack of potentials on one operator in one such pass, with one
-stacked ``eigh`` per block for all rows and O(k m^2) memory per block; a
-row whose pivot budget is spent or whose two shifted counts differ falls
-back to the dense count alone, and every row's count is bit for bit the
-one it gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
-(``count_couplings``) is read from one spectrum instead: by Sylvester's
-law of inertia it is #{mu_j < c} over the eigenvalues mu of
-V^(-1/2) T V^(-1/2), and a coupling whose certificate fails
-goes to ``count_below``; short axes on banded forms keep the stacked
-inertia pass.  The heat-kernel diagonal of a box Laplacian on the
-transform route (``KineticOperator.transform``) is a product of one FFT
-per axis and reads no eigenvectors.  All other eigenproblems use
-full dense decompositions; the intended scale is a few thousand sites at
-most.
+of inertia from an LDL^H factorization of T - V + tau, whether or not the
+draw has a spectrum to share; it returns the dense count unchanged and
+hands every tie or doubtful pivot to the dense spectrum, the shared one
+when there is one.  A form of bandwidth 1 (a 1-d Dirichlet path that
+keeps its row list) has scalar pivots, counted by the Sturm recurrence
+d_i = (a_i - V_i + tau) - |e_(i-1)|^2 / d_(i-1) in O(n) plain-float
+steps, which is backward stable (Kahan 1966; Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967); any other banded form takes block pivots of m
+sites in O(n m^2) work.  So a count reads a dense spectrum only where the
+form has no inertia route or the pass leaves the row undecided.
+``count_below`` counts a k x n stack of potentials on one operator in one
+such pass: two Sturm lanes per row, or one stacked ``eigh`` per block for
+all rows with O(k m^2) memory per block; a row whose pivot budget is spent
+or whose two shifted counts differ falls back to the dense count alone,
+and every row's count is bit for bit the one it gets alone.  A coupling
+axis N(0, T - cV) over many c with V > 0 (``count_couplings``) is read
+from one spectrum instead: by Sylvester's law of inertia it is
+#{mu_j < c} over the eigenvalues mu of V^(-1/2) T V^(-1/2), and a
+coupling whose certificate fails goes to ``count_below``; tridiagonal
+forms and short axes on other banded forms keep the stacked inertia pass.
+The heat-kernel diagonal of a box Laplacian on the transform route
+(``KineticOperator.transform``) is a product of one FFT per axis and
+reads no eigenvectors.  All other eigenproblems use full dense
+decompositions; the intended scale is a few thousand sites at most.
 """
 
 from __future__ import annotations
@@ -43,17 +47,17 @@ from .operators import abs_row_sums
 
 TIE_REL = 1e-9
 
-# Inertia counts cut a form of bandwidth b into blocks of
-# m = max(b, INERTIA_BLOCK) sites and run only with at least
-# INERTIA_MIN_BLOCKS blocks.  Measured at one OpenBLAS thread (numpy
-# 2.4.6, OpenBLAS 0.3.31, x86-64): on the 1-d n = 1024 path, blocks of
-# 8, 16, 24, 32, 48, 64 and 128 sites take 15, 12.5, 9, 9, 17, 21 and
-# 35 ms per count, against about 135 ms for the dense eigvalsh.  The
-# stacked m x m eigh costs about 0.3 ms per block, so small forms lose:
-# at 4-6 blocks the inertia count took 0.8-1.4x the dense time (1-d
-# n = 128-192, 2-d 12x12 and 14x14, 3-d 6^3), and from 7 blocks it took
-# at most 0.73x on every shape tried (1-d n = 224, 256; 2-d 15x15 to
-# 18x18; 3-d 7^3, 8^3).
+# Block inertia counts (forms of bandwidth b >= 2) cut the form into blocks
+# of m = max(b, INERTIA_BLOCK) sites and run only with at least
+# INERTIA_MIN_BLOCKS blocks; INERTIA_BLOCK matters for 2-d boxes of side
+# 15 to 31.  Measured at one OpenBLAS thread (numpy 2.4.6, OpenBLAS
+# 0.3.31, x86-64), best of 5 counts: on the 24 x 24 box, blocks of 24, 32,
+# 48 and 64 sites take 9.5, 7.6, 13.8 and 14.0 ms per count against 34 ms
+# for the dense eigvalsh; on 31 x 31, blocks of 31, 32, 48, 64 and 128
+# take 16, 17, 21, 26 and 42 ms against 131 ms.  Small forms lose to the
+# dense count: at 6 blocks (14 x 14) the block count took 1.25-1.34x the
+# dense time, at 7 blocks 0.93-1.2x (15 x 15, 7^3), and from 8 blocks
+# 0.49-0.86x (16 x 16, 18 x 18, 8^3).
 INERTIA_BLOCK = 32
 INERTIA_MIN_BLOCKS = 7
 
@@ -175,10 +179,54 @@ def _inertia_counts(diag, sub, pots, shifts, tol):
     return live, neg
 
 
+def _sturm_count(p, c2, sigma: float, tol: float) -> int | None:
+    """Negative pivots of the LDL^T factorization of the tridiagonal matrix
+    with diagonal p_i + sigma and squared off-diagonal moduli c2 (c2[i]
+    couples sites i and i + 1, and the last entry is 0), from the Sturm
+    recurrence d_i = (p_i + sigma) - c2[i - 1] / d_(i - 1); None once a pivot
+    is zero or its rounding bound eps (c2[i] / |d_i| + |d_i|) exceeds tol.
+    Plain floats: a numpy loop over the sites costs many times more."""
+    limit = tol / float(np.finfo(np.float64).eps)   # exact: eps is a power of 2
+    neg, q = 0, 0.0
+    try:
+        for pi, ci in zip(p, c2):
+            d = (pi + sigma) - q
+            q = ci / d                       # a zero pivot raises here
+            if abs(q) + abs(d) > limit:
+                return None
+            if d < 0.0:
+                neg += 1
+    except ZeroDivisionError:
+        return None
+    return neg
+
+
+def _sturm_counts(T, V, tau: float) -> list:
+    """``_inertia_count`` on a form of bandwidth 1, whose LDL^T pivots are
+    scalars: two ``_sturm_count`` lanes per member, each with the m = 1 case
+    of the block route's rounding budget, on the diagonal and subdiagonal
+    of T.sym() (``KineticOperator.sym_tridiagonal``)."""
+    a, e = T.sym_tridiagonal()
+    P = a - V                            # the diagonals of B - diag V_j
+    c = np.abs(e)
+    norms = np.abs(P)
+    norms[:, 1:] += c
+    norms[:, :-1] += c
+    c2 = (c * c).tolist() + [0.0]
+    out = []
+    for p, delta in zip(P.tolist(), (TIE_REL * norms.max(axis=1)).tolist()):
+        lo = _sturm_count(p, c2, tau + 2.0 * delta, 0.5 * delta)
+        hi = None if lo is None else _sturm_count(p, c2, tau - 2.0 * delta, 0.5 * delta)
+        out.append(CountResult(lo, None) if hi is not None and lo == hi else None)
+    return out
+
+
 def _inertia_count(T, V, tau: float) -> list | None:
     """N(-tau, T - V_j) by inertia for each row V_j of the k x n stack V: one
     CountResult per member, or None for a member only the dense route can
-    answer, or None when the form takes no inertia route at all.
+    answer, or None when the form takes no inertia route at all.  A form of
+    bandwidth 1 counts by the Sturm recurrence (``_sturm_counts``), any
+    other banded form by block LDL^H pivots (``_inertia_counts``).
 
     With s_j = ||T.sym() - diag V_j||_inf >= max|eig| and
     delta_j = TIE_REL * s_j, it counts at -tau - 2 delta_j and
@@ -186,8 +234,11 @@ def _inertia_count(T, V, tau: float) -> list | None:
     counts leave no eigenvalue within 1.5 delta_j of -tau, a window that
     holds the dense tie window (TIE_REL * max|eig|) and the dense solver's
     own rounding, so the count is the dense count and there is no tie.
-    Different counts or a spent budget give None for that member alone.
+    Different counts, a zero pivot or a spent budget give None for that
+    member alone.
     """
+    if T.bandwidth == 1:
+        return _sturm_counts(T, V, tau)
     blocks = _band_blocks(T, V)
     if blocks is None:
         return None
@@ -304,15 +355,18 @@ def count_couplings(T, V, couplings) -> list:
     CountResult per coupling, each equal to ``count_below(T, c * V, 0.0)``,
     tie field included.
 
-    An axis of k >= 2 couplings takes one spectrum of the pencil
-    (``_pencil_counts``) when the form takes no inertia route, or when the
-    stacked inertia pass would make at least as many pivot ``eigh`` calls
-    (2k per block) as there are blocks: one n x n ``eigvalsh`` costs about
-    (n/m)^2 pivot calls of size m (146 ms against 32^2 x 0.14 ms at
-    n = 1024, m = 32, one OpenBLAS thread).  Every coupling the pencil's
-    certificate cannot decide, and every coupling of a shorter axis or of
-    a V with a zero entry or an overflowing W, is counted by one stacked
-    ``count_below`` call.
+    A tridiagonal form (bandwidth 1) never takes the pencil: its stacked
+    Sturm pass costs O(k n) plain-float steps and holds no n x n array,
+    where the pencil holds two.  Any other axis of k >= 2 couplings takes
+    one spectrum of the pencil (``_pencil_counts``) when the form takes no
+    inertia route, or when the stacked block pass would make at least as
+    many pivot ``eigh`` calls (2k per block) as there are blocks: one
+    n x n ``eigvalsh`` costs about (n/m)^2 pivot calls of size m (146 ms
+    against 32^2 x 0.14 ms at n = 1024, m = 32, one OpenBLAS thread).
+    Every coupling the pencil's certificate cannot decide, and every
+    coupling of a shorter axis, of a tridiagonal form or of a V with a zero
+    entry or an overflowing W, is counted by one stacked ``count_below``
+    call.
     """
     V = as_potential(T.space, V)
     cs = np.asarray(couplings, dtype=np.float64).reshape(-1)
@@ -320,7 +374,7 @@ def count_couplings(T, V, couplings) -> list:
         raise ValueError(f"couplings must be finite and >= 0, got {cs}")
     k, m = cs.size, _block_size(T)
     out = [None] * k
-    if k >= 2 and (m is None or 2 * k >= -(-T.n // m)):
+    if k >= 2 and T.bandwidth != 1 and (m is None or 2 * k >= -(-T.n // m)):
         out = _pencil_counts(T, V, cs) or out
     rest = [j for j, c in enumerate(out) if c is None]
     if rest:

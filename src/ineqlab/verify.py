@@ -72,12 +72,12 @@ def _py(x):
         return [_py(v) for v in x]
     if isinstance(x, np.ndarray):
         return [_py(v) for v in x.tolist()]
+    if isinstance(x, (np.bool_, bool)):      # before int: bool is an int
+        return bool(x)
     if isinstance(x, (np.floating, float)):
         return float(x)
     if isinstance(x, (np.integer, int)):
         return int(x)
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
     return x
 
 

@@ -618,7 +618,8 @@ def dense_assembly(space, edge_factors=None, diagonals=()):
 def assert_rows_match_dense_assembly(T, A):
     """Everything T reads from its edge-built row list equals what the dense
     assembly A gives bit for bit: the row list, the scan's statistics, the
-    lazily built form and the inertia blocks of sym()."""
+    lazily built form, and the inertia blocks or the two diagonals of
+    sym()."""
     assert T._form is None                      # nothing dense read yet
     peak, defect, offdiag = _scan(A)
     assert all(same_bits(g, w) for g, w in zip(T._row_form, padded_rows_reference(A, False)))
@@ -641,6 +642,13 @@ def assert_rows_match_dense_assembly(T, A):
         assert all(same_bits(g, np.ascontiguousarray(B[i:i + m, i - m:i]))
                    for g, i in zip(sub, starts[1:]))
         assert T._form is None                  # the blocks read no dense form
+    if T.bandwidth == 1:
+        a, e = T.sym_tridiagonal()
+        B = KineticOperator(T.space, A, measure=T.measure).sym()
+        assert same_bits(a, np.ascontiguousarray(B.diagonal().real))
+        assert same_bits(e, np.ascontiguousarray(np.diagonal(B, -1)))
+        assert not a.flags.writeable and not e.flags.writeable
+        assert T._form is None                  # the diagonals read no dense form
     assert same_bits(T.form, A)
     assert not T.form.flags.writeable
 
@@ -704,9 +712,10 @@ def edge_spaces(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(space=edge_spaces(), kind=st.sampled_from(["laplacian", "random", "flux", "periodic-W"]),
        seed=st.integers(0, 2**16))
-# forms with inertia blocks, where sym() rounds (h != 1) or is complex
+# forms with inertia blocks or two diagonals, where sym() rounds (h != 1) or is complex
 @example(space=make_lattice(1, 300, h=0.3), kind="random", seed=1)
 @example(space=make_lattice(1, 256, h=0.5, exclusions=[(9,)]), kind="periodic-W", seed=2)
+@example(space=make_lattice(1, 200, h=0.5, exclusions=[(9,)]), kind="periodic-W", seed=7)
 @example(space=make_lattice(2, (16, 20), h=0.5), kind="flux", seed=3)
 @example(space=make_lattice(2, (20, 12), h=0.3, exclusions=[(3, 4)]), kind="random", seed=4)
 @example(space=make_lattice(3, 8, h=0.3), kind="random", seed=5)

@@ -95,13 +95,21 @@ def test_inertia_count_exact_tie_returns_dense_result():
 
 
 def test_inertia_count_singular_pivot_falls_back():
-    T = build_laplacian(make_lattice(d=1, extents=300))
-    m = spectra.INERTIA_BLOCK
     tau = 0.5
     rng = np.random.default_rng(5)
+    # 1-d path: V_0 = a_0 + tau puts its first scalar pivot a_0 - V_0 + sigma
+    # 2 delta from zero, which spends the pivot's rounding budget
+    T = build_laplacian(make_lattice(d=1, extents=300))
     V = np.abs(rng.normal(0.0, 1.0, T.n))
-    # constant V on the first block puts an eigenvalue of its pivot
-    # B_11 - V + tau at 0, so the shifted pivots sit 2 delta from singular
+    V[0] = T.sym_tridiagonal()[0][0] + tau
+    assert spectra._inertia_count(T, V[None], tau) == [None]
+    assert count_below(T, V, tau) == _dense_count(T, V, tau)
+    # 16 x 16 box: constant V on the first block puts an eigenvalue of its
+    # pivot B_11 - V + tau at 0, so the shifted pivots sit 2 delta from singular
+    T = build_laplacian(make_lattice(d=2, extents=16))
+    m = spectra.INERTIA_BLOCK
+    assert spectra._block_size(T) == m
+    V = np.abs(rng.normal(0.0, 1.0, T.n))
     w1 = np.linalg.eigvalsh(T.sym()[:m, :m])
     V[:m] = w1[3] + tau
     assert spectra._inertia_count(T, V[None], tau) == [None]
@@ -145,22 +153,31 @@ def test_count_reads_shared_spectrum_without_inertia_route():
 
 
 def test_inertia_route_skips_periodic_dense_and_small_forms():
-    m = spectra.INERTIA_BLOCK
-    small = spectra.INERTIA_MIN_BLOCKS * m - 1
     forms = [build_laplacian(make_lattice(d=1, extents=300, bc="periodic")),
              build_laplacian(make_lattice(d=2, extents=16, bc="periodic")),
              fractional_laplacian(make_lattice(d=1, extents=300), 0.5),
-             build_laplacian(make_lattice(d=1, extents=small))]
-    assert forms[-1].bandwidth == 1       # banded, but too few blocks
+             build_laplacian(make_lattice(d=1, extents=96)),
+             build_laplacian(make_lattice(d=2, extents=14))]
+    assert forms[-2].bandwidth is None      # too few sites to keep its row list
+    assert forms[-1].bandwidth == 14        # banded, but too few blocks
+    assert forms[-1].n < spectra.INERTIA_MIN_BLOCKS * spectra.INERTIA_BLOCK
     rng = np.random.default_rng(9)
     for T in forms:
         V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
-        assert spectra._band_blocks(T, V[None]) is None
+        assert spectra._inertia_count(T, V[None], 0.1) is None
         assert count_below(T, V, 0.1) == _dense_count(T, V, 0.1)
+    # a path that keeps its row list is tridiagonal and counts by the Sturm
+    # recurrence, however few inertia blocks it would make
+    for n in (97, 160, 223):
+        T = build_laplacian(make_lattice(d=1, extents=n))
+        V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+        assert T.bandwidth == 1 and spectra._band_blocks(T, V[None]) is None
+        assert spectra._inertia_count(T, V[None], 0.1) == [_dense_count(T, V, 0.1)]
 
 
 def _stack_form(family, size):
-    """A banded form with 7 to 10 inertia blocks."""
+    """A banded form with 7 to 10 inertia blocks; the 1-d path, which is
+    tridiagonal, counts by the Sturm recurrence instead."""
     if family == "1d":
         return build_laplacian(make_lattice(d=1, extents=7 * size))
     if family == "3d":
@@ -190,10 +207,14 @@ def test_stacked_count_equals_single_and_dense_counts(family, size, seed, n_rand
                for _ in range(n_random)]
     # T - V has the eigenvalue lambda_j - lambda_j - tau = -tau up to rounding
     tie = np.full(T.n, float(T.eigenvalues()[T.n // 5]) + tau)
-    # B_11 - V + tau has an eigenvalue at 0, so the shifted pivots of this
-    # row sit 2 delta from singular
+    # the first pivot of this row sits 2 delta from singular: the scalar
+    # a_0 - V_0 + sigma of a path, else B_11 - V + sigma, which has an
+    # eigenvalue at 0 + sigma - tau
     singular = np.abs(rng.normal(0.0, 1.0, T.n))
-    singular[:m] = np.linalg.eigvalsh(T.sym()[:m, :m])[3] + tau
+    if T.bandwidth == 1:
+        singular[0] = T.sym_tridiagonal()[0][0] + tau
+    else:
+        singular[:m] = np.linalg.eigvalsh(T.sym()[:m, :m])[3] + tau
     members.insert(min(tie_at, len(members)), tie)
     members.insert(min(pivot_at, len(members)), singular)
     Vs = np.array(members)
@@ -201,6 +222,49 @@ def test_stacked_count_equals_single_and_dense_counts(family, size, seed, n_rand
 
     inertia = spectra._inertia_count(T, Vs, tau)
     assert [c is None for c in inertia] == fallback
+    stacked = count_below(T, Vs, tau)
+    assert stacked == [count_below(T, v, tau) for v in Vs]
+    for v, got in zip(members, stacked):
+        assert got == _dense_count(T, v, tau)
+        assert (got.tie is not None) == (v is tie)
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["lattice", "measure", "h", "magnetic"]), n=st.integers(97, 400),
+       seed=st.integers(0, 2**16), n_random=st.integers(1, 4), tie_at=st.integers(0, 4),
+       pivot_at=st.integers(0, 5), tau=st.sampled_from([0.0, 0.25, 1.0]))
+def test_sturm_count_equals_dense_count(kind, n, seed, n_random, tie_at, pivot_at, tau):
+    """On 1-d row-list forms (lattice measure, a U(0.5, 2) measure, h != 1,
+    random magnetic phases) every row the Sturm pass decides gets the dense
+    count and tie; only the exact-tie row and the row whose first scalar
+    pivot sits 2 delta from zero fall back; and a stack counts as its rows
+    counted alone."""
+    rng = np.random.default_rng(seed)
+    sp = make_lattice(d=1, extents=n, h=0.37 if kind == "h" else 1.0)
+    if kind == "magnetic":
+        T = build_magnetic_laplacian(sp, random_phases(sp, seed))
+    else:
+        T = build_laplacian(sp)
+    if kind == "measure":
+        T = T.with_measure(rng.uniform(0.5, 2.0, T.n), {})
+    assert T.bandwidth == 1
+    members = [np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+               for _ in range(n_random)]
+    # T - V has the eigenvalue lambda_j - lambda_j - tau = -tau up to rounding
+    tie = np.full(T.n, float(T.eigenvalues()[T.n // 5]) + tau)
+    # the first pivot a_0 - V_0 + sigma of this row is +-2 delta up to rounding
+    singular = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
+    singular[0] = T.sym_tridiagonal()[0][0] + tau
+    members.insert(min(tie_at, len(members)), tie)
+    members.insert(min(pivot_at, len(members)), singular)
+    Vs = np.array(members)
+
+    sturm = spectra._inertia_count(T, Vs, tau)
+    assert [c is None for c in sturm] == [v is tie or v is singular for v in members]
+    assert sturm == [spectra._inertia_count(T, v[None], tau)[0] for v in Vs]
+    for v, got in zip(members, sturm):
+        if got is not None:
+            assert got == _dense_count(T, v, tau)
     stacked = count_below(T, Vs, tau)
     assert stacked == [count_below(T, v, tau) for v in Vs]
     for v, got in zip(members, stacked):
@@ -384,6 +448,34 @@ def test_count_couplings_falls_back_without_a_finite_pencil(family, low):
     cs = np.geomspace(0.05, 5.0, 12)
     assert spectra._pencil_counts(T, V, cs) is None
     assert spectra.count_couplings(T, V, cs) == [count_below(T, c * V, 0.0) for c in cs]
+
+
+def test_count_couplings_on_a_path_takes_no_eigensolver(monkeypatch):
+    """A coupling axis on a tridiagonal form is counted by the stacked Sturm
+    pass, never by the pencil, even where 2k blocks outnumber the path's
+    inertia blocks; its counts are those of the Birman-Schwinger sandwich,
+    whose eigenvalues at coupling c are c times those at c = 1."""
+    T = build_laplacian(make_lattice(d=1, extents=1024))
+    V = np.abs(np.random.default_rng(31).normal(0.0, 1.0, T.n))
+    cs = np.geomspace(0.05, 5.0, 32)
+    beta = birman_schwinger(T, V).eigenvalues
+    want = [count_from_eigenvalues(1.0 - c * beta, 0.0, scale=max(1.0, c * float(beta[-1])))
+            for c in cs]
+    assert 2 * len(cs) >= T.n // spectra._block_size(T)
+    calls = []
+
+    def refuse(name):
+        def solver(a, *args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} on a tridiagonal coupling axis")
+        return solver
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    got = spectra.count_couplings(T, V, cs)
+    assert calls == []
+    assert [c.n for c in got] == [w.n for w in want]
+    assert all(c.tie is None for c in got)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
