@@ -381,8 +381,7 @@ class HeatBoundReport:
     s_grid: np.ndarray
 
 
-def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
-                     grid_points: int = 60) -> HeatBoundReport:
+def heat_bound_check(T, kappa: float, S: float, *, grid_points: int = 60) -> HeatBoundReport:
     """Measure sup_s s^kappa ||exp(-sT)||_(1->inf) with its bound (kappa/S)^kappa,
     and sup_s s^kappa ||exp(-sT)||_(1->2)^2 with its bound (kappa/2S)^kappa,
     over the grid; ``verify.verify_heat_nash`` judges them.  Both norms
@@ -394,12 +393,9 @@ def heat_bound_check(T, kappa: float, S: float, *, s_grid=None,
     if not kappa > 0.0:
         raise ValueError(f"requires kappa > 0, got {kappa}")
     w = T.eigenvalues()
-    if s_grid is None:
-        lo = 1e-2 / max(float(w[-1]), 1e-300)
-        hi = 50.0 / max(float(w[0]), 1e-300)
-        s_grid = np.geomspace(lo, hi, grid_points)
-    else:
-        s_grid = np.asarray(s_grid, dtype=np.float64)
+    lo = 1e-2 / max(float(w[-1]), 1e-300)
+    hi = 50.0 / max(float(w[0]), 1e-300)
+    s_grid = np.geomspace(lo, hi, grid_points)
     n1inf, n12 = heat_norms(T, s_grid)
     K_meas = float(np.max(s_grid**kappa * n1inf))
     K12_meas = float(np.max(s_grid**kappa * n12**2))

@@ -19,8 +19,10 @@ peak, its Hermitian defect and its largest off-diagonal entry; a form
 handed over dense stays dense.  Either way the constructor rejects a
 form with an entry that is not finite, or with ||A - A^H||_inf above
 SYM_TOL max(1, max|A_ij|).  A row list whose fullest row holds k
-nonzeros with k * ROW_ROUTE_FACTOR < n is kept with its bandwidth, which
-the inertia count in ``spectra`` reads.
+nonzeros with k * ROW_ROUTE_FACTOR < n is kept with its bandwidth b,
+and ``KineticOperator.sym_band`` makes from it the (2b + 1) x n band of
+sym() in LAPACK's band storage, the one array from which both pivot
+kernels of the inertia count in ``spectra`` read.
 form_product (A @ u for each row u of a b x n block, a vector being the
 one-row block; no row depends on the rows beside it) applies such a form
 in O(k n) work per row, and any other form by one dense matrix-vector
@@ -216,7 +218,6 @@ class KineticOperator:
         self._sym = None
         self._eig = None
         self._band = None
-        self._tri = None
         self.transform = transform
 
     @property
@@ -255,62 +256,30 @@ class KineticOperator:
                 self._sym = B
         return self._sym
 
-    def sym_band(self, m: int):
-        """The m x m diagonal blocks of sym() over consecutive m-site blocks
-        and the blocks below them, B[k, k - 1], made from the row list, which
-        the form must keep, and cached, read-only; bit for bit the slices of
-        sym(), which is not formed."""
-        if self._band is not None and self._band[0] == m:
-            return self._band[1:]
-        cols, vals = self._rows
-        rs = 1.0 / np.sqrt(self.measure)
-        plain = self._defect == 0.0 and np.all(self.measure == 1.0)
-
-        def block(r: slice, c: slice) -> np.ndarray:      # A[r, c]
-            J, v = cols[:, r], vals[:, r]
-            slot, i = np.nonzero((J >= c.start) & (J < c.stop) & (v != 0))
-            out = np.zeros((r.stop - r.start, c.stop - c.start), dtype=self.dtype)
-            out[i, J[slot, i] - c.start] = v[slot, i]
-            return out if plain else out * rs[r, None] * rs[c]
-
-        def sym_block(r: slice, c: slice) -> np.ndarray:
-            B = block(r, c)
-            if not plain:
-                B = B + block(c, r).conj().T
-                B *= 0.5
-            B.setflags(write=False)
-            return B
-
-        cuts = [slice(i, min(i + m, self.n)) for i in range(0, self.n, m)]
-        diag = [sym_block(r, r) for r in cuts]
-        sub = [sym_block(r, c) for c, r in zip(cuts, cuts[1:])]
-        self._band = (m, diag, sub)
-        return diag, sub
-
-    def sym_tridiagonal(self):
-        """The diagonal a (real) and the subdiagonal e, e_i = sym()[i + 1, i],
-        of sym() for a form of bandwidth 1, made from the row list and
-        cached, read-only; bit for bit the entries of sym(), which is not
-        formed."""
-        if self._tri is None:
+    def sym_band(self) -> np.ndarray:
+        """The (2b + 1) x n band S[b + j - i, i] = sym()[i, j] of sym() for a
+        form that keeps its row list, b its bandwidth, made from the row list
+        and cached, read-only; bit for bit the entries of sym(), signed
+        zeros included, and 0 where j is not a site.  sym() is not formed."""
+        if self._band is None:
             cols, vals = self._rows
+            n, b = self.n, self.bandwidth
             slot, i = np.nonzero(vals)
-            X = np.zeros((3, self.n), dtype=self.dtype)    # X[1 + j - i, i] = A_ij
-            X[1 + cols[slot, i] - i, i] = vals[slot, i]
-            e = X[0, 1:]
+            S = np.zeros((2 * b + 1, n), dtype=self.dtype)
+            S[b + cols[slot, i] - i, i] = vals[slot, i]
             if not (self._defect == 0.0 and np.all(self.measure == 1.0)):
                 rs = 1.0 / np.sqrt(self.measure)
-                X = X * rs                                  # (A_ij rs_i) rs_j, as in sym()
-                X[0, 1:] *= rs[:-1]
-                X[1] *= rs
-                X[2, :-1] *= rs[1:]
-                e = X[0, 1:] + X[2, :-1].conj()             # B_(i+1)i + conj(B_i(i+1))
-                e *= 0.5
-            a = X[1].real           # 0.5 (B_ii + conj(B_ii)) is Re B_ii exactly
-            a.setflags(write=False)
-            e.setflags(write=False)
-            self._tri = (a, e)
-        return self._tri
+                X = S * rs                                  # (A_ij rs_i) rs_j, as in sym()
+                S = np.zeros_like(X)
+                at = [(o, slice(max(0, -o), n - max(0, o))) for o in range(-b, b + 1)]
+                for o, r in at:
+                    X[b + o, r] *= rs[r.start + o:r.stop + o]
+                for o, r in at:                             # B_ij + conj(B_ji)
+                    np.add(X[b + o, r], X[b - o, r.start + o:r.stop + o].conj(), out=S[b + o, r])
+                S *= 0.5
+            S.setflags(write=False)
+            self._band = S
+        return self._band
 
     def eigensystem(self):
         """Cached (eigenvalues ascending, eigenvectors) of the symmetrized
@@ -557,8 +526,6 @@ def build_function_of_operator(T: KineticOperator, f) -> KineticOperator:
     rs = np.sqrt(T.measure)
     Ap = rs[:, None] * Bp * rs[None, :]
     Ap = 0.5 * (Ap + Ap.conj().T)
-    if T.is_real:
-        Ap = np.real(Ap)
     meta = {"family": "function", "base_family": T.meta.get("family")}
     return KineticOperator(T.space, Ap, measure=T.measure, meta=meta)
 

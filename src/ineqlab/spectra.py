@@ -9,23 +9,28 @@ banded form (``KineticOperator.bandwidth``) is taken by Sylvester's law
 of inertia from an LDL^H factorization of T - V + tau, whether or not the
 draw has a spectrum to share; it returns the dense count unchanged and
 hands every tie or doubtful pivot to the dense spectrum, the shared one
-when there is one.  A form of bandwidth 1 (a 1-d Dirichlet path that
-keeps its row list) has scalar pivots, counted by the Sturm recurrence
-d_i = (a_i - V_i + tau) - |e_(i-1)|^2 / d_(i-1) in O(n) plain-float
-steps, which is backward stable (Kahan 1966; Barth, Martin & Wilkinson,
-Numer. Math. 9, 1967); any other banded form takes block pivots of m
-sites in O(n m^2) work.  So a count reads a dense spectrum only where the
-form has no inertia route or the pass leaves the row undecided.
-``count_below`` counts a k x n stack of potentials on one operator in one
-such pass: two Sturm lanes per row, or one stacked ``eigh`` per block for
-all rows with O(k m^2) memory per block; a row whose pivot budget is spent
-or whose two shifted counts differ falls back to the dense count alone,
-and every row's count is bit for bit the one it gets alone.  A coupling
-axis N(0, T - cV) over many c with V > 0 (``count_couplings``) is read
-from one spectrum instead: by Sylvester's law of inertia it is
-#{mu_j < c} over the eigenvalues mu of V^(-1/2) T V^(-1/2), and a
-coupling whose certificate fails goes to ``count_below``; tridiagonal
-forms and short axes on other banded forms keep the stacked inertia pass.
+when there is one.  Every inertia count reads one band of sym()
+(``KineticOperator.sym_band``, LAPACK's band storage) and passes one
+certificate (``_inertia_count``: the tie scale delta, two shifted lanes
+and their compare) to one of two pivot kernels.  A form of bandwidth 1
+(a 1-d Dirichlet path that keeps its row list) has scalar pivots,
+counted by the Sturm recurrence d_i = (a_i - V_i + tau) -
+|e_(i-1)|^2 / d_(i-1) in O(n) plain-float steps, which is backward
+stable (Kahan 1966; Barth, Martin & Wilkinson, Numer. Math. 9, 1967);
+any other banded form takes block pivots of m sites, gathered from the
+band as the pass goes, in O(n m^2) work.  So a count reads a dense
+spectrum only where the form has no inertia route or the pass leaves the
+row undecided.  ``count_below`` counts a k x n stack of potentials on one
+operator in one such pass: two Sturm lanes per row, or one stacked
+``eigh`` per block for all rows with O(k m^2) memory per block; a row
+whose pivot budget is spent or whose two shifted counts differ falls
+back to the dense count alone, and every row's count is bit for bit the
+one it gets alone.  A coupling axis N(0, T - cV) over many c with V > 0
+(``count_couplings``) is read from one spectrum instead: by Sylvester's
+law of inertia it is #{mu_j < c} over the eigenvalues mu of
+V^(-1/2) T V^(-1/2), and a coupling whose certificate fails goes to
+``count_below``; tridiagonal forms and short axes on other banded forms
+keep the stacked inertia pass.
 The heat-kernel diagonal of a box Laplacian on the transform route
 (``KineticOperator.transform``) is a product of one FFT per axis and
 reads no eigenvectors.  All other eigenproblems use full dense
@@ -112,19 +117,6 @@ def _block_size(T) -> int | None:
     return m if T.n >= INERTIA_MIN_BLOCKS * m else None
 
 
-def _band_blocks(T, V):
-    """Diagonal blocks B_kk of B = T.sym(), the blocks C_k below them
-    (``KineticOperator.sym_band``, from the row list) and the k x m slices
-    of the k x n potential stack V on each block, for consecutive m-site
-    blocks (``_block_size``), so that every B - diag(V_j) is block
-    tridiagonal.  None when the form takes no inertia route."""
-    m = _block_size(T)
-    if m is None:
-        return None
-    diag, sub = T.sym_band(m)
-    return diag, sub, [V[:, i:i + m] for i in range(0, T.n, m)]
-
-
 def _minus_diag(D, v) -> np.ndarray:
     """The stack D - diag(v_j), one m x m matrix per row v_j of the k x m v."""
     out = np.repeat(D[None], len(v), axis=0)
@@ -132,40 +124,58 @@ def _minus_diag(D, v) -> np.ndarray:
     return out
 
 
-def _inertia_counts(diag, sub, pots, shifts, tol):
-    """Eigenvalues below -sigma of each block-tridiagonal B - diag(V_j), for
-    the k x 2 array ``shifts`` of sigmas per member j: the indices of the
-    members counted to the end and their counts, an array of two per
-    member.  A member drops out once one of its pivot blocks' rounding
-    bound exceeds tol[j].
+def _band_rows(S, rows: slice) -> np.ndarray:
+    """sym()[rows, rows.start - b:rows.stop + b], 0 where a column is not a
+    site, from its band S of 2b + 1 rows (``KineticOperator.sym_band``): row
+    p is column rows.start + p of S moved p places right, which a buffer of
+    rows one entry longer than the result's does by its reshape."""
+    k, w = rows.stop - rows.start, len(S)
+    buf = np.zeros(k * (k + w), dtype=S.dtype)
+    buf.reshape(k, k + w)[:, :w] = S[:, rows].T
+    return buf[:k * (k + w - 1)].reshape(k, k + w - 1)
+
+
+def _block_counts(S, V, shifts, tol, m: int) -> list:
+    """Eigenvalues below -sigma of each B - diag(V_j), B = sym() given by its
+    band S, for the k x 2 array ``shifts`` of sigmas per member j, by block
+    LDL^H pivots over consecutive m-site blocks, m at least the bandwidth,
+    so that B is block tridiagonal: per member its two counts (lo, hi), or
+    None once one of its pivot blocks' rounding bound exceeds tol[j].
 
     By Haynsworth's inertia additivity the count is the number of negative
     eigenvalues summed over the Schur complements
     S_k = B_kk - diag(V_j) + sigma - C_k S_(k-1)^-1 C_k^H of the block LDL^H
     factorization of B - diag(V_j) + sigma, with S^-1 taken from ``eigh`` of
-    each S.  All members and shifts advance together: each block step builds
-    the 2k pivots and makes one stacked ``eigh`` call, and each pivot goes
-    through the same LAPACK and BLAS calls as it would alone.  The bound
+    each S.  All members and shifts advance together: each block step
+    reads B_kk and the block C_(k+1) below it from S (``_band_rows``),
+    builds the 2k pivots and makes one stacked ``eigh`` call, and each pivot
+    goes through the same LAPACK and BLAS calls as it would alone.  The bound
     m eps (||C_(k+1)||_inf^2 / min|w(S_k)| + max|w(S_k)|), over both shifts
     of a member, sizes the rounding that S_k passes on to the next pivot.
     """
     eps = np.finfo(np.float64).eps
+    b, n = len(S) // 2, S.shape[1]
     live = np.arange(len(shifts))     # members still counted, in stack order
     vrows = np.repeat(live, 2)        # the potential of each pivot in the stack
     neg = np.zeros((len(shifts), 2), dtype=np.int64)
     sigma = shifts.reshape(-1, 1, 1)
     update = 0.0
+    R = _band_rows(S, slice(0, min(m, n)))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero w_min fails below
-        for step, (D, v) in enumerate(zip(diag, pots)):
-            m = D.shape[0]
-            P = _minus_diag(D, v[vrows])
-            w, Q = np.linalg.eigh(P + sigma * np.eye(m) - update)
+        for i in range(0, n, m):
+            D = R[:, b:b + len(R)]                        # B_kk
+            P = _minus_diag(D, V[vrows, i:i + len(D)])
+            w, Q = np.linalg.eigh(P + sigma * np.eye(len(D)) - update)
             neg += (w < 0.0).sum(axis=1).reshape(-1, 2)
-            C = sub[step] if step < len(sub) else None
+            C = None
+            if i + m < n:
+                R = _band_rows(S, slice(i + m, min(i + 2 * m, n)))
+                C = np.zeros((len(R), len(D)), dtype=S.dtype)   # C_(k+1): within b of B_kk
+                C[:, len(D) - b:] = R[:, :b]
             c_norm = 0.0 if C is None else float(np.max(np.sum(np.abs(C), axis=1)))
-            w_abs = np.abs(w).reshape(-1, 2 * m)
+            w_abs = np.abs(w).reshape(-1, 2 * len(D))
             w_min = w_abs.min(axis=1)
-            bound = m * eps * (c_norm**2 / w_min + w_abs.max(axis=1))
+            bound = len(D) * eps * (c_norm**2 / w_min + w_abs.max(axis=1))
             ok = (w_min != 0.0) & ~(bound > tol)
             if not ok.all():
                 live, neg, tol = live[ok], neg[ok], tol[ok]
@@ -176,7 +186,10 @@ def _inertia_counts(diag, sub, pots, shifts, tol):
             if C is not None:
                 G = C @ Q
                 update = (G / w[:, None, :]) @ np.swapaxes(G.conj(), -1, -2)
-    return live, neg
+    out = [None] * len(shifts)
+    for j, counts in zip(live.tolist(), neg.tolist()):
+        out[j] = tuple(counts)
+    return out
 
 
 def _sturm_count(p, c2, sigma: float, tol: float) -> int | None:
@@ -201,61 +214,54 @@ def _sturm_count(p, c2, sigma: float, tol: float) -> int | None:
     return neg
 
 
-def _sturm_counts(T, V, tau: float) -> list:
-    """``_inertia_count`` on a form of bandwidth 1, whose LDL^T pivots are
-    scalars: two ``_sturm_count`` lanes per member, each with the m = 1 case
-    of the block route's rounding budget, on the diagonal and subdiagonal
-    of T.sym() (``KineticOperator.sym_tridiagonal``)."""
-    a, e = T.sym_tridiagonal()
-    P = a - V                            # the diagonals of B - diag V_j
-    c = np.abs(e)
-    norms = np.abs(P)
-    norms[:, 1:] += c
-    norms[:, :-1] += c
+def _sturm_counts(S, V, shifts, tol) -> list:
+    """``_block_counts`` for a tridiagonal B (band S of three rows), whose
+    LDL^T pivots are scalars: two ``_sturm_count`` lanes per member, each
+    with the m = 1 case of the block pivots' rounding budget."""
+    c = np.abs(S[0, 1:])                 # |B_(i+1)i|
     c2 = (c * c).tolist() + [0.0]
     out = []
-    for p, delta in zip(P.tolist(), (TIE_REL * norms.max(axis=1)).tolist()):
-        lo = _sturm_count(p, c2, tau + 2.0 * delta, 0.5 * delta)
-        hi = None if lo is None else _sturm_count(p, c2, tau - 2.0 * delta, 0.5 * delta)
-        out.append(CountResult(lo, None) if hi is not None and lo == hi else None)
+    for p, (lo_shift, hi_shift), t in zip((S[1].real - V).tolist(), shifts.tolist(),
+                                          tol.tolist()):
+        lo = _sturm_count(p, c2, lo_shift, t)
+        hi = None if lo is None else _sturm_count(p, c2, hi_shift, t)
+        out.append(None if hi is None else (lo, hi))
     return out
 
 
 def _inertia_count(T, V, tau: float) -> list | None:
     """N(-tau, T - V_j) by inertia for each row V_j of the k x n stack V: one
     CountResult per member, or None for a member only the dense route can
-    answer, or None when the form takes no inertia route at all.  A form of
-    bandwidth 1 counts by the Sturm recurrence (``_sturm_counts``), any
-    other banded form by block LDL^H pivots (``_inertia_counts``).
+    answer, or None when the form takes no inertia route at all.  The
+    pivots are read from the band of B = T.sym() (``KineticOperator.sym_band``):
+    scalars by the Sturm recurrence (``_sturm_counts``) on a form of
+    bandwidth 1, blocks of ``_block_size`` sites (``_block_counts``) on any
+    other.
 
-    With s_j = ||T.sym() - diag V_j||_inf >= max|eig| and
-    delta_j = TIE_REL * s_j, it counts at -tau - 2 delta_j and
-    -tau + 2 delta_j with a rounding budget of delta_j / 2 per pivot.  Equal
-    counts leave no eigenvalue within 1.5 delta_j of -tau, a window that
-    holds the dense tie window (TIE_REL * max|eig|) and the dense solver's
-    own rounding, so the count is the dense count and there is no tie.
-    Different counts, a zero pivot or a spent budget give None for that
-    member alone.
+    With s_j = ||B - diag V_j||_inf >= max|eig| and delta_j = TIE_REL * s_j,
+    it counts at -tau - 2 delta_j and -tau + 2 delta_j with a rounding
+    budget of delta_j / 2 per pivot.  Equal counts leave no eigenvalue
+    within 1.5 delta_j of -tau, a window that holds the dense tie window
+    (TIE_REL * max|eig|) and the dense solver's own rounding, so the count
+    is the dense count and there is no tie.  Different counts, a zero pivot
+    or a spent budget give None for that member alone.
     """
-    if T.bandwidth == 1:
-        return _sturm_counts(T, V, tau)
-    blocks = _band_blocks(T, V)
-    if blocks is None:
+    m = 1 if T.bandwidth == 1 else _block_size(T)
+    if m is None:
         return None
-    diag, sub, pots = blocks
-    rows = [np.abs(_minus_diag(D, v)).sum(axis=2) for D, v in zip(diag, pots)]
-    for k, C in enumerate(sub):
-        a = np.abs(C)
-        rows[k + 1] += np.sum(a, axis=1)
-        rows[k] += np.sum(a, axis=0)  # the block above the diagonal is C^H
-    delta = TIE_REL * np.concatenate(rows, axis=1).max(axis=1)
+    S = T.sym_band()
+    b = T.bandwidth
+    off = np.zeros(T.n)                  # sum_(k != i) |B_ik|, one band row at a time
+    for o, row in enumerate(S):
+        if o != b:
+            off += np.abs(row)
+    delta = TIE_REL * np.max(off + np.abs(S[b].real - V), axis=1)
     shifts = np.stack((tau + 2.0 * delta, tau - 2.0 * delta), axis=1)
-    live, neg = _inertia_counts(diag, sub, pots, shifts, 0.5 * delta)
-    out = [None] * len(V)
-    for j, (lo, hi) in zip(live.tolist(), neg.tolist()):
-        if lo == hi:
-            out[j] = CountResult(lo, None)
-    return out
+    if m == 1:
+        counted = _sturm_counts(S, V, shifts, 0.5 * delta)
+    else:
+        counted = _block_counts(S, V, shifts, 0.5 * delta, m)
+    return [None if c is None or c[0] != c[1] else CountResult(c[0], None) for c in counted]
 
 
 def count_below(T, V, tau: float, *, spectrum=None) -> CountResult | list:
@@ -301,7 +307,7 @@ def _pencil_counts(T, V, couplings) -> list | None:
     Certificate.  Take eps the machine epsilon, n the number of sites,
     g_c = min_j |mu_j - c| over the computed mu, s_c = ||B - cV||_inf,
     rho_c = n eps s_c and rho_W = n eps ||W||_inf (rounding models of the
-    kind of ``_inertia_counts``' m eps bound: rho_W for forming W and for
+    kind of ``_block_counts``' m eps bound: rho_W for forming W and for
     ``eigvalsh``, rho_c for the dense ``eigvalsh`` of B - cV).
     - The dense route reads B - fl(cV), and fl(c V_x) = c V_x (1 + d_x)
       with |d_x| <= eps / 2.  So B - fl(cV) = V^(1/2) (W - c - cD)
@@ -366,7 +372,8 @@ def count_couplings(T, V, couplings) -> list:
     Every coupling the pencil's certificate cannot decide, and every
     coupling of a shorter axis, of a tridiagonal form or of a V with a zero
     entry or an overflowing W, is counted by one stacked ``count_below``
-    call.
+    call, whose inertia pass reads only the band of sym(): the Sturm lanes
+    on a tridiagonal form, the block pivots on any other.
     """
     V = as_potential(T.space, V)
     cs = np.asarray(couplings, dtype=np.float64).reshape(-1)
@@ -452,8 +459,6 @@ def birman_schwinger(T, V, tau: float = 0.0) -> BirmanSchwingerOperator:
     half = (sq[:, None] * Q) / np.sqrt(wt)[None, :]
     K = half @ half.conj().T
     K = 0.5 * (K + K.conj().T)
-    if T.is_real:
-        K = np.real(K)
     return BirmanSchwingerOperator(tau=float(tau), matrix=K,
                                    eigenvalues=np.linalg.eigvalsh(K))
 
@@ -495,8 +500,7 @@ def heat_kernel(T, s: float) -> np.ndarray:
     w, Q = T.eigensystem()
     E = (Q * np.exp(-s * w)[None, :]) @ Q.conj().T
     rs = 1.0 / np.sqrt(T.measure)
-    K = rs[:, None] * E * rs[None, :]
-    return np.real(K) if not np.iscomplexobj(K) else K
+    return rs[:, None] * E * rs[None, :]
 
 
 def _heat_diagonal(T, s_values) -> np.ndarray:

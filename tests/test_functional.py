@@ -748,8 +748,8 @@ def test_heat_bound_single_site_sharp_value():
     q = 2.0 * kappa / (kappa - 1.0)
     S, _ = sobolev_constant(op, q)
     assert S == pytest.approx(lam, rel=1e-12)
-    s_grid = np.geomspace(1e-3 / lam, 50.0 / lam, 4001)
-    rep = heat_bound_check(op, kappa, S, s_grid=s_grid)
+    # the default range [1e-2 / lam, 50 / lam] holds the maximizer s = kappa / lam
+    rep = heat_bound_check(op, kappa, S, grid_points=4001)
     # sup_s s^k e^(-s lam) = (k/lam)^k e^-k, so the measured/bound ratio is e^-k
     assert rep.K_measured == pytest.approx((kappa / lam) ** kappa * math.exp(-kappa),
                                            rel=1e-4)

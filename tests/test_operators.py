@@ -618,8 +618,8 @@ def dense_assembly(space, edge_factors=None, diagonals=()):
 def assert_rows_match_dense_assembly(T, A):
     """Everything T reads from its edge-built row list equals what the dense
     assembly A gives bit for bit: the row list, the scan's statistics, the
-    lazily built form, and the inertia blocks or the two diagonals of
-    sym()."""
+    lazily built form, and the band of sym() with the inertia blocks
+    gathered from it."""
     assert T._form is None                      # nothing dense read yet
     peak, defect, offdiag = _scan(A)
     assert all(same_bits(g, w) for g, w in zip(T._row_form, padded_rows_reference(A, False)))
@@ -630,25 +630,22 @@ def assert_rows_match_dense_assembly(T, A):
     if rows is not None:
         assert all(same_bits(g, w) for g, w in zip(T._rows, rows))
         assert T.bandwidth == int(np.max(np.abs(rows[0] - np.arange(T.n))))
-    if spectra._block_size(T) is not None:
-        V = np.zeros((1, T.n))
-        diag, sub, pots = spectra._band_blocks(T, V)
+    if T.bandwidth is not None:
+        S, b = T.sym_band(), T.bandwidth
+        B = KineticOperator(T.space, A, measure=T.measure).sym()
+        want = np.zeros((2 * b + 1, T.n), dtype=B.dtype)   # want[b + j - i, i] = B_ij
+        for o in range(-b, b + 1):
+            want[b + o, max(0, -o):T.n - max(0, o)] = np.diagonal(B, o)
+        assert same_bits(S, want)
+        assert not S.flags.writeable and T.sym_band() is S
         m = spectra._block_size(T)
-        B = KineticOperator(T.space, A, measure=T.measure).sym()
-        starts = range(0, T.n, m)
-        assert len(diag) == len(starts) and len(sub) == len(starts) - 1
-        assert all(same_bits(g, np.ascontiguousarray(B[i:i + m, i:i + m]))
-                   for g, i in zip(diag, starts))
-        assert all(same_bits(g, np.ascontiguousarray(B[i:i + m, i - m:i]))
-                   for g, i in zip(sub, starts[1:]))
-        assert T._form is None                  # the blocks read no dense form
-    if T.bandwidth == 1:
-        a, e = T.sym_tridiagonal()
-        B = KineticOperator(T.space, A, measure=T.measure).sym()
-        assert same_bits(a, np.ascontiguousarray(B.diagonal().real))
-        assert same_bits(e, np.ascontiguousarray(np.diagonal(B, -1)))
-        assert not a.flags.writeable and not e.flags.writeable
-        assert T._form is None                  # the diagonals read no dense form
+        if m is not None:
+            # the block rows the block pass reads, B padded with b zero columns each side
+            Bp = np.pad(B, ((0, 0), (b, b)))
+            assert all(same_bits(spectra._band_rows(S, r),
+                                 np.ascontiguousarray(Bp[r, r.start:r.stop + 2 * b]))
+                       for r in (slice(i, min(i + m, T.n)) for i in range(0, T.n, m)))
+        assert T._form is None                  # the band reads no dense form
     assert same_bits(T.form, A)
     assert not T.form.flags.writeable
 
@@ -750,6 +747,21 @@ def test_edge_rows_match_the_dense_assembly(space, kind, seed):
         T = KineticOperator._from_rows(space, _edge_rows(space, diagonals=diagonals))
         A = dense_assembly(space, diagonals=diagonals)
     assert_rows_match_dense_assembly(T, A)
+
+
+@pytest.mark.parametrize("measure", ["unit", "uniform"])
+def test_magnetic_band_matches_sym(measure):
+    """The band of a 2-d magnetic form is sym() bit for bit, signed zeros
+    included: on the unit measure sym() is the form itself, and on a
+    U(0.5, 2) measure each entry is B_ij + conj(B_ji) halved, so a zero
+    above the diagonal is +0 + conj(+0), whose imaginary part is +0."""
+    space = make_lattice(2, (16, 20))
+    phases = random_phases(space, 11)
+    T = build_magnetic_laplacian(space, phases)
+    if measure == "uniform":
+        T = T.with_measure(np.random.default_rng(12).uniform(0.5, 2.0, space.n), {})
+    assert T.bandwidth is not None and spectra._block_size(T) is not None
+    assert_rows_match_dense_assembly(T, dense_assembly(space, np.exp(1j * phases)))
 
 
 def test_large_box_reads_no_dense_form():

@@ -94,6 +94,24 @@ def test_inertia_count_exact_tie_returns_dense_result():
     assert count_below(T, V, 0.0) == want
 
 
+@pytest.mark.parametrize("extents", [(300,), (16, 16)], ids=["sturm", "block"])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_inertia_count_near_tie_returns_dense_result(extents, tau):
+    """An eigenvalue of T - V at -tau + TIE_REL max|eig| / 2 is a dense tie
+    that is no exact tie.  delta counts the off-diagonal row sums of T, so
+    the two lanes straddle it even where the diagonal of T - V is near
+    -tau (V in the middle of the spectrum) and hand it to the dense count."""
+    T = build_laplacian(make_lattice(d=len(extents), extents=extents))
+    lam = T.eigenvalues()
+    mid = float(lam[T.n // 2])
+    V = np.full(T.n, mid + tau)
+    V -= 0.5 * spectra.TIE_REL * float(np.max(np.abs(lam - V)))
+    want = _dense_count(T, V, tau)
+    assert want.tie is not None and want.tie > 0.1 * spectra.TIE_REL
+    assert spectra._inertia_count(T, V[None], tau) == [None]
+    assert count_below(T, V, tau) == want
+
+
 def test_inertia_count_singular_pivot_falls_back():
     tau = 0.5
     rng = np.random.default_rng(5)
@@ -101,7 +119,7 @@ def test_inertia_count_singular_pivot_falls_back():
     # 2 delta from zero, which spends the pivot's rounding budget
     T = build_laplacian(make_lattice(d=1, extents=300))
     V = np.abs(rng.normal(0.0, 1.0, T.n))
-    V[0] = T.sym_tridiagonal()[0][0] + tau
+    V[0] = T.sym_band()[1, 0].real + tau
     assert spectra._inertia_count(T, V[None], tau) == [None]
     assert count_below(T, V, tau) == _dense_count(T, V, tau)
     # 16 x 16 box: constant V on the first block puts an eigenvalue of its
@@ -171,7 +189,7 @@ def test_inertia_route_skips_periodic_dense_and_small_forms():
     for n in (97, 160, 223):
         T = build_laplacian(make_lattice(d=1, extents=n))
         V = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
-        assert T.bandwidth == 1 and spectra._band_blocks(T, V[None]) is None
+        assert T.bandwidth == 1 and spectra._block_size(T) is None
         assert spectra._inertia_count(T, V[None], 0.1) == [_dense_count(T, V, 0.1)]
 
 
@@ -212,7 +230,7 @@ def test_stacked_count_equals_single_and_dense_counts(family, size, seed, n_rand
     # eigenvalue at 0 + sigma - tau
     singular = np.abs(rng.normal(0.0, 1.0, T.n))
     if T.bandwidth == 1:
-        singular[0] = T.sym_tridiagonal()[0][0] + tau
+        singular[0] = T.sym_band()[1, 0].real + tau
     else:
         singular[:m] = np.linalg.eigvalsh(T.sym()[:m, :m])[3] + tau
     members.insert(min(tie_at, len(members)), tie)
@@ -254,7 +272,7 @@ def test_sturm_count_equals_dense_count(kind, n, seed, n_random, tie_at, pivot_a
     tie = np.full(T.n, float(T.eigenvalues()[T.n // 5]) + tau)
     # the first pivot a_0 - V_0 + sigma of this row is +-2 delta up to rounding
     singular = np.abs(rng.normal(0.0, 0.5 * T.spectral_scale(), T.n))
-    singular[0] = T.sym_tridiagonal()[0][0] + tau
+    singular[0] = T.sym_band()[1, 0].real + tau
     members.insert(min(tie_at, len(members)), tie)
     members.insert(min(pivot_at, len(members)), singular)
     Vs = np.array(members)
